@@ -105,8 +105,8 @@ impl FaultPlan {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum PropagationKernel {
-    /// Reference implementation: push from each beeping node to its
-    /// neighbours over `Vec<bool>` buffers, one delivery at a time.
+    /// Reference implementation: push from each beeping node, in
+    /// ascending id order, to its neighbours, one delivery at a time.
     Scalar,
     /// Packed `u64` bitset kernel (the default): beeps live one bit per
     /// node, and each exchange picks push or pull direction from the beep

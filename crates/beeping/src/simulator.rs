@@ -5,6 +5,13 @@
 //! (`LineGraphView`, `ProductView`, `InducedView`) — adjacency is only ever
 //! consumed through ascending-order neighbour iteration, which every view
 //! provides.
+//!
+//! Every per-node pass of a round follows the *frontier*: the ascending
+//! ids of the active nodes. A settled node never draws, beeps as a
+//! candidate or decides again, so this holds in every kernel, RNG mode,
+//! fault plan and scenario, and a round costs O(active nodes) plus a few
+//! O(n / 64) word scans. Beeps and heard bits live natively in `u64`
+//! words, one bit per node.
 
 use core::ops::ControlFlow;
 
@@ -20,7 +27,7 @@ use crate::{
     RoundRecord, SimConfig, Trace, TraceLevel, Verdict,
 };
 
-/// Bits per packed word in the bitset propagation kernel.
+/// Bits per packed word of the beep and heard bitsets.
 const WORD_BITS: usize = 64;
 
 /// Beep density (beepers ≥ n / `PULL_CROSSOVER`) above which the bitset
@@ -39,7 +46,10 @@ pub struct RoundView<'a> {
     pub round: u32,
     /// Which nodes emitted a candidate beep in exchange 1 this round.
     pub beeped: &'a [bool],
-    /// Which nodes heard a candidate beep in exchange 1 this round.
+    /// Which nodes heard a candidate beep in exchange 1 this round. This
+    /// covers every awake listener, settled or not: a node that already
+    /// joined the MIS or was covered still reports what reached it. Asleep
+    /// and churned-out nodes hear nothing.
     pub heard: &'a [bool],
     /// Node statuses *after* the round's decisions.
     pub status: &'a [NodeStatus],
@@ -234,30 +244,39 @@ pub struct Stepper<'g, F: ProcessFactory, G: GraphView + ?Sized = Graph> {
     fault_rng: SmallRng,
     metrics: Metrics,
     trace: Trace,
+    // The frontier: ascending ids of the `Active` nodes, compacted by the
+    // decision pass. Every per-node pass walks it.
+    frontier: Vec<NodeId>,
+    // Nodes that left the frontier in the last round; their probability
+    // snapshot is zeroed at the start of the next one.
+    left: Vec<NodeId>,
+    // Sleepers ordered by (wake round, id), the merged wake schedule of the
+    // fault plan and the scenario (the later of the two per node);
+    // `sleepers[next_sleeper..]` are still asleep.
+    sleepers: Vec<(u32, NodeId)>,
+    next_sleeper: usize,
+    // MIS members, one bit per node (heartbeat repair only, else empty).
+    mis_words: Vec<u64>,
+    // Each exchange's beeps and heard bits, one bit per node.
+    beep_words: [Vec<u64>; 2],
+    heard_words: [Vec<u64>; 2],
+    // Exchange 1's bits as bools for `RoundView`, kept in step with the
+    // words over their set bits only.
     beep1: Vec<bool>,
-    beep2: Vec<bool>,
     heard1: Vec<bool>,
-    heard2: Vec<bool>,
     probs: Vec<f64>,
-    // Scratch buffers for the bitset kernel, one bit per node.
-    beep_words: Vec<u64>,
-    heard_words: Vec<u64>,
-    // Merged wake schedule: the later of the fault plan's and the
-    // scenario's wake round, per node.
-    wake: Vec<u32>,
-    sleepy: bool,
-    // Churn scratch: which nodes are absent this round.
+    // Churn scratch: which nodes are absent this round (empty without
+    // churn).
     away: Vec<bool>,
     // Scenario-delayed deliveries per exchange: (arrival round, receiver).
-    pending1: Vec<(u32, NodeId)>,
-    pending2: Vec<(u32, NodeId)>,
-    remaining: usize,
+    pending: [Vec<(u32, NodeId)>; 2],
     round: u32,
 }
 
 impl<'g, F: ProcessFactory, G: GraphView + ?Sized> Stepper<'g, F, G> {
     fn new(graph: &'g G, factory: &F, master_seed: u64, config: SimConfig) -> Self {
         let n = graph.node_count();
+        let words = n.div_ceil(WORD_BITS);
         let info = NetworkInfo {
             node_count: n,
             max_degree: graph.max_degree(),
@@ -269,26 +288,25 @@ impl<'g, F: ProcessFactory, G: GraphView + ?Sized> Stepper<'g, F, G> {
             let degrees: Vec<usize> = (0..n as NodeId).map(|v| graph.degree(v)).collect();
             s.wake_schedule(&degrees)
         });
-        let wake: Vec<u32> = (0..n as NodeId)
-            .map(|v| {
-                let from_scenario = scenario_wake
-                    .as_ref()
-                    .and_then(|w| w.get(v as usize).copied())
-                    .unwrap_or(0);
-                config.faults.wake_round(v).max(from_scenario)
-            })
-            .collect();
-        let sleepy = wake.iter().any(|&w| w > 0);
-        let status: Vec<NodeStatus> = wake
-            .iter()
-            .map(|&w| {
-                if w > 0 {
-                    NodeStatus::Asleep
-                } else {
-                    NodeStatus::Active
-                }
-            })
-            .collect();
+        // Nodes awake at round 0 form the first frontier; the rest queue
+        // as sleepers.
+        let mut status = vec![NodeStatus::Active; n];
+        let mut frontier = Vec::with_capacity(n);
+        let mut sleepers = Vec::new();
+        for v in 0..n as NodeId {
+            let from_scenario = scenario_wake
+                .as_ref()
+                .and_then(|w| w.get(v as usize).copied())
+                .unwrap_or(0);
+            let wake = config.faults.wake_round(v).max(from_scenario);
+            if wake > 0 {
+                status[v as usize] = NodeStatus::Asleep;
+                sleepers.push((wake, v));
+            } else {
+                frontier.push(v);
+            }
+        }
+        sleepers.sort_unstable();
         let rngs: Vec<SmallRng> = if config.rng == RngMode::Counter {
             // Counter mode reseeds per (node, round); no standing streams.
             Vec::new()
@@ -302,10 +320,12 @@ impl<'g, F: ProcessFactory, G: GraphView + ?Sized> Stepper<'g, F, G> {
         // reference order; counter-mode loss draws are order-free, so a
         // lossy bitset request is honoured.
         let lossy = config.faults.message_loss > 0.0;
-        let scenario_path = config
-            .scenario
-            .as_deref()
-            .is_some_and(|s| Scenario::has_churn(s) || Scenario::perturbs_deliveries(s));
+        let churn = config.scenario.as_deref().is_some_and(Scenario::has_churn);
+        let scenario_path = churn
+            || config
+                .scenario
+                .as_deref()
+                .is_some_and(Scenario::perturbs_deliveries);
         let kernel_used = if scenario_path || (lossy && config.rng == RngMode::Stream) {
             PropagationKernel::Scalar
         } else {
@@ -321,7 +341,7 @@ impl<'g, F: ProcessFactory, G: GraphView + ?Sized> Stepper<'g, F, G> {
         } else {
             1
         };
-        let remaining = status.iter().filter(|s| !s.is_inactive()).count();
+        let mis_words = vec![0; if config.mis_keeps_beeping { words } else { 0 }];
         Self {
             graph,
             config,
@@ -334,44 +354,89 @@ impl<'g, F: ProcessFactory, G: GraphView + ?Sized> Stepper<'g, F, G> {
             fault_rng,
             metrics: Metrics::new(n),
             trace: Trace::default(),
+            frontier,
+            left: Vec::new(),
+            sleepers,
+            next_sleeper: 0,
+            mis_words,
+            beep_words: [vec![0; words], vec![0; words]],
+            heard_words: [vec![0; words], vec![0; words]],
             beep1: vec![false; n],
-            beep2: vec![false; n],
             heard1: vec![false; n],
-            heard2: vec![false; n],
             probs: vec![0.0; n],
-            beep_words: vec![0; n.div_ceil(WORD_BITS)],
-            heard_words: vec![0; n.div_ceil(WORD_BITS)],
-            wake,
-            sleepy,
-            away: vec![false; n],
-            pending1: Vec::new(),
-            pending2: Vec::new(),
-            remaining,
+            away: vec![false; if churn { n } else { 0 }],
+            pending: [Vec::new(), Vec::new()],
             round: 0,
         }
+    }
+
+    /// Nodes that have not settled: the frontier plus the sleepers.
+    fn remaining(&self) -> usize {
+        self.frontier.len() + self.sleepers.len() - self.next_sleeper
     }
 
     /// Whether the run is over (all nodes inactive, or round cap hit).
     #[must_use]
     pub fn is_done(&self) -> bool {
-        self.remaining == 0 || self.round >= self.config.max_rounds
+        self.remaining() == 0 || self.round >= self.config.max_rounds
     }
 
-    /// Propagates one exchange's beeps (`exchange1` picks the
-    /// `beep1`/`heard1` buffer pair, otherwise `beep2`/`heard2`) through
-    /// the kernel the flags select. `scenario` is `Some` only on the
-    /// scenario reference path (delivery perturbation or churn).
-    fn broadcast_exchange(
-        &mut self,
-        exchange1: bool,
-        bitset: bool,
-        sleepy: bool,
-        lossy: bool,
-        scenario: Option<&dyn Scenario>,
-        churn: bool,
-    ) {
+    /// Wakes the sleepers whose round has come and merges them into the
+    /// frontier, keeping it ascending.
+    fn wake_sleepers(&mut self) {
+        let start = self.next_sleeper;
+        while self
+            .sleepers
+            .get(self.next_sleeper)
+            .is_some_and(|&(wake, _)| wake <= self.round)
+        {
+            self.next_sleeper += 1;
+        }
+        if start == self.next_sleeper {
+            return;
+        }
+        // Every step wakes all sleepers due by its round, so the woken
+        // share one wake round and come out in ascending id order.
+        let woken = &self.sleepers[start..self.next_sleeper];
+        let mut merged = Vec::with_capacity(self.frontier.len() + woken.len());
+        let mut old = self.frontier.iter().copied().peekable();
+        for &(_, v) in woken {
+            self.status[v as usize] = NodeStatus::Active;
+            while let Some(u) = old.next_if(|&u| u < v) {
+                merged.push(u);
+            }
+            merged.push(v);
+        }
+        merged.extend(old);
+        self.frontier = merged;
+    }
+
+    /// Adds the MIS members' heartbeats to exchange `x`'s beeps (heartbeat
+    /// repair only; absent members stay silent).
+    fn add_heartbeats(&mut self, x: usize, churn: bool) {
+        if !self.config.mis_keeps_beeping {
+            return;
+        }
+        let beeps = &mut self.beep_words[x];
+        let away = &self.away;
+        let mut signals = 0u64;
+        for_each_set_bit(&self.mis_words, |v| {
+            if !(churn && away[v]) {
+                set_bit(beeps, v);
+                signals += 1;
+            }
+        });
+        self.metrics.heartbeat_signals += signals;
+    }
+
+    /// Propagates exchange `x`'s beeps (0 or 1) into its heard bits
+    /// through the kernel this run uses. `scenario` is `Some` only on the
+    /// scenario reference path (delivery perturbation or churn). Exchange
+    /// 1's heard bits are mirrored into the `RoundView` bools.
+    fn broadcast_exchange(&mut self, x: usize, scenario: Option<&dyn Scenario>, churn: bool) {
         let loss = self.config.faults.message_loss;
-        let slot = u64::from(self.round) * 2 + u64::from(!exchange1);
+        let lossy = loss > 0.0;
+        let slot = u64::from(self.round) * 2 + x as u64;
         let mut drop = if !lossy {
             LossDraw::None
         } else if self.config.rng == RngMode::Counter {
@@ -386,11 +451,13 @@ impl<'g, F: ProcessFactory, G: GraphView + ?Sized> Stepper<'g, F, G> {
                 loss,
             }
         };
-        let (beeps, heard, pending) = if exchange1 {
-            (&self.beep1, &mut self.heard1, &mut self.pending1)
+        let beeps = &self.beep_words[x];
+        let heard = &mut self.heard_words[x];
+        if x == 0 {
+            clear_mirrored(heard, &mut self.heard1);
         } else {
-            (&self.beep2, &mut self.heard2, &mut self.pending2)
-        };
+            heard.fill(0);
+        }
         if let Some(scenario) = scenario {
             broadcast_scenario(
                 self.graph,
@@ -400,29 +467,31 @@ impl<'g, F: ProcessFactory, G: GraphView + ?Sized> Stepper<'g, F, G> {
                 &mut drop,
                 scenario,
                 self.round,
-                u32::from(!exchange1),
+                x as u32,
                 beeps,
                 heard,
-                pending,
+                &mut self.pending[x],
             );
-        } else if bitset {
+        } else if self.kernel_used == PropagationKernel::Bitset {
             let counter_loss = match drop {
                 LossDraw::Counter(cl) => Some(cl),
                 _ => None,
             };
+            let sleeping = self.next_sleeper < self.sleepers.len();
             broadcast_bitset(
                 self.graph,
                 &self.status,
-                sleepy,
+                sleeping,
                 beeps,
                 heard,
-                &mut self.beep_words,
-                &mut self.heard_words,
                 counter_loss,
                 self.shards,
             );
         } else {
             broadcast(self.graph, &self.status, &mut drop, beeps, heard);
+        }
+        if x == 0 {
+            mirror_set_bits(heard, &mut self.heard1);
         }
     }
 
@@ -432,9 +501,7 @@ impl<'g, F: ProcessFactory, G: GraphView + ?Sized> Stepper<'g, F, G> {
         if self.is_done() {
             return;
         }
-        let n = self.graph.node_count();
         let round = self.round;
-        let lossy = self.config.faults.message_loss > 0.0;
         // Scenario capability flags: a wake-only scenario costs nothing
         // here and keeps the fast kernels; delivery perturbation or churn
         // switches to the scalar scenario reference path.
@@ -453,118 +520,108 @@ impl<'g, F: ProcessFactory, G: GraphView + ?Sized> Stepper<'g, F, G> {
         // are scalar; stream-mode lossy runs are scalar; counter-mode
         // lossy bitset is legal because the loss draws are pure).
         debug_assert!(!scenario_path || self.kernel_used == PropagationKernel::Scalar);
-        let bitset = self.kernel_used == PropagationKernel::Bitset;
         let counter = self.config.rng == RngMode::Counter;
-        let sleepy = self.sleepy;
 
-        // Wake sleeping nodes whose time has come.
-        for v in 0..n {
-            if self.status[v] == NodeStatus::Asleep && self.wake[v] <= round {
-                self.status[v] = NodeStatus::Active;
-            }
-        }
+        self.wake_sleepers();
 
         // Churn: mark who is absent this round. An absent node is frozen —
         // it neither beeps nor hears, draws no randomness, and makes no
         // decisions until its window ends.
         if churn {
             let s = scenario.as_deref().expect("churn implies a scenario");
-            for v in 0..n {
-                self.away[v] = s.absent(v as NodeId, round);
+            for (v, away) in self.away.iter_mut().enumerate() {
+                *away = s.absent(v as NodeId, round);
             }
         }
 
-        // Snapshot probabilities (observer/stepper visibility).
-        for v in 0..n {
-            self.probs[v] = if self.status[v] == NodeStatus::Active && !(churn && self.away[v]) {
-                self.processes[v].beep_probability()
-            } else {
-                0.0
-            };
+        // Exchange 1: candidate beeps, each drawn right after the node's
+        // probability snapshot (observer/stepper visibility). Last round's
+        // leavers drop out of the snapshot here. With the heartbeat
+        // repair, MIS members also beep, persistently inhibiting late
+        // wakers from claiming next to them (like sustained Delta
+        // expression by SOP cells).
+        for v in self.left.drain(..) {
+            self.probs[v as usize] = 0.0;
         }
-
-        // Exchange 1: candidate beeps. With the heartbeat repair, MIS
-        // members also beep here, persistently inhibiting late wakers from
-        // claiming next to them (like sustained Delta expression by SOP
-        // cells).
+        clear_mirrored(&mut self.beep_words[0], &mut self.beep1);
         let mut candidates: u32 = 0;
-        for v in 0..n {
-            self.beep1[v] = if churn && self.away[v] {
-                false
-            } else {
-                match self.status[v] {
-                    NodeStatus::Active => {
-                        // Counter mode: a fresh per-(node, round) stream,
-                        // so the round's draws are pure in (master, v,
-                        // round). Stream mode: the node's standing stream.
-                        let b = if counter {
-                            let mut tmp = SmallRng::seed_from_u64(round_seed(
-                                self.master_seed,
-                                v as NodeId,
-                                round,
-                            ));
-                            self.processes[v].exchange1(&mut tmp)
-                        } else {
-                            self.processes[v].exchange1(&mut self.rngs[v])
-                        };
-                        candidates += u32::from(b);
-                        b
-                    }
-                    NodeStatus::InMis if self.config.mis_keeps_beeping => {
-                        self.metrics.heartbeat_signals += 1;
-                        true
-                    }
-                    _ => false,
-                }
-            };
-        }
-        self.broadcast_exchange(true, bitset, sleepy, lossy, scenario_ref, churn);
-
-        // Exchange 2: join announcements (plus optional MIS heartbeats).
-        for v in 0..n {
-            self.beep2[v] = if churn && self.away[v] {
-                false
-            } else {
-                match self.status[v] {
-                    NodeStatus::Active => self.processes[v].exchange2(self.heard1[v]),
-                    NodeStatus::InMis if self.config.mis_keeps_beeping => {
-                        self.metrics.heartbeat_signals += 1;
-                        true
-                    }
-                    _ => false,
-                }
-            };
-        }
-        self.broadcast_exchange(false, bitset, sleepy, lossy, scenario_ref, churn);
-
-        // Decisions and metric accounting.
-        let mut joined: Vec<NodeId> = Vec::new();
-        let mut covered: u32 = 0;
-        for v in 0..n {
-            if self.status[v] != NodeStatus::Active || (churn && self.away[v]) {
+        for &v in &self.frontier {
+            let vi = v as usize;
+            if churn && self.away[vi] {
+                self.probs[vi] = 0.0;
                 continue;
             }
-            self.metrics.signals[v] += u32::from(self.beep1[v]) + u32::from(self.beep2[v]);
-            self.metrics.beeps[v] += u32::from(self.beep1[v] || self.beep2[v]);
-            match self.processes[v].end_round(self.heard2[v]) {
-                Verdict::Continue => {}
+            let process = &mut self.processes[vi];
+            self.probs[vi] = process.beep_probability();
+            // Counter mode: a fresh per-(node, round) stream, so the
+            // round's draws are pure in (master, v, round). Stream mode:
+            // the node's standing stream.
+            let beeped = if counter {
+                let mut tmp = SmallRng::seed_from_u64(round_seed(self.master_seed, v, round));
+                process.exchange1(&mut tmp)
+            } else {
+                process.exchange1(&mut self.rngs[vi])
+            };
+            candidates += u32::from(beeped);
+            put_bit(&mut self.beep_words[0], vi, beeped);
+        }
+        self.add_heartbeats(0, churn);
+        mirror_set_bits(&self.beep_words[0], &mut self.beep1);
+        self.broadcast_exchange(0, scenario_ref, churn);
+
+        // Exchange 2: join announcements (plus optional MIS heartbeats).
+        self.beep_words[1].fill(0);
+        for &v in &self.frontier {
+            let vi = v as usize;
+            if churn && self.away[vi] {
+                continue;
+            }
+            let announced = self.processes[vi].exchange2(test_bit(&self.heard_words[0], vi));
+            put_bit(&mut self.beep_words[1], vi, announced);
+        }
+        self.add_heartbeats(1, churn);
+        self.broadcast_exchange(1, scenario_ref, churn);
+
+        // Decisions and metric accounting. The frontier compacts in place,
+        // so it stays ascending and `joined` comes out sorted.
+        let tracing = self.config.trace == TraceLevel::Rounds;
+        let mut joined: Vec<NodeId> = Vec::new();
+        let mut covered: u32 = 0;
+        let [beeps1, beeps2] = &self.beep_words;
+        let heard2 = &self.heard_words[1];
+        let heartbeat = self.config.mis_keeps_beeping;
+        self.frontier.retain(|&v| {
+            let vi = v as usize;
+            if churn && self.away[vi] {
+                return true;
+            }
+            let (b1, b2) = (test_bit(beeps1, vi), test_bit(beeps2, vi));
+            self.metrics.signals[vi] += u32::from(b1) + u32::from(b2);
+            self.metrics.beeps[vi] += u32::from(b1 || b2);
+            match self.processes[vi].end_round(test_bit(heard2, vi)) {
+                Verdict::Continue => return true,
                 Verdict::JoinMis => {
-                    self.status[v] = NodeStatus::InMis;
-                    joined.push(v as NodeId);
-                    self.remaining -= 1;
+                    self.status[vi] = NodeStatus::InMis;
+                    if tracing {
+                        joined.push(v);
+                    }
+                    if heartbeat {
+                        set_bit(&mut self.mis_words, vi);
+                    }
                 }
                 Verdict::Covered => {
-                    self.status[v] = NodeStatus::Covered;
+                    self.status[vi] = NodeStatus::Covered;
                     covered += 1;
-                    self.remaining -= 1;
                 }
             }
-        }
+            self.left.push(v);
+            false
+        });
 
         if self.config.record_active_series {
             self.metrics.active_series.push(self.active_count());
         }
-        if self.config.trace == TraceLevel::Rounds {
+        if tracing {
             self.trace.push(RoundRecord {
                 round,
                 candidates,
@@ -613,13 +670,10 @@ impl<'g, F: ProcessFactory, G: GraphView + ?Sized> Stepper<'g, F, G> {
         &self.probs
     }
 
-    /// Number of currently active nodes.
+    /// Number of currently active nodes: the frontier's length, so O(1).
     #[must_use]
     pub fn active_count(&self) -> usize {
-        self.status
-            .iter()
-            .filter(|s| **s == NodeStatus::Active)
-            .count()
+        self.frontier.len()
     }
 
     /// Metrics accumulated so far.
@@ -635,7 +689,7 @@ impl<'g, F: ProcessFactory, G: GraphView + ?Sized> Stepper<'g, F, G> {
     #[must_use]
     pub fn finish(self) -> RunOutcome {
         RunOutcome {
-            terminated: self.remaining == 0,
+            terminated: self.remaining() == 0,
             statuses: self.status,
             rounds: self.round,
             metrics: self.metrics,
@@ -650,6 +704,50 @@ impl<'g, F: ProcessFactory, G: GraphView + ?Sized> Stepper<'g, F, G> {
     pub fn kernel_used(&self) -> PropagationKernel {
         self.kernel_used
     }
+}
+
+/// Whether bit `v` of a one-bit-per-node word array is set.
+#[inline]
+fn test_bit(words: &[u64], v: usize) -> bool {
+    words[v / WORD_BITS] >> (v % WORD_BITS) & 1 != 0
+}
+
+/// Sets bit `v` of a one-bit-per-node word array.
+#[inline]
+fn set_bit(words: &mut [u64], v: usize) {
+    put_bit(words, v, true);
+}
+
+/// ORs `bit` into bit `v` of a one-bit-per-node word array, without a
+/// branch on `bit` (a coin flip would mispredict half the time).
+#[inline]
+fn put_bit(words: &mut [u64], v: usize, bit: bool) {
+    words[v / WORD_BITS] |= u64::from(bit) << (v % WORD_BITS);
+}
+
+/// Calls `f` with every set bit of `words`, in ascending order, skipping
+/// zero words whole.
+#[inline]
+fn for_each_set_bit(words: &[u64], mut f: impl FnMut(usize)) {
+    for (wi, &word) in words.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            f(wi * WORD_BITS + bits.trailing_zeros() as usize);
+            bits &= bits - 1;
+        }
+    }
+}
+
+/// Zeroes `words` and clears the matching entries of its bool `mirror`,
+/// visiting only the set bits.
+fn clear_mirrored(words: &mut [u64], mirror: &mut [bool]) {
+    for_each_set_bit(words, |v| mirror[v] = false);
+    words.fill(0);
+}
+
+/// Sets the entries of the bool `mirror` of `words` at its set bits.
+fn mirror_set_bits(words: &[u64], mirror: &mut [bool]) {
+    for_each_set_bit(words, |v| mirror[v] = true);
 }
 
 /// Per-delivery drop decision for one exchange, shared by the scalar and
@@ -684,23 +782,21 @@ struct CounterLoss {
     loss: f64,
 }
 
-/// Computes `heard[v] = OR of beeps delivered to v from its neighbours`,
+/// The scalar reference kernel: sets each node's `heard` bit (all zero on
+/// entry) to the OR of the beeps delivered to it from its neighbours,
 /// applying the per-delivery loss decision of `drop`.
 fn broadcast<G: GraphView + ?Sized>(
     graph: &G,
     status: &[NodeStatus],
     drop: &mut LossDraw<'_>,
-    beeps: &[bool],
-    heard: &mut [bool],
+    beeps: &[u64],
+    heard: &mut [u64],
 ) {
-    heard.fill(false);
-    for (v, &b) in beeps.iter().enumerate() {
-        if !b {
-            continue;
-        }
-        // Ascending neighbour order is part of the GraphView contract, so
-        // a stream-mode loss draw consumes the fault RNG in exactly the
-        // CSR reference order (counter-mode draws are order-free anyway).
+    // Beepers ascending, then each beeper's neighbours ascending (the
+    // GraphView contract): a stream-mode loss draw consumes the fault RNG
+    // in exactly the CSR reference order (counter-mode draws are
+    // order-free anyway).
+    for_each_set_bit(beeps, |v| {
         graph.for_each_neighbor(v as NodeId, |u| {
             // Sleeping nodes hear nothing.
             if status[u as usize] == NodeStatus::Asleep {
@@ -709,9 +805,9 @@ fn broadcast<G: GraphView + ?Sized>(
             if drop.dropped(v as NodeId, u) {
                 return;
             }
-            heard[u as usize] = true;
+            set_bit(heard, u as usize);
         });
-    }
+    });
 }
 
 /// The scenario reference path: like [`broadcast`], but each delivery's
@@ -734,15 +830,11 @@ fn broadcast_scenario<G: GraphView + ?Sized>(
     scenario: &dyn Scenario,
     round: u32,
     exchange: u32,
-    beeps: &[bool],
-    heard: &mut [bool],
+    beeps: &[u64],
+    heard: &mut [u64],
     pending: &mut Vec<(u32, NodeId)>,
 ) {
-    heard.fill(false);
-    for (v, &b) in beeps.iter().enumerate() {
-        if !b {
-            continue;
-        }
+    for_each_set_bit(beeps, |v| {
         graph.for_each_neighbor(v as NodeId, |u| {
             let ui = u as usize;
             // Sleeping and absent nodes hear nothing.
@@ -753,12 +845,12 @@ fn broadcast_scenario<G: GraphView + ?Sized>(
                 return;
             }
             match scenario.delivery(v as NodeId, u, round, exchange) {
-                Delivery::OnTime => heard[ui] = true,
+                Delivery::OnTime => set_bit(heard, ui),
                 Delivery::Dropped => {}
                 Delivery::Delayed(d) => pending.push((round + d.max(1), u)),
             }
         });
-    }
+    });
     // Deliver the delayed beeps whose round has come (entries pushed above
     // always have a strictly later arrival round, so they survive).
     pending.retain(|&(due, u)| {
@@ -767,31 +859,10 @@ fn broadcast_scenario<G: GraphView + ?Sized>(
         }
         let ui = u as usize;
         if status[ui] != NodeStatus::Asleep && !(churn && away[ui]) {
-            heard[ui] = true;
+            set_bit(heard, ui);
         }
         false
     });
-}
-
-/// Packs a `bool`-per-node buffer into one bit per node, little-endian
-/// within each `u64` word.
-fn pack_bits(bits: &[bool], words: &mut [u64]) {
-    for (word, chunk) in words.iter_mut().zip(bits.chunks(WORD_BITS)) {
-        let mut w = 0u64;
-        for (i, &b) in chunk.iter().enumerate() {
-            w |= u64::from(b) << i;
-        }
-        *word = w;
-    }
-}
-
-/// Unpacks one bit per node back into a `bool`-per-node buffer.
-fn unpack_bits(words: &[u64], bits: &mut [bool]) {
-    for (chunk, &word) in bits.chunks_mut(WORD_BITS).zip(words) {
-        for (i, b) in chunk.iter_mut().enumerate() {
-            *b = (word >> i) & 1 != 0;
-        }
-    }
 }
 
 /// Whether listener `v` hears any beeping neighbour, via the word-grouped
@@ -834,8 +905,7 @@ fn listener_hears_lossy<G: GraphView + ?Sized>(
     cl: CounterLoss,
 ) -> bool {
     graph.try_for_each_neighbor(v, |u| {
-        let beeped = beep_words[u as usize / WORD_BITS] >> (u as usize % WORD_BITS) & 1 != 0;
-        if beeped && !loss_dropped(cl.master, u, v, cl.slot, cl.loss) {
+        if test_bit(beep_words, u as usize) && !loss_dropped(cl.master, u, v, cl.slot, cl.loss) {
             ControlFlow::Break(())
         } else {
             ControlFlow::Continue(())
@@ -850,7 +920,7 @@ fn listener_hears_lossy<G: GraphView + ?Sized>(
 fn pull_heard_words<G: GraphView + ?Sized>(
     graph: &G,
     status: &[NodeStatus],
-    sleepy: bool,
+    sleeping: bool,
     beep_words: &[u64],
     loss: Option<CounterLoss>,
     first_word: usize,
@@ -861,13 +931,13 @@ fn pull_heard_words<G: GraphView + ?Sized>(
         let base = (first_word + i) * WORD_BITS;
         let mut word = 0u64;
         for (off, s) in status[base..(base + WORD_BITS).min(n)].iter().enumerate() {
-            if sleepy && *s == NodeStatus::Asleep {
+            if sleeping && *s == NodeStatus::Asleep {
                 continue;
             }
-            let v = base + off;
+            let v = (base + off) as NodeId;
             let hit = match loss {
-                None => listener_hears(graph, v as NodeId, beep_words),
-                Some(cl) => listener_hears_lossy(graph, v as NodeId, beep_words, cl),
+                None => listener_hears(graph, v, beep_words),
+                Some(cl) => listener_hears_lossy(graph, v, beep_words, cl),
             };
             word |= u64::from(hit) << off;
         }
@@ -875,11 +945,11 @@ fn pull_heard_words<G: GraphView + ?Sized>(
     }
 }
 
-/// The bitset propagation kernel: computes the same
-/// `heard[v] = OR of beeps delivered to v from its neighbours` as
-/// [`broadcast`], on packed `u64` words, optionally applying counter-keyed
-/// per-delivery loss (`loss`) and splitting the work across `shards`
-/// scoped worker threads.
+/// The bitset propagation kernel: computes the same heard bits as
+/// [`broadcast`] (`heard_words` all zero on entry), on packed `u64`
+/// words, optionally applying counter-keyed per-delivery loss (`loss`) and
+/// splitting the work across `shards` scoped worker threads. `sleeping`
+/// says whether any node is still asleep.
 ///
 /// The direction is chosen per exchange from the beep density:
 ///
@@ -889,8 +959,8 @@ fn pull_heard_words<G: GraphView + ?Sized>(
 ///   the beep bitset. When half the network beeps, the expected scan is a
 ///   couple of words regardless of degree.
 /// * **push** (sparse beeps) — scan the beep words, skip zero words whole,
-///   and OR each beeper's neighbour bits into the heard bitset; asleep
-///   listeners are cleared afterwards in one pass.
+///   and OR each beeper's neighbour bits into the heard bitset, skipping
+///   asleep listeners.
 ///
 /// The density heuristic picks the direction first; sharding then only
 /// applies to the pull direction, whose per-listener gather writes only
@@ -899,21 +969,16 @@ fn pull_heard_words<G: GraphView + ?Sized>(
 /// slot)`, so the early exit, the evaluation order, and the direction are
 /// all free: both directions produce identical results, and mixing them
 /// across configurations never changes an outcome.
-#[allow(clippy::too_many_arguments)]
 fn broadcast_bitset<G: GraphView + ?Sized>(
     graph: &G,
     status: &[NodeStatus],
-    sleepy: bool,
-    beeps: &[bool],
-    heard: &mut [bool],
-    beep_words: &mut [u64],
+    sleeping: bool,
+    beep_words: &[u64],
     heard_words: &mut [u64],
     loss: Option<CounterLoss>,
     shards: usize,
 ) {
     let n = graph.node_count();
-    pack_bits(beeps, beep_words);
-    heard_words.fill(0);
     let beepers: usize = beep_words.iter().map(|w| w.count_ones() as usize).sum();
     let words = heard_words.len();
     let shards = shards.min(words);
@@ -925,40 +990,30 @@ fn broadcast_bitset<G: GraphView + ?Sized>(
         // receiver, slot)), so pushing stays bit-identical to pulling —
         // sharded configurations take this branch too, because pushing a
         // sparse exchange is cheaper than any parallel pull over it.
-        for (wi, &word) in beep_words.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let v = wi * WORD_BITS + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                graph.for_each_neighbor(v as NodeId, |u| {
-                    if let Some(cl) = loss {
-                        if loss_dropped(cl.master, v as NodeId, u, cl.slot, cl.loss) {
-                            return;
-                        }
-                    }
-                    heard_words[u as usize / WORD_BITS] |= 1u64 << (u as usize % WORD_BITS);
-                });
-            }
-        }
-        if sleepy {
-            // Sleeping nodes hear nothing.
-            for (v, s) in status.iter().enumerate() {
-                if *s == NodeStatus::Asleep {
-                    heard_words[v / WORD_BITS] &= !(1u64 << (v % WORD_BITS));
+        for_each_set_bit(beep_words, |v| {
+            graph.for_each_neighbor(v as NodeId, |u| {
+                // Sleeping nodes hear nothing.
+                if sleeping && status[u as usize] == NodeStatus::Asleep {
+                    return;
                 }
-            }
-        }
+                if let Some(cl) = loss {
+                    if loss_dropped(cl.master, v as NodeId, u, cl.slot, cl.loss) {
+                        return;
+                    }
+                }
+                set_bit(heard_words, u as usize);
+            });
+        });
     } else if shards > 1 {
         // Sharded pull over word-aligned listener chunks: each worker
         // computes its own output words, merged back by index.
-        let beep_words: &[u64] = beep_words;
         let chunk_words = words.div_ceil(shards);
         let chunks = words.div_ceil(chunk_words);
         let parts: Vec<Vec<u64>> = crate::batch::parallel_indexed_map(chunks, shards, |c| {
             let lo = c * chunk_words;
             let hi = ((c + 1) * chunk_words).min(words);
             let mut out = vec![0u64; hi - lo];
-            pull_heard_words(graph, status, sleepy, beep_words, loss, lo, &mut out);
+            pull_heard_words(graph, status, sleeping, beep_words, loss, lo, &mut out);
             out
         });
         for (c, part) in parts.into_iter().enumerate() {
@@ -966,9 +1021,8 @@ fn broadcast_bitset<G: GraphView + ?Sized>(
             heard_words[lo..lo + part.len()].copy_from_slice(&part);
         }
     } else {
-        pull_heard_words(graph, status, sleepy, beep_words, loss, 0, heard_words);
+        pull_heard_words(graph, status, sleeping, beep_words, loss, 0, heard_words);
     }
-    unpack_bits(heard_words, heard);
 }
 
 impl<F: ProcessFactory, G: GraphView + ?Sized> core::fmt::Debug for Simulator<'_, F, G> {
@@ -1257,18 +1311,6 @@ mod tests {
         // One round, beeped in both exchanges: 1 beep, 2 signals.
         assert_eq!(outcome.metrics().total_beeps(), 1);
         assert_eq!(outcome.metrics().signals[0], 2);
-    }
-
-    #[test]
-    fn pack_unpack_round_trip() {
-        for n in [0usize, 1, 63, 64, 65, 130] {
-            let bits: Vec<bool> = (0..n).map(|i| i % 3 == 0).collect();
-            let mut words = vec![0u64; n.div_ceil(WORD_BITS)];
-            pack_bits(&bits, &mut words);
-            let mut back = vec![false; n];
-            unpack_bits(&words, &mut back);
-            assert_eq!(back, bits, "n = {n}");
-        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The paper's feedback-adaptive algorithm (Table 1 / Definition 1).
 
 use core::fmt;
+use std::sync::Arc;
 
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -137,6 +138,9 @@ impl FeedbackConfig {
 ///   terminate covered; otherwise `p` is decreased if a beep was heard and
 ///   increased (up to the cap) if not.
 ///
+/// The configuration sits behind an [`Arc`]: a [`FeedbackFactory`] shares
+/// one among all its nodes, so the per-node record is 24 bytes.
+///
 /// # Examples
 ///
 /// ```
@@ -148,7 +152,7 @@ impl FeedbackConfig {
 /// ```
 #[derive(Debug, Clone)]
 pub struct FeedbackProcess {
-    config: FeedbackConfig,
+    config: Arc<FeedbackConfig>,
     p: f64,
     beeped: bool,
     heard: bool,
@@ -163,12 +167,18 @@ impl FeedbackProcess {
     /// [`FeedbackConfig::validate`]).
     #[must_use]
     pub fn new(config: FeedbackConfig) -> Self {
+        Self::shared(Arc::new(config))
+    }
+
+    /// Creates a fresh process running a configuration shared with other
+    /// nodes; panics like [`new`](Self::new).
+    fn shared(config: Arc<FeedbackConfig>) -> Self {
         config
             .validate()
             .unwrap_or_else(|e| panic!("invalid feedback config: {e}"));
         Self {
-            config,
             p: config.initial_p,
+            config,
             beeped: false,
             heard: false,
         }
@@ -223,11 +233,12 @@ impl BeepingProcess for FeedbackProcess {
 /// Factory installing an identical [`FeedbackProcess`] at every node — the
 /// paper's uniform, anonymous setting.
 ///
+/// Every process it creates shares the factory's one configuration.
 /// For heterogeneous configurations (per-node factors, §6), build processes
 /// with [`mis_beeping::FnFactory`] and [`FeedbackProcess::new`] directly.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct FeedbackFactory {
-    config: FeedbackConfig,
+    config: Arc<FeedbackConfig>,
 }
 
 impl FeedbackFactory {
@@ -240,7 +251,9 @@ impl FeedbackFactory {
     /// Factory with a custom configuration.
     #[must_use]
     pub fn with_config(config: FeedbackConfig) -> Self {
-        Self { config }
+        Self {
+            config: Arc::new(config),
+        }
     }
 
     /// The configuration installed at every node.
@@ -254,7 +267,7 @@ impl ProcessFactory for FeedbackFactory {
     type Process = FeedbackProcess;
 
     fn create(&self, _node: NodeId, _degree: usize, _info: &NetworkInfo) -> FeedbackProcess {
-        FeedbackProcess::new(self.config)
+        FeedbackProcess::shared(Arc::clone(&self.config))
     }
 }
 
@@ -433,6 +446,33 @@ mod tests {
     #[should_panic(expected = "invalid feedback config")]
     fn bad_config_panics_on_construction() {
         let _ = FeedbackProcess::new(FeedbackConfig::default().with_initial_p(2.0));
+    }
+
+    #[test]
+    fn factory_processes_share_one_config() {
+        let factory = FeedbackFactory::with_config(FeedbackConfig::default().with_min_p(0.01));
+        let info = NetworkInfo {
+            node_count: 2,
+            max_degree: 1,
+        };
+        let a = factory.create(0, 1, &info);
+        let b = factory.create(1, 1, &info);
+        assert!(core::ptr::eq(a.config(), b.config()));
+        assert!(core::ptr::eq(a.config(), factory.config()));
+        assert!(core::mem::size_of::<FeedbackProcess>() <= 24);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid feedback config")]
+    fn bad_factory_config_panics_on_create() {
+        // Building the factory accepts any config; the first node built
+        // from it panics, as a process built directly would.
+        let factory = FeedbackFactory::with_config(FeedbackConfig::default().with_initial_p(2.0));
+        let info = NetworkInfo {
+            node_count: 1,
+            max_degree: 0,
+        };
+        let _ = factory.create(0, 0, &info);
     }
 
     #[test]

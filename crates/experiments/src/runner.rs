@@ -311,110 +311,11 @@ mod tests {
     }
 
     #[test]
-    fn default_jobs_override_round_trips() {
-        // Restore the process-wide default even if an assertion fails, so
-        // a failure here cannot leak a stale override into other tests.
-        struct Restore;
-        impl Drop for Restore {
-            fn drop(&mut self) {
-                set_default_jobs(0);
-            }
-        }
-        let _restore = Restore;
-        set_default_jobs(3);
-        assert_eq!(default_jobs(), 3);
-        set_default_jobs(0);
-        assert!(default_jobs() >= 1);
-    }
-
-    #[test]
-    fn shard_override_round_trips_and_shapes_the_config() {
-        struct Restore;
-        impl Drop for Restore {
-            fn drop(&mut self) {
-                set_default_shards(None);
-            }
-        }
-        let _restore = Restore;
-        assert_eq!(default_shards(), None);
-        assert_eq!(sim_config(), SimConfig::default());
-        set_default_shards(Some(4));
-        assert_eq!(default_shards(), Some(4));
-        let config = sim_config();
-        assert_eq!(config.rng, RngMode::Counter);
-        assert_eq!(config.shards, 4);
-        set_default_shards(Some(1));
-        // --shards 1 still selects counter mode, so it agrees with any
-        // other shard count.
-        assert_eq!(sim_config().rng, RngMode::Counter);
-        assert_eq!(sim_config().shards, 1);
-    }
-
-    #[test]
     fn backend_parse_round_trips() {
         for b in [Backend::Csr, Backend::Compressed, Backend::Disk] {
             assert_eq!(Backend::parse(b.name()), Some(b));
         }
         assert_eq!(Backend::parse("ram"), None);
-    }
-
-    #[test]
-    fn backend_override_round_trips_and_dispatches() {
-        struct Restore;
-        impl Drop for Restore {
-            fn drop(&mut self) {
-                set_default_backend(Backend::Csr);
-            }
-        }
-        let _restore = Restore;
-        assert_eq!(default_backend(), Backend::Csr);
-
-        /// Degree-sum probe: backend-independent by the GraphView contract.
-        struct DegreeSum;
-        impl BackendOp for DegreeSum {
-            type Out = usize;
-            fn run<G: GraphView + ?Sized>(self, g: &G) -> usize {
-                (0..g.node_count() as u32).map(|v| g.degree(v)).sum()
-            }
-        }
-
-        let g = mis_graph::generators::torus2d(8, 8);
-        let reference = run_on_backend(&g, DegreeSum);
-        assert_eq!(reference, 4 * 64);
-        for b in [Backend::Compressed, Backend::Disk] {
-            set_default_backend(b);
-            assert_eq!(default_backend(), b);
-            assert_eq!(run_on_backend(&g, DegreeSum), reference, "{}", b.name());
-        }
-    }
-
-    #[test]
-    fn explicit_backend_ignores_the_process_default() {
-        struct Restore;
-        impl Drop for Restore {
-            fn drop(&mut self) {
-                set_default_backend(Backend::Csr);
-            }
-        }
-        let _restore = Restore;
-
-        /// Degree-sum probe: backend-independent by the GraphView contract.
-        struct DegreeSum;
-        impl BackendOp for DegreeSum {
-            type Out = usize;
-            fn run<G: GraphView + ?Sized>(self, g: &G) -> usize {
-                (0..g.node_count() as u32).map(|v| g.degree(v)).sum()
-            }
-        }
-
-        let g = mis_graph::generators::cycle(32);
-        // Pin the process default to one backend and route through the
-        // others explicitly: the default must not leak into the dispatch.
-        set_default_backend(Backend::Disk);
-        for b in [Backend::Csr, Backend::Compressed, Backend::Disk] {
-            assert_eq!(run_with_backend(&g, b, DegreeSum), 64, "{}", b.name());
-        }
-        assert_eq!(default_backend(), Backend::Disk);
     }
 
     #[test]
