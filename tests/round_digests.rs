@@ -11,17 +11,29 @@
 //! the final `RunOutcome` into one FNV-1a 64 digest, compared with a
 //! committed value. A mismatch report prints the whole table of actual
 //! digests.
+//!
+//! A second table pins the message-passing runtime the same way: for each
+//! message family, every `MessageSimulator` path (both inbox strategies,
+//! sharded runs, and wake-only, loss-with-delay, churn and all-axes
+//! scenarios) on the same graphs plus a line-graph view, folding each
+//! run's statuses, rounds, termination and message and bit counts.
 
 use std::sync::Arc;
 
+use beeping_mis::baselines::{
+    GreedyLocalFactory, InboxStrategy, LubyMarkingFactory, LubyPriorityFactory, MessageFactory,
+    MessageSimulator, MetivierFactory, MsgOf, MsgRunOutcome,
+};
 use beeping_mis::beeping::rng::trial_seed;
-use beeping_mis::beeping::scenario::{ChurnModel, DelayModel, ScenarioSpec};
+use beeping_mis::beeping::scenario::{
+    ChurnModel, DelayModel, LossModel, ScenarioSpec, WakePattern,
+};
 use beeping_mis::beeping::{
     FaultPlan, NodeStatus, PropagationKernel, RngMode, RoundView, RunOutcome, SimConfig, Simulator,
     TraceLevel,
 };
 use beeping_mis::core::{FeedbackConfig, FeedbackFactory};
-use beeping_mis::graph::{generators, ops, Graph};
+use beeping_mis::graph::{generators, ops, Graph, GraphView, LineGraphView};
 use rand::{rngs::SmallRng, SeedableRng};
 
 /// Master seed of every graph and run seed in this suite.
@@ -85,6 +97,14 @@ impl Fnv {
         for p in view.probabilities {
             self.u64(p.to_bits());
         }
+    }
+
+    fn message_outcome(&mut self, outcome: &MsgRunOutcome) {
+        self.statuses(outcome.statuses());
+        self.u64(u64::from(outcome.rounds()));
+        self.u64(u64::from(outcome.terminated()));
+        self.u64(outcome.metrics().messages_delivered);
+        self.u64(outcome.metrics().bits_total);
     }
 
     fn outcome(&mut self, outcome: &RunOutcome) {
@@ -225,6 +245,12 @@ fn check(graph: &str, g: &Graph, expected: &[(&str, u64)]) {
         }
         actual.push((name, h.0));
     }
+    compare(graph, &actual, expected);
+}
+
+/// Asserts `actual` equals `expected`, printing the whole actual table on
+/// a mismatch so it can be pasted back.
+fn compare(label: &str, actual: &[(&str, u64)], expected: &[(&str, u64)]) {
     let table: String = actual
         .iter()
         .map(|(name, d)| format!("        (\"{name}\", 0x{d:016x}),\n"))
@@ -234,7 +260,7 @@ fn check(graph: &str, g: &Graph, expected: &[(&str, u64)]) {
             .iter()
             .zip(expected)
             .all(|((a, da), (e, de))| a == e && da == de);
-    assert!(same, "{graph}: round digests differ; actual:\n{table}");
+    assert!(same, "{label}: digests differ; actual:\n{table}");
 }
 
 fn gnp() -> Graph {
@@ -333,6 +359,184 @@ fn disjoint_union_round_digests() {
             ("churn-delay-counter", 0x164589263fee0e98),
             ("counter-shards-3", 0x5fbeddb3181ccc8e),
             ("counter-loss-shards-3", 0xd6cebf5ae93ac535),
+        ],
+    );
+}
+
+/// Round cap of every message run: far above what any case needs, so a
+/// run that hits it is a real non-termination, folded like any outcome.
+const MSG_CAP: u32 = 20_000;
+
+/// One `MessageSimulator` path: an inbox strategy, a shard count (1 runs
+/// `run`, more run `run_sharded`), and an optional scenario.
+type MessagePath = (&'static str, InboxStrategy, usize, Option<ScenarioSpec>);
+
+/// The message case matrix: the reliable paths, then one scenario per
+/// axis and one with all four axes at once.
+fn message_cases() -> Vec<MessagePath> {
+    use InboxStrategy::{Arena, FreshVecs};
+    let spec = || ScenarioSpec::new(trial_seed(MASTER, 98));
+    let wake = WakePattern::Wavefront {
+        stride: 24,
+        latest: 6,
+    };
+    let loss = LossModel::PerEdge { lo: 0.0, hi: 0.3 };
+    let delay = DelayModel::Random { p: 0.2, max: 3 };
+    let churn = ChurnModel::Random {
+        p: 0.15,
+        max_len: 4,
+        earliest: 1,
+        latest: 12,
+    };
+    vec![
+        ("arena", Arena, 1, None),
+        ("fresh", FreshVecs, 1, None),
+        ("shards-3", Arena, 3, None),
+        ("fresh-shards-2", FreshVecs, 2, None),
+        ("wake", Arena, 1, Some(spec().with_wake(wake.clone()))),
+        (
+            "loss-delay",
+            Arena,
+            1,
+            Some(spec().with_loss(loss.clone()).with_delay(delay.clone())),
+        ),
+        ("churn", Arena, 1, Some(spec().with_churn(churn.clone()))),
+        (
+            "all-axes",
+            Arena,
+            1,
+            Some(
+                spec()
+                    .with_wake(wake)
+                    .with_loss(loss)
+                    .with_delay(delay)
+                    .with_churn(churn),
+            ),
+        ),
+    ]
+}
+
+/// Runs `factory` on `g` along `path` once per trial seed, folding every
+/// outcome into `h`.
+fn digest_message_runs<F, G>(
+    g: &G,
+    factory: &F,
+    (_, strategy, shards, spec): &MessagePath,
+    h: &mut Fnv,
+) where
+    F: MessageFactory,
+    F::Process: Send,
+    MsgOf<F>: Send + Sync,
+    G: GraphView + ?Sized,
+{
+    for run in 0..RUNS {
+        let mut sim = MessageSimulator::new(g, factory, trial_seed(MASTER, run))
+            .with_inbox_strategy(*strategy);
+        if let Some(spec) = spec {
+            sim = sim.with_scenario(Arc::new(spec.clone()));
+        }
+        let outcome = if *shards == 1 {
+            sim.run(MSG_CAP)
+        } else {
+            sim.run_sharded(MSG_CAP, *shards)
+        };
+        h.message_outcome(&outcome);
+    }
+}
+
+/// Digests every message path for `factory` over the gnp graph, the
+/// grid, the disjoint union and the line-graph view of the gnp graph, and
+/// compares them with `expected`.
+fn check_messages<F>(family: &str, factory: &F, expected: &[(&str, u64)])
+where
+    F: MessageFactory,
+    F::Process: Send,
+    MsgOf<F>: Send + Sync,
+{
+    let g = gnp();
+    let grid = generators::grid2d(12, 16);
+    let union = union_with_isolated();
+    let line = LineGraphView::new(&g);
+    let mut actual = Vec::new();
+    for path in message_cases() {
+        let mut h = Fnv::new();
+        for graph in [&g, &grid, &union] {
+            digest_message_runs(graph, factory, &path, &mut h);
+        }
+        digest_message_runs(&line, factory, &path, &mut h);
+        actual.push((path.0, h.0));
+    }
+    compare(family, &actual, expected);
+}
+
+#[test]
+fn luby_priority_message_digests() {
+    check_messages(
+        "luby-priority",
+        &LubyPriorityFactory::new(),
+        &[
+            ("arena", 0xbc74f1ee70a742ae),
+            ("fresh", 0xbc74f1ee70a742ae),
+            ("shards-3", 0xbc74f1ee70a742ae),
+            ("fresh-shards-2", 0xbc74f1ee70a742ae),
+            ("wake", 0x90ca28c926e36893),
+            ("loss-delay", 0x544ee280d8858fe1),
+            ("churn", 0xb40e7851a4a59778),
+            ("all-axes", 0x30a2bc2e6b7f743d),
+        ],
+    );
+}
+
+#[test]
+fn luby_marking_message_digests() {
+    check_messages(
+        "luby-marking",
+        &LubyMarkingFactory::new(),
+        &[
+            ("arena", 0x9baa34a2cb112dbf),
+            ("fresh", 0x9baa34a2cb112dbf),
+            ("shards-3", 0x9baa34a2cb112dbf),
+            ("fresh-shards-2", 0x9baa34a2cb112dbf),
+            ("wake", 0x50f70f4a7f06972a),
+            ("loss-delay", 0x8955e513221ef3e3),
+            ("churn", 0xd738064c25a0e902),
+            ("all-axes", 0x9269a8da9e4391a6),
+        ],
+    );
+}
+
+#[test]
+fn metivier_message_digests() {
+    check_messages(
+        "metivier",
+        &MetivierFactory::new(),
+        &[
+            ("arena", 0xc09af65f0772aa3b),
+            ("fresh", 0xc09af65f0772aa3b),
+            ("shards-3", 0xc09af65f0772aa3b),
+            ("fresh-shards-2", 0xc09af65f0772aa3b),
+            ("wake", 0xed9658b61f89545e),
+            ("loss-delay", 0x060141d560e8f1be),
+            ("churn", 0x96ead4110a629e64),
+            ("all-axes", 0x0364a46fab9f7cf8),
+        ],
+    );
+}
+
+#[test]
+fn greedy_local_message_digests() {
+    check_messages(
+        "greedy-local",
+        &GreedyLocalFactory::new(),
+        &[
+            ("arena", 0xd73f823878273c4d),
+            ("fresh", 0xd73f823878273c4d),
+            ("shards-3", 0xd73f823878273c4d),
+            ("fresh-shards-2", 0xd73f823878273c4d),
+            ("wake", 0x593501fd39706e8d),
+            ("loss-delay", 0xe43f18c79c19b66d),
+            ("churn", 0x03b3abf13ea55f75),
+            ("all-axes", 0xf6e801980bd92cbd),
         ],
     );
 }
