@@ -34,7 +34,7 @@ use mis_beeping::scenario::{scenario_eq, Scenario};
 use mis_core::engine::{Engine, EngineRecord, RunView};
 use mis_graph::{GraphView, NodeId};
 
-use crate::{InboxStrategy, MessageFactory, MessageSimulator, MsgOf, MsgRunOutcome};
+use crate::{InboxStrategy, MessageFactory, MessageSimulator, MsgRunOutcome};
 
 /// Default round cap for engine-driven runs — the same generous ceiling
 /// the experiments use for message baselines; hitting it marks the run
@@ -189,8 +189,6 @@ impl RunView for MsgRunOutcome {
 impl<F, G> Engine<G> for MessageEngine<F>
 where
     F: MessageFactory + Sync,
-    F::Process: Send,
-    MsgOf<F>: Send + Sync,
     G: GraphView + ?Sized,
 {
     type Outcome = MsgRunOutcome;
@@ -202,11 +200,7 @@ where
         if let Some(scenario) = &self.scenario {
             sim = sim.with_scenario(Arc::clone(scenario));
         }
-        if self.shards == 1 {
-            sim.run(self.max_rounds)
-        } else {
-            sim.run_sharded(self.max_rounds, self.shards)
-        }
+        sim.run_sharded(self.max_rounds, self.shards)
     }
 
     fn record(&self, graph: &G, seed: u64, outcome: &MsgRunOutcome) -> MessageRunRecord {

@@ -5,15 +5,29 @@
 //! neighbour). Each round has two broadcast sub-rounds mirroring the
 //! beeping simulator's two exchanges, so round counts are comparable.
 //!
+//! # Two run loops
+//!
+//! [`MessageSimulator`] runs every round through one of two loops:
+//!
+//! * the **arena loop** ([`InboxStrategy::Arena`], the default, for
+//!   reliable runs) materialises inboxes out of reused buffers and
+//!   accounts deliveries as it fills them. Every per-node pass walks
+//!   receiver ranges: one range inline for [`run`](MessageSimulator::run),
+//!   one scoped thread per range for
+//!   [`run_sharded`](MessageSimulator::run_sharded);
+//! * the **reference loop** ([`InboxStrategy::FreshVecs`], and every run
+//!   with a [`Scenario`]) collects a fresh `Vec` inbox per receiver, each
+//!   delivery gated by the scenario, with sleepers, churn and delayed
+//!   messages. A reliable run is the scenario in which every delivery is
+//!   on time; the equivalence suites compare the arena loop against it.
+//!
 //! # Delivery order
 //!
 //! Inboxes are delivered in **ascending neighbour id order** — a pinned
 //! part of the runtime contract (see [`InboxStrategy`]), so algorithms
 //! whose decisions scan their inbox left to right are deterministic by
-//! construction. Delivery walks the graph's ascending neighbour iteration
-//! (the [`GraphView`] contract) into one arena buffer reused across
-//! sub-rounds; the pre-arena fresh-`Vec` path is kept as
-//! [`InboxStrategy::FreshVecs`] for equivalence tests and benchmarking.
+//! construction. Both loops inherit the order from the graph's ascending
+//! neighbour iteration (the [`GraphView`] contract).
 //!
 //! # Graph representation
 //!
@@ -21,16 +35,17 @@
 //! CSR [`Graph`]), so every message family runs on the lazy derived-graph
 //! views — Luby on a `LineGraphView` *is* a distributed maximal-matching
 //! baseline — without materialising the derived adjacency. The inbox
-//! arena is sized from [`GraphView::degree`], never from CSR offsets.
+//! buffers are sized from [`GraphView::degree`], never from CSR offsets.
 //!
 //! # Intra-run sharding
 //!
-//! [`MessageSimulator::run_sharded`] splits each sub-round's delivery
-//! across worker threads by receiver range, pulling from the shared
-//! outbox of the previous sub-round. Because per-node draws come from
-//! per-node streams and pull delivery of one receiver never touches
-//! another's state, the sharded run is **bit-identical** to the
-//! sequential strategies for every shard count.
+//! [`MessageSimulator::run_sharded`] splits each per-node pass of the
+//! arena loop across worker threads by receiver range. A sparse sub-round
+//! is pushed into the arena sequentially first; in a dense one each worker
+//! pulls its receivers' inboxes from the shared outbox of the previous
+//! sub-round. Because per-node draws come from per-node streams and a
+//! receiver's pass never touches another's state, the sharded run is
+//! **bit-identical** to the sequential run for every shard count.
 
 use std::sync::Arc;
 
@@ -42,9 +57,12 @@ use mis_beeping::{NetworkInfo, NodeStatus, Verdict};
 use mis_graph::{Graph, GraphView, NodeId};
 
 /// A message-passing automaton run at each node by [`MessageSimulator`].
-pub trait MessageProcess {
+///
+/// Sharded runs hand processes and messages to worker threads, hence the
+/// `Send` and `Sync` bounds.
+pub trait MessageProcess: Send {
     /// Message type exchanged with neighbours.
-    type Msg: Clone;
+    type Msg: Clone + Send + Sync;
 
     /// Sub-round 1: optionally broadcast a message to all neighbours.
     fn broadcast1(&mut self, rng: &mut SmallRng) -> Option<Self::Msg>;
@@ -151,7 +169,8 @@ impl MsgRunOutcome {
     }
 }
 
-/// How [`MessageSimulator`] materialises per-node inboxes.
+/// How [`MessageSimulator`] materialises per-node inboxes, which picks the
+/// run loop a reliable run takes.
 ///
 /// Both strategies deliver the same messages in the same (ascending
 /// neighbour id) order, so run outcomes are **bit-identical** — only
@@ -160,15 +179,18 @@ impl MsgRunOutcome {
 /// other.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum InboxStrategy {
-    /// One arena buffer, reused across sub-rounds, holding every node's
-    /// inbox as a fixed slice laid out in ascending node order (the
-    /// default). Zero steady-state allocations and a single fused
-    /// delivery/accounting pass per sub-round.
+    /// The arena loop (the default): in the dense (pull) direction one
+    /// scratch inbox per receiver range, reused by every receiver in it;
+    /// in the sparse (push) direction one arena buffer holding every
+    /// node's inbox as a fixed slice in ascending node order. Zero
+    /// steady-state allocations, accounting fused with delivery, and the
+    /// only loop that shards.
     #[default]
     Arena,
-    /// A fresh `Vec` inbox per node per sub-round plus a separate
-    /// accounting pass — the pre-arena reference implementation, kept for
-    /// equivalence tests and as the benchmark baseline.
+    /// The reference loop: a fresh `Vec` inbox per node per sub-round,
+    /// accounted on arrival. Every scenario run takes this loop too (a
+    /// reliable run is the scenario in which every delivery is on time);
+    /// the equivalence tests compare the arena loop against it.
     FreshVecs,
 }
 
@@ -245,7 +267,8 @@ impl<'g, F: MessageFactory, G: GraphView + ?Sized> MessageSimulator<'g, F, G> {
     /// Attaches a composable adversary (see `mis_beeping::scenario`) so
     /// the message families face the same loss/delay/wake/churn schedules
     /// as the beeping algorithms. A run with a scenario always takes the
-    /// scenario reference path, regardless of the inbox strategy.
+    /// sequential reference loop (see [`InboxStrategy::FreshVecs`]),
+    /// regardless of the inbox strategy and the shard count.
     #[must_use]
     pub fn with_scenario(mut self, scenario: Arc<dyn Scenario>) -> Self {
         self.scenario = Some(scenario);
@@ -259,208 +282,204 @@ impl<'g, F: MessageFactory, G: GraphView + ?Sized> MessageSimulator<'g, F, G> {
     /// Panics if `max_rounds` is zero.
     #[must_use]
     pub fn run(self, max_rounds: u32) -> MsgRunOutcome {
+        self.run_sharded(max_rounds, 1)
+    }
+
+    /// Runs like [`run`](Self::run), but splits every per-node pass of the
+    /// arena loop across `shards` worker threads by receiver range —
+    /// **bit-identical** to the sequential run for every shard count,
+    /// only faster.
+    ///
+    /// Three properties make this sound without any locking:
+    ///
+    /// * sub-round 1 draws come from per-node streams ([`node_rng`]), so
+    ///   a node's broadcast never depends on when other nodes draw;
+    /// * each worker writes only its own receiver range and reads the
+    ///   outbox of the *previous* sub-round, complete once its pass has
+    ///   joined. A sparse sub-round is pushed into the arena sequentially
+    ///   before the pass, a dense one is pulled by each worker, and both
+    ///   directions build the same ascending-sender inboxes;
+    /// * the delivery counters are plain integer sums, which reassociate
+    ///   freely across shard boundaries.
+    ///
+    /// `shards == 0` auto-detects the worker count. One range (one shard,
+    /// or a single-node graph) runs inline on the calling thread, which is
+    /// exactly [`run`](Self::run). The reference loop
+    /// ([`InboxStrategy::FreshVecs`] or an attached scenario) is pinned
+    /// sequential and ignores `shards`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `max_rounds` is zero.
+    #[must_use]
+    pub fn run_sharded(self, max_rounds: u32, shards: usize) -> MsgRunOutcome {
         assert!(max_rounds > 0, "round cap must be positive");
-        if let Some(scenario) = self.scenario.clone() {
-            return self.run_scenario(max_rounds, &*scenario);
-        }
-        match self.strategy {
-            InboxStrategy::Arena => self.run_arena(max_rounds),
-            InboxStrategy::FreshVecs => self.run_fresh_vecs(max_rounds),
+        match (self.scenario.clone(), self.strategy) {
+            (None, InboxStrategy::Arena) => {
+                let shards = match shards {
+                    0 => mis_beeping::batch::auto_jobs(),
+                    s => s,
+                };
+                self.run_arena(max_rounds, shards)
+            }
+            (scenario, _) => self.run_reference(max_rounds, scenario.as_deref()),
         }
     }
 
-    /// The arena path: inboxes are materialised out of reused buffers —
-    /// one cache-hot scratch inbox shared by every receiver in the dense
-    /// (pull) direction, fixed per-node arena slices in the sparse (push)
+    /// The arena loop: inboxes are materialised out of reused buffers —
+    /// one cache-hot scratch inbox per receiver range in the dense (pull)
+    /// direction, fixed per-node arena slices in the sparse (push)
     /// direction — so steady-state delivery allocates nothing and the
-    /// accounting rides the same pass.
-    fn run_arena(mut self, max_rounds: u32) -> MsgRunOutcome {
+    /// accounting rides the same pass. Each per-node pass walks the
+    /// `shards` receiver ranges through `over_ranges`.
+    fn run_arena(mut self, max_rounds: u32, shards: usize) -> MsgRunOutcome {
         let graph = self.graph;
         let n = graph.node_count();
-        let mut metrics = MessageMetrics::default();
-        let mut outbox1: Vec<Option<<F::Process as MessageProcess>::Msg>> = vec![None; n];
-        let mut outbox2: Vec<Option<<F::Process as MessageProcess>::Msg>> = vec![None; n];
-        // Pull direction: one inbox buffer reused by every receiver, so
-        // each delivery + consumption happens in cache. Sized up front
-        // from the view's maximum degree (an inbox can never be larger),
-        // so it never reallocates — views have no CSR offsets to size from.
-        let mut inbox: Vec<<F::Process as MessageProcess>::Msg> =
-            Vec::with_capacity(self.max_degree);
+        let chunk = n.div_ceil(shards).max(1);
+        let mut outbox1: Vec<Option<MsgOf<F>>> = vec![None; n];
+        let mut outbox2: Vec<Option<MsgOf<F>>> = vec![None; n];
+        // Pull direction: one inbox buffer per receiver range, reused by
+        // its receivers for the whole run, so each delivery + consumption
+        // happens in cache. Sized up front from the view's maximum degree
+        // (an inbox can never be larger), so it never reallocates — views
+        // have no CSR offsets to size from.
+        let mut scratch: Vec<Scratch<MsgOf<F>>> = (0..n.div_ceil(chunk))
+            .map(|_| Scratch(Vec::with_capacity(self.max_degree)))
+            .collect();
         // Push direction: all inboxes laid out as fixed per-node slices
         // (`spans[v]..spans[v + 1]` indexes `arena` for node v).
-        let mut arena: Vec<<F::Process as MessageProcess>::Msg> = Vec::new();
+        let mut arena: Vec<MsgOf<F>> = Vec::new();
         let mut spans: Vec<usize> = vec![0; n + 1];
         let mut cursors: Vec<usize> = vec![0; n];
+        let mut total = Tally::default();
         let mut remaining = n;
         let mut rounds = 0u32;
-        let mut delivered = 0u64;
-        let mut bits = 0u64;
 
         while remaining > 0 && rounds < max_rounds {
-            // Sub-round 1 broadcasts.
-            for (v, out) in outbox1.iter_mut().enumerate() {
-                *out = if self.status[v] == NodeStatus::Active {
-                    self.processes[v].broadcast1(&mut self.rngs[v])
-                } else {
-                    None
-                };
-            }
+            // Sub-round 1 broadcasts: per-node streams are consumed
+            // node-locally, so ranges cannot perturb each other's draws.
+            over_ranges(
+                self.processes
+                    .chunks_mut(chunk)
+                    .zip(self.rngs.chunks_mut(chunk))
+                    .zip(outbox1.chunks_mut(chunk))
+                    .zip(self.status.chunks(chunk)),
+                |_, (((procs, rngs), outs), status)| {
+                    for (i, out) in outs.iter_mut().enumerate() {
+                        *out = if status[i] == NodeStatus::Active {
+                            procs[i].broadcast1(&mut rngs[i])
+                        } else {
+                            None
+                        };
+                    }
+                    Tally::default()
+                },
+            );
 
             // Sub-round 2: deliver the first inboxes, collect second
             // broadcasts.
-            if push_wins(&outbox1, remaining) {
-                push_deliver::<F, G>(
-                    graph,
-                    &self.status,
-                    &outbox1,
-                    (&mut arena, &mut spans, &mut cursors),
-                    (&mut delivered, &mut bits),
-                );
-                for (v, out) in outbox2.iter_mut().enumerate() {
-                    *out = if self.status[v] == NodeStatus::Active {
-                        self.processes[v].broadcast2(&arena[spans[v]..spans[v + 1]])
-                    } else {
-                        None
-                    };
-                }
-            } else {
-                for (v, out) in outbox2.iter_mut().enumerate() {
-                    *out = if self.status[v] == NodeStatus::Active {
-                        pull_inbox::<F, G>(graph, v as NodeId, &outbox1, &mut inbox);
-                        account_inbox::<F>(&inbox, &mut delivered, &mut bits);
-                        self.processes[v].broadcast2(&inbox)
-                    } else {
-                        None
-                    };
-                }
-            }
+            let inboxes = deliver::<F, G>(
+                graph,
+                &self.status,
+                &outbox1,
+                remaining,
+                (&mut arena, &mut spans, &mut cursors),
+                &mut total,
+            );
+            total += over_ranges(
+                self.processes
+                    .chunks_mut(chunk)
+                    .zip(outbox2.chunks_mut(chunk))
+                    .zip(self.status.chunks(chunk))
+                    .zip(scratch.iter_mut()),
+                |c, (((procs, outs), status), scratch)| {
+                    let mut tally = Tally::default();
+                    for (i, out) in outs.iter_mut().enumerate() {
+                        *out = if status[i] == NodeStatus::Active {
+                            let v = (c * chunk + i) as NodeId;
+                            procs[i].broadcast2(inboxes.get(graph, v, &mut scratch.0, &mut tally))
+                        } else {
+                            None
+                        };
+                    }
+                    tally
+                },
+            );
 
             // Decisions from the second inboxes.
-            if push_wins(&outbox2, remaining) {
-                push_deliver::<F, G>(
-                    graph,
-                    &self.status,
-                    &outbox2,
-                    (&mut arena, &mut spans, &mut cursors),
-                    (&mut delivered, &mut bits),
-                );
-                for v in 0..n {
-                    if self.status[v] != NodeStatus::Active {
-                        continue;
+            let inboxes = deliver::<F, G>(
+                graph,
+                &self.status,
+                &outbox2,
+                remaining,
+                (&mut arena, &mut spans, &mut cursors),
+                &mut total,
+            );
+            let decided = over_ranges(
+                self.processes
+                    .chunks_mut(chunk)
+                    .zip(self.status.chunks_mut(chunk))
+                    .zip(scratch.iter_mut()),
+                |c, ((procs, statuses), scratch)| {
+                    let mut tally = Tally::default();
+                    for (i, status) in statuses.iter_mut().enumerate() {
+                        if *status == NodeStatus::Active {
+                            let v = (c * chunk + i) as NodeId;
+                            let inbox = inboxes.get(graph, v, &mut scratch.0, &mut tally);
+                            let verdict = procs[i].decide(inbox);
+                            tally.decided += usize::from(apply_verdict(verdict, status));
+                        }
                     }
-                    let verdict = self.processes[v].decide(&arena[spans[v]..spans[v + 1]]);
-                    apply_verdict(verdict, &mut self.status[v], &mut remaining);
-                }
-            } else {
-                for v in 0..n {
-                    if self.status[v] != NodeStatus::Active {
-                        continue;
-                    }
-                    pull_inbox::<F, G>(graph, v as NodeId, &outbox2, &mut inbox);
-                    account_inbox::<F>(&inbox, &mut delivered, &mut bits);
-                    let verdict = self.processes[v].decide(&inbox);
-                    apply_verdict(verdict, &mut self.status[v], &mut remaining);
-                }
-            }
+                    tally
+                },
+            );
+            remaining -= decided.decided;
+            total += decided;
             rounds += 1;
         }
 
-        metrics.messages_delivered = delivered;
-        metrics.bits_total = bits;
-        for p in &self.processes {
-            metrics.bits_total += p.bits_consumed();
-        }
-        MsgRunOutcome {
-            statuses: self.status,
+        self.finish(
             rounds,
-            terminated: remaining == 0,
-            metrics,
-        }
+            remaining,
+            MessageMetrics {
+                messages_delivered: total.delivered,
+                bits_total: total.bits,
+            },
+        )
     }
 
-    /// The pre-arena reference path: fresh per-node `Vec` inboxes every
-    /// sub-round plus a separate accounting pass. Kept verbatim so the
-    /// arena path can be proven bit-identical and benchmarked against it.
-    fn run_fresh_vecs(mut self, max_rounds: u32) -> MsgRunOutcome {
-        let n = self.graph.node_count();
-        let mut metrics = MessageMetrics::default();
-        let mut outbox1: Vec<Option<<F::Process as MessageProcess>::Msg>> = vec![None; n];
-        let mut outbox2: Vec<Option<<F::Process as MessageProcess>::Msg>> = vec![None; n];
-        let mut remaining = n;
-        let mut rounds = 0u32;
-
-        while remaining > 0 && rounds < max_rounds {
-            // Sub-round 1 broadcasts.
-            for (v, out) in outbox1.iter_mut().enumerate() {
-                *out = if self.status[v] == NodeStatus::Active {
-                    self.processes[v].broadcast1(&mut self.rngs[v])
-                } else {
-                    None
-                };
-            }
-            self.account(&outbox1, &mut metrics);
-
-            // Sub-round 2: deliver inboxes, collect second broadcasts.
-            for (v, out) in outbox2.iter_mut().enumerate() {
-                *out = if self.status[v] == NodeStatus::Active {
-                    let inbox = Self::collect_inbox(self.graph, v as NodeId, &outbox1);
-                    self.processes[v].broadcast2(&inbox)
-                } else {
-                    None
-                };
-            }
-            self.account(&outbox2, &mut metrics);
-
-            // Decisions.
-            for v in 0..n {
-                if self.status[v] != NodeStatus::Active {
-                    continue;
-                }
-                let inbox = Self::collect_inbox(self.graph, v as NodeId, &outbox2);
-                let verdict = self.processes[v].decide(&inbox);
-                apply_verdict(verdict, &mut self.status[v], &mut remaining);
-            }
-            rounds += 1;
-        }
-
-        for p in &self.processes {
-            metrics.bits_total += p.bits_consumed();
-        }
-        MsgRunOutcome {
-            statuses: self.status,
-            rounds,
-            terminated: remaining == 0,
-            metrics,
-        }
-    }
-
-    /// The scenario reference path: like
-    /// [`run_fresh_vecs`](Self::run_fresh_vecs), but the attached
-    /// [`Scenario`] decides each delivery's fate (per sub-round, the
-    /// message analogue of the beeping exchanges), staggers wake-ups, and
-    /// churns nodes in and out.
+    /// The reference loop: a fresh `Vec` inbox per receiver per sub-round,
+    /// with `scenario` deciding each delivery's fate (per sub-round, the
+    /// message analogue of the beeping exchanges), staggering wake-ups,
+    /// and churning nodes in and out. `None` is the reliable network:
+    /// every delivery on time, nobody asleep or absent.
     ///
     /// Semantics mirror the beeping scenario path: sleeping and absent
     /// nodes neither send nor receive and their processes are frozen;
     /// delayed messages arrive in the same sub-round slot `d` rounds
     /// later, appended after the on-time inbox in `(send round, sender)`
     /// order; a delayed message whose receiver is not listening on arrival
-    /// is lost. With a do-nothing scenario this path is bit-identical to
-    /// the reliable strategies.
-    fn run_scenario(mut self, max_rounds: u32, scenario: &dyn Scenario) -> MsgRunOutcome {
+    /// is lost. With a do-nothing scenario this loop is bit-identical to
+    /// the arena loop.
+    fn run_reference(mut self, max_rounds: u32, scenario: Option<&dyn Scenario>) -> MsgRunOutcome {
         let graph = self.graph;
         let n = graph.node_count();
-        let degrees: Vec<usize> = (0..n as NodeId).map(|v| graph.degree(v)).collect();
-        let scenario_wake = scenario.wake_schedule(&degrees);
-        let wake: Vec<u32> = (0..n)
-            .map(|v| scenario_wake.get(v).copied().unwrap_or(0))
-            .collect();
+        let wake: Vec<u32> = match scenario {
+            Some(scenario) => {
+                let degrees: Vec<usize> = (0..n as NodeId).map(|v| graph.degree(v)).collect();
+                let schedule = scenario.wake_schedule(&degrees);
+                (0..n)
+                    .map(|v| schedule.get(v).copied().unwrap_or(0))
+                    .collect()
+            }
+            None => vec![0; n],
+        };
         for (v, &w) in wake.iter().enumerate() {
             if w > 0 {
                 self.status[v] = NodeStatus::Asleep;
             }
         }
-        let churn = scenario.has_churn();
+        let churn = scenario.filter(|s| s.has_churn());
         let mut away = vec![false; n];
         let mut metrics = MessageMetrics::default();
         let mut outbox1: Vec<Option<MsgOf<F>>> = vec![None; n];
@@ -478,14 +497,14 @@ impl<'g, F: MessageFactory, G: GraphView + ?Sized> MessageSimulator<'g, F, G> {
                     self.status[v] = NodeStatus::Active;
                 }
             }
-            if churn {
+            if let Some(churn) = churn {
                 for (v, a) in away.iter_mut().enumerate() {
-                    *a = scenario.absent(v as NodeId, round);
+                    *a = churn.absent(v as NodeId, round);
                 }
             }
             // Sub-round 1 broadcasts (frozen nodes stay silent).
             for (v, out) in outbox1.iter_mut().enumerate() {
-                *out = if self.status[v] == NodeStatus::Active && !(churn && away[v]) {
+                *out = if self.status[v] == NodeStatus::Active && !away[v] {
                     self.processes[v].broadcast1(&mut self.rngs[v])
                 } else {
                     None
@@ -495,14 +514,13 @@ impl<'g, F: MessageFactory, G: GraphView + ?Sized> MessageSimulator<'g, F, G> {
             // Sub-round 2: deliver the first inboxes through the scenario,
             // collect second broadcasts.
             for v in 0..n {
-                outbox2[v] = if self.status[v] == NodeStatus::Active && !(churn && away[v]) {
-                    let inbox = collect_scenario_inbox::<F, G>(
+                outbox2[v] = if self.status[v] == NodeStatus::Active && !away[v] {
+                    let inbox = collect_inbox::<F, G>(
                         graph,
                         v as NodeId,
                         &outbox1,
                         scenario,
-                        round,
-                        0,
+                        (round, 0),
                         &mut pending[v],
                         &mut metrics,
                     );
@@ -516,19 +534,18 @@ impl<'g, F: MessageFactory, G: GraphView + ?Sized> MessageSimulator<'g, F, G> {
 
             // Decisions from the second inboxes.
             for v in 0..n {
-                if self.status[v] == NodeStatus::Active && !(churn && away[v]) {
-                    let inbox = collect_scenario_inbox::<F, G>(
+                if self.status[v] == NodeStatus::Active && !away[v] {
+                    let inbox = collect_inbox::<F, G>(
                         graph,
                         v as NodeId,
                         &outbox2,
                         scenario,
-                        round,
-                        1,
+                        (round, 1),
                         &mut pending[v],
                         &mut metrics,
                     );
                     let verdict = self.processes[v].decide(&inbox);
-                    apply_verdict(verdict, &mut self.status[v], &mut remaining);
+                    remaining -= usize::from(apply_verdict(verdict, &mut self.status[v]));
                 } else {
                     drop_missed(&mut pending[v], round, 1);
                 }
@@ -536,226 +553,12 @@ impl<'g, F: MessageFactory, G: GraphView + ?Sized> MessageSimulator<'g, F, G> {
             rounds += 1;
         }
 
-        for p in &self.processes {
-            metrics.bits_total += p.bits_consumed();
-        }
-        MsgRunOutcome {
-            statuses: self.status,
-            rounds,
-            terminated: remaining == 0,
-            metrics,
-        }
+        self.finish(rounds, remaining, metrics)
     }
 
-    /// Fresh-`Vec` inbox collection (ascending neighbour id order — the
-    /// [`GraphView`] iteration contract, so both strategies share the
-    /// pinned order).
-    fn collect_inbox(
-        graph: &G,
-        v: NodeId,
-        outbox: &[Option<<F::Process as MessageProcess>::Msg>],
-    ) -> Vec<<F::Process as MessageProcess>::Msg> {
-        let mut inbox = Vec::new();
-        graph.for_each_neighbor(v, |u| {
-            if let Some(msg) = &outbox[u as usize] {
-                inbox.push(msg.clone());
-            }
-        });
-        inbox
-    }
-
-    /// Counts deliveries: each broadcast reaches every *active* neighbour.
-    fn account(
-        &self,
-        outbox: &[Option<<F::Process as MessageProcess>::Msg>],
-        metrics: &mut MessageMetrics,
-    ) {
-        for (v, msg) in outbox.iter().enumerate() {
-            let Some(msg) = msg else { continue };
-            let mut recipients = 0u64;
-            self.graph.for_each_neighbor(v as NodeId, |u| {
-                recipients += u64::from(self.status[u as usize] == NodeStatus::Active);
-            });
-            metrics.messages_delivered += recipients;
-            metrics.bits_total += recipients * F::Process::message_bits(msg);
-        }
-    }
-}
-
-impl<'g, F, G> MessageSimulator<'g, F, G>
-where
-    F: MessageFactory,
-    F::Process: Send,
-    MsgOf<F>: Send + Sync,
-    G: GraphView + ?Sized,
-{
-    /// Runs like [`run`](Self::run), but shards each sub-round across
-    /// `shards` worker threads by receiver range — **bit-identical** to
-    /// the sequential strategies for every shard count, only faster.
-    ///
-    /// Three properties make this sound without any locking:
-    ///
-    /// * sub-round 1 draws come from per-node streams ([`node_rng`]), so
-    ///   a node's broadcast never depends on when other nodes draw;
-    /// * delivery always takes the pull direction: each worker reads the
-    ///   shared outbox of the *previous* sub-round (a barrier separates
-    ///   the two) and writes only its own receiver range — and pull
-    ///   produces the same ascending-sender inboxes as push;
-    /// * the delivery counters are plain integer sums, which reassociate
-    ///   freely across shard boundaries.
-    ///
-    /// `shards == 0` auto-detects the worker count; `shards <= 1`, a
-    /// single-node graph, or an attached scenario (whose reference path
-    /// is pinned sequential) all delegate to [`run`](Self::run).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_rounds` is zero.
-    #[must_use]
-    pub fn run_sharded(self, max_rounds: u32, shards: usize) -> MsgRunOutcome {
-        assert!(max_rounds > 0, "round cap must be positive");
-        let shards = match shards {
-            0 => mis_beeping::batch::auto_jobs(),
-            s => s,
-        };
-        let shards = shards.min(self.graph.node_count().max(1));
-        if shards <= 1 || self.scenario.is_some() {
-            return self.run(max_rounds);
-        }
-        self.run_sharded_inner(max_rounds, shards)
-    }
-
-    /// The sharded path proper (`shards >= 2`, no scenario attached).
-    fn run_sharded_inner(mut self, max_rounds: u32, shards: usize) -> MsgRunOutcome {
-        let graph = self.graph;
-        let n = graph.node_count();
-        let chunk = n.div_ceil(shards);
-        let max_degree = self.max_degree;
-        let mut metrics = MessageMetrics::default();
-        let mut outbox1: Vec<Option<MsgOf<F>>> = vec![None; n];
-        let mut outbox2: Vec<Option<MsgOf<F>>> = vec![None; n];
-        let mut remaining = n;
-        let mut rounds = 0u32;
-        let mut delivered = 0u64;
-        let mut bits = 0u64;
-
-        while remaining > 0 && rounds < max_rounds {
-            // Sub-round 1 broadcasts: per-node streams are consumed
-            // node-locally, so workers cannot perturb each other's draws.
-            {
-                let status = &self.status;
-                std::thread::scope(|scope| {
-                    for (c, ((procs, rngs), outs)) in self
-                        .processes
-                        .chunks_mut(chunk)
-                        .zip(self.rngs.chunks_mut(chunk))
-                        .zip(outbox1.chunks_mut(chunk))
-                        .enumerate()
-                    {
-                        let base = c * chunk;
-                        scope.spawn(move || {
-                            for (i, out) in outs.iter_mut().enumerate() {
-                                *out = if status[base + i] == NodeStatus::Active {
-                                    procs[i].broadcast1(&mut rngs[i])
-                                } else {
-                                    None
-                                };
-                            }
-                        });
-                    }
-                });
-            }
-
-            // Sub-round 2: each worker pulls its receivers' inboxes from
-            // the now read-only shared outbox and writes its own range of
-            // the second outbox, accumulating local delivery counters.
-            {
-                let status = &self.status;
-                let outbox1 = &outbox1;
-                let parts: Vec<(u64, u64)> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = self
-                        .processes
-                        .chunks_mut(chunk)
-                        .zip(outbox2.chunks_mut(chunk))
-                        .enumerate()
-                        .map(|(c, (procs, outs))| {
-                            let base = c * chunk;
-                            scope.spawn(move || {
-                                let mut inbox: Vec<MsgOf<F>> = Vec::with_capacity(max_degree);
-                                let (mut delivered, mut bits) = (0u64, 0u64);
-                                for (i, out) in outs.iter_mut().enumerate() {
-                                    *out = if status[base + i] == NodeStatus::Active {
-                                        pull_inbox::<F, G>(
-                                            graph,
-                                            (base + i) as NodeId,
-                                            outbox1,
-                                            &mut inbox,
-                                        );
-                                        account_inbox::<F>(&inbox, &mut delivered, &mut bits);
-                                        procs[i].broadcast2(&inbox)
-                                    } else {
-                                        None
-                                    };
-                                }
-                                (delivered, bits)
-                            })
-                        })
-                        .collect();
-                    handles.into_iter().map(|h| h.join().unwrap()).collect()
-                });
-                for (d, b) in parts {
-                    delivered += d;
-                    bits += b;
-                }
-            }
-
-            // Decisions: like sub-round 2, but each worker also owns its
-            // range of the status array and counts its own decisions.
-            {
-                let outbox2 = &outbox2;
-                let parts: Vec<(u64, u64, usize)> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = self
-                        .processes
-                        .chunks_mut(chunk)
-                        .zip(self.status.chunks_mut(chunk))
-                        .enumerate()
-                        .map(|(c, (procs, statuses))| {
-                            let base = c * chunk;
-                            scope.spawn(move || {
-                                let mut inbox: Vec<MsgOf<F>> = Vec::with_capacity(max_degree);
-                                let (mut delivered, mut bits) = (0u64, 0u64);
-                                let mut active = statuses.len();
-                                for (i, status) in statuses.iter_mut().enumerate() {
-                                    if *status != NodeStatus::Active {
-                                        continue;
-                                    }
-                                    pull_inbox::<F, G>(
-                                        graph,
-                                        (base + i) as NodeId,
-                                        outbox2,
-                                        &mut inbox,
-                                    );
-                                    account_inbox::<F>(&inbox, &mut delivered, &mut bits);
-                                    let verdict = procs[i].decide(&inbox);
-                                    apply_verdict(verdict, status, &mut active);
-                                }
-                                (delivered, bits, statuses.len() - active)
-                            })
-                        })
-                        .collect();
-                    handles.into_iter().map(|h| h.join().unwrap()).collect()
-                });
-                for (d, b, decided) in parts {
-                    delivered += d;
-                    bits += b;
-                    remaining -= decided;
-                }
-            }
-            rounds += 1;
-        }
-
-        metrics.messages_delivered = delivered;
-        metrics.bits_total = bits;
+    /// The outcome of a finished run: `metrics` plus the out-of-band bits
+    /// every process reports.
+    fn finish(self, rounds: u32, remaining: usize, mut metrics: MessageMetrics) -> MsgRunOutcome {
         for p in &self.processes {
             metrics.bits_total += p.bits_consumed();
         }
@@ -775,20 +578,69 @@ pub type MsgOf<F> = <<F as MessageFactory>::Process as MessageProcess>::Msg;
 /// (arrival round, sub-round, send round, sender, message).
 type PendingMsg<M> = (u32, u8, u32, NodeId, M);
 
-/// Applies one node's end-of-round [`Verdict`] — shared by every delivery
-/// path so the status transitions can never diverge between them.
-fn apply_verdict(verdict: Verdict, status: &mut NodeStatus, remaining: &mut usize) {
+/// Applies one node's end-of-round [`Verdict`] — shared by both loops so
+/// the status transitions can never diverge between them. Returns whether
+/// the node left the active set.
+fn apply_verdict(verdict: Verdict, status: &mut NodeStatus) -> bool {
     match verdict {
-        Verdict::Continue => {}
-        Verdict::JoinMis => {
-            *status = NodeStatus::InMis;
-            *remaining -= 1;
-        }
-        Verdict::Covered => {
-            *status = NodeStatus::Covered;
-            *remaining -= 1;
-        }
+        Verdict::Continue => return false,
+        Verdict::JoinMis => *status = NodeStatus::InMis,
+        Verdict::Covered => *status = NodeStatus::Covered,
     }
+    true
+}
+
+/// Delivery counters and decisions of one arena-loop pass.
+#[derive(Clone, Copy, Default)]
+struct Tally {
+    delivered: u64,
+    bits: u64,
+    decided: usize,
+}
+
+impl std::ops::AddAssign for Tally {
+    fn add_assign(&mut self, other: Self) {
+        self.delivered += other.delivered;
+        self.bits += other.bits;
+        self.decided += other.decided;
+    }
+}
+
+/// A receiver range's reused pull inbox, aligned to a cache-line pair of
+/// its own: every push writes the `Vec`'s length, and ranges on different
+/// threads sharing a line would contend for it on every delivery.
+#[repr(align(128))]
+struct Scratch<M>(Vec<M>);
+
+/// Runs `pass(range index, range)` over every receiver range and sums the
+/// tallies: a single range inline on the calling thread, more ranges on
+/// one scoped thread each. A worker's panic resumes on the caller.
+fn over_ranges<I>(ranges: I, pass: impl Fn(usize, I::Item) -> Tally + Sync) -> Tally
+where
+    I: Iterator,
+    I::Item: Send,
+{
+    let mut ranges = ranges.enumerate().peekable();
+    let Some((c, first)) = ranges.next() else {
+        return Tally::default();
+    };
+    if ranges.peek().is_none() {
+        return pass(c, first);
+    }
+    std::thread::scope(|scope| {
+        let pass = &pass;
+        let handles: Vec<_> = std::iter::once((c, first))
+            .chain(ranges)
+            .map(|(c, range)| scope.spawn(move || pass(c, range)))
+            .collect();
+        let mut total = Tally::default();
+        for handle in handles {
+            total += handle
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        }
+        total
+    })
 }
 
 /// Sender-density threshold for the arena delivery direction: with fewer
@@ -799,51 +651,99 @@ fn apply_verdict(verdict: Verdict, status: &mut NodeStatus, remaining: &mut usiz
 /// pulls per exchange.
 const PUSH_CROSSOVER: usize = 4;
 
-/// Whether the sparse (push) delivery direction wins for this outbox.
-fn push_wins<M>(outbox: &[Option<M>], active: usize) -> bool {
-    let senders = outbox.iter().filter(|o| o.is_some()).count();
-    senders * PUSH_CROSSOVER < active
+/// Where the arena loop finds a sub-round's inboxes for processes `P`.
+enum Inboxes<'a, P: MessageProcess> {
+    /// Pushed: receiver v's inbox is `arena[spans[v]..spans[v + 1]]`,
+    /// already accounted.
+    Pushed {
+        arena: &'a [P::Msg],
+        spans: &'a [usize],
+    },
+    /// Pulled on demand from the sub-round's outbox.
+    Pulled(&'a [Option<P::Msg>]),
 }
 
-/// Pull direction: rebuilds `inbox` (a buffer reused across receivers)
-/// with the messages v's neighbours broadcast, in ascending neighbour id
-/// order — the pinned delivery contract, inherited from the
-/// [`GraphView`] iteration order.
-fn pull_inbox<F: MessageFactory, G: GraphView + ?Sized>(
-    graph: &G,
-    v: NodeId,
-    outbox: &[Option<MsgOf<F>>],
-    inbox: &mut Vec<MsgOf<F>>,
-) {
-    inbox.clear();
-    graph.for_each_neighbor(v, |u| {
-        if let Some(msg) = &outbox[u as usize] {
-            inbox.push(msg.clone());
+impl<'a, P: MessageProcess> Inboxes<'a, P> {
+    /// Receiver `v`'s inbox: its pushed slice, or a pull into the range's
+    /// reused `scratch` buffer — in ascending neighbour id order, the
+    /// pinned delivery contract inherited from the [`GraphView`]
+    /// iteration order — accounted into `tally` as it fills.
+    #[inline]
+    fn get<'s, G: GraphView + ?Sized>(
+        &self,
+        graph: &G,
+        v: NodeId,
+        scratch: &'s mut Vec<P::Msg>,
+        tally: &mut Tally,
+    ) -> &'s [P::Msg]
+    where
+        'a: 's,
+    {
+        match self {
+            Inboxes::Pushed { arena, spans } => &arena[spans[v as usize]..spans[v as usize + 1]],
+            Inboxes::Pulled(outbox) => {
+                scratch.clear();
+                graph.for_each_neighbor(v, |u| {
+                    if let Some(msg) = &outbox[u as usize] {
+                        tally.delivered += 1;
+                        tally.bits += P::message_bits(msg);
+                        scratch.push(msg.clone());
+                    }
+                });
+                scratch
+            }
         }
-    });
+    }
 }
 
-/// Scenario-path inbox collection for receiver `v` in sub-round `sub` of
+/// Picks the delivery direction for `outbox`: with fewer than
+/// `remaining / PUSH_CROSSOVER` senders, push every active receiver's
+/// inbox into the arena now (accounted into `total`); otherwise leave
+/// each receiver to pull its own.
+fn deliver<'a, F: MessageFactory, G: GraphView + ?Sized>(
+    graph: &G,
+    status: &[NodeStatus],
+    outbox: &'a [Option<MsgOf<F>>],
+    remaining: usize,
+    (arena, spans, cursors): (&'a mut Vec<MsgOf<F>>, &'a mut [usize], &mut [usize]),
+    total: &mut Tally,
+) -> Inboxes<'a, F::Process> {
+    let senders = outbox.iter().filter(|o| o.is_some()).count();
+    if senders * PUSH_CROSSOVER >= remaining {
+        return Inboxes::Pulled(outbox);
+    }
+    push_deliver::<F, G>(
+        graph,
+        status,
+        outbox,
+        (&mut *arena, &mut *spans, cursors),
+        total,
+    );
+    Inboxes::Pushed { arena, spans }
+}
+
+/// Reference-loop inbox collection for receiver `v` in sub-round `sub` of
 /// `round`: on-time deliveries in ascending neighbour id order (the pinned
-/// contract), each gated by the scenario's per-delivery fate, followed by
-/// the delayed deliveries due this slot in `(send round, sender)` order.
-/// Accounting happens on arrival, so dropped and lost messages consume no
-/// bits.
-#[allow(clippy::too_many_arguments)]
-fn collect_scenario_inbox<F: MessageFactory, G: GraphView + ?Sized>(
+/// contract), each gated by the scenario's per-delivery fate (all on time
+/// without one), followed by the delayed deliveries due this slot in
+/// `(send round, sender)` order. Accounting happens on arrival, so dropped
+/// and lost messages consume no bits.
+fn collect_inbox<F: MessageFactory, G: GraphView + ?Sized>(
     graph: &G,
     v: NodeId,
     outbox: &[Option<MsgOf<F>>],
-    scenario: &dyn Scenario,
-    round: u32,
-    sub: u8,
+    scenario: Option<&dyn Scenario>,
+    (round, sub): (u32, u8),
     pending: &mut Vec<PendingMsg<MsgOf<F>>>,
     metrics: &mut MessageMetrics,
 ) -> Vec<MsgOf<F>> {
     let mut inbox = Vec::new();
     graph.for_each_neighbor(v, |u| {
         if let Some(msg) = &outbox[u as usize] {
-            match scenario.delivery(u, v, round, u32::from(sub)) {
+            let fate = scenario.map_or(Delivery::OnTime, |s| {
+                s.delivery(u, v, round, u32::from(sub))
+            });
+            match fate {
                 Delivery::OnTime => inbox.push(msg.clone()),
                 Delivery::Dropped => {}
                 Delivery::Delayed(d) => {
@@ -854,8 +754,8 @@ fn collect_scenario_inbox<F: MessageFactory, G: GraphView + ?Sized>(
     });
     // Split off what comes due this slot (entries pushed above always
     // have a strictly later arrival round, so they stay parked).
-    let mut due: Vec<(u32, u8, u32, NodeId, MsgOf<F>)> = Vec::new();
-    let mut keep: Vec<(u32, u8, u32, NodeId, MsgOf<F>)> = Vec::new();
+    let mut due: Vec<PendingMsg<MsgOf<F>>> = Vec::new();
+    let mut keep: Vec<PendingMsg<MsgOf<F>>> = Vec::new();
     for entry in pending.drain(..) {
         let (arrival, s, ..) = entry;
         if arrival > round || (arrival == round && s > sub) {
@@ -884,15 +784,6 @@ fn drop_missed<M>(pending: &mut Vec<PendingMsg<M>>, round: u32, sub: u8) {
     pending.retain(|&(arrival, s, ..)| arrival > round || (arrival == round && s > sub));
 }
 
-/// Accounts one delivered inbox (each message reached one active
-/// receiver).
-fn account_inbox<F: MessageFactory>(inbox: &[MsgOf<F>], delivered: &mut u64, bits: &mut u64) {
-    *delivered += inbox.len() as u64;
-    for msg in inbox {
-        *bits += F::Process::message_bits(msg);
-    }
-}
-
 /// Push direction: materialises **all** active receivers' inboxes as fixed
 /// per-node slices of `arena` (`spans[v]..spans[v + 1]`), walking only the
 /// senders' neighbour lists — a counting pass sizes each slice, a prefix
@@ -904,7 +795,7 @@ fn push_deliver<F: MessageFactory, G: GraphView + ?Sized>(
     status: &[NodeStatus],
     outbox: &[Option<MsgOf<F>>],
     (arena, spans, cursors): (&mut Vec<MsgOf<F>>, &mut [usize], &mut [usize]),
-    (delivered, bits): (&mut u64, &mut u64),
+    total: &mut Tally,
 ) {
     let n = status.len();
     arena.clear();
@@ -917,8 +808,8 @@ fn push_deliver<F: MessageFactory, G: GraphView + ?Sized>(
         graph.for_each_neighbor(u as NodeId, |v| {
             if status[v as usize] == NodeStatus::Active {
                 cursors[v as usize] += 1;
-                *delivered += 1;
-                *bits += msg_bits;
+                total.delivered += 1;
+                total.bits += msg_bits;
             }
         });
     }

@@ -21,9 +21,9 @@
 //! delivery fate is [`mix`]`(seed, from, to, round,
 //! exchange)`, so the answer for one edge never depends on how many
 //! other edges were queried first. That is what lets the bitset and scalar
-//! kernels, the arena and fresh-vec inbox strategies, and any `--jobs`
-//! count agree bit-for-bit under the same adversary, and what makes a
-//! recorded scenario replayable from `(spec, seed)` alone.
+//! kernels and any `--jobs` count agree bit-for-bit under the same
+//! adversary, and what makes a recorded scenario replayable from
+//! `(spec, seed)` alone.
 //!
 //! # Replay format
 //!
@@ -81,8 +81,11 @@ pub enum Delivery {
 ///   frozen (no sends, no receipt, no RNG draws, no decisions);
 /// * [`delivery`](Self::delivery) — the fate of each directed delivery;
 /// * [`perturbs_deliveries`](Self::perturbs_deliveries) /
-///   [`has_churn`](Self::has_churn) — capability flags that let engines
-///   keep their fast paths when a scenario only staggers wake-ups.
+///   [`has_churn`](Self::has_churn) — capability flags that let the
+///   beeping [`Stepper`](crate::Stepper) keep its fast paths when a
+///   scenario only staggers wake-ups. `MessageSimulator` (in
+///   `mis_baselines`) runs every scenario, wake-only ones included, on its
+///   sequential reference loop.
 pub trait Scenario: Send + Sync + core::fmt::Debug {
     /// The canonical JSON spec of this scenario. Equal spec strings must
     /// imply identical behaviour; engines compare and persist scenarios
@@ -111,9 +114,9 @@ pub trait Scenario: Send + Sync + core::fmt::Debug {
     fn delivery(&self, from: NodeId, to: NodeId, round: u32, exchange: u32) -> Delivery;
 
     /// Whether [`delivery`](Self::delivery) can ever return anything but
-    /// [`Delivery::OnTime`]. When `false` (and there is no churn), engines
-    /// keep their fast propagation kernels — a wake-only scenario costs
-    /// nothing per delivery.
+    /// [`Delivery::OnTime`]. When `false` (and there is no churn), the
+    /// beeping [`Stepper`](crate::Stepper) keeps its fast propagation
+    /// kernels — a wake-only scenario costs it nothing per delivery.
     fn perturbs_deliveries(&self) -> bool;
 }
 

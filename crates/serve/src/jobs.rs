@@ -18,7 +18,7 @@ use std::time::Duration;
 
 use mis_baselines::{
     GreedyLocalFactory, LubyMarkingFactory, LubyPriorityFactory, MessageEngine, MessageFactory,
-    MetivierFactory, MsgOf,
+    MetivierFactory,
 };
 use mis_beeping::json::Json;
 use mis_core::engine::{AlgorithmEngine, EngineRecord};
@@ -323,8 +323,6 @@ impl ExecOp<'_> {
     where
         G: GraphView + ?Sized,
         F: MessageFactory + Sync,
-        F::Process: Send,
-        MsgOf<F>: Send + Sync,
     {
         let engine = MessageEngine::new(factory)
             .with_max_rounds(self.request.config.max_rounds)

@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use beeping_mis::baselines::{
     GreedyLocalFactory, InboxStrategy, LubyMarkingFactory, LubyPriorityFactory, MessageFactory,
-    MessageSimulator, MetivierFactory, MsgOf, MsgRunOutcome,
+    MessageSimulator, MetivierFactory, MsgRunOutcome,
 };
 use beeping_mis::beeping::rng::trial_seed;
 use beeping_mis::beeping::scenario::{
@@ -425,8 +425,6 @@ fn digest_message_runs<F, G>(
     h: &mut Fnv,
 ) where
     F: MessageFactory,
-    F::Process: Send,
-    MsgOf<F>: Send + Sync,
     G: GraphView + ?Sized,
 {
     for run in 0..RUNS {
@@ -450,8 +448,6 @@ fn digest_message_runs<F, G>(
 fn check_messages<F>(family: &str, factory: &F, expected: &[(&str, u64)])
 where
     F: MessageFactory,
-    F::Process: Send,
-    MsgOf<F>: Send + Sync,
 {
     let g = gnp();
     let grid = generators::grid2d(12, 16);
