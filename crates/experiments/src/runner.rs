@@ -8,6 +8,7 @@
 //! message-passing — parallelises under `xp --jobs N` with bit-identical
 //! results for any job count.
 
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use mis_beeping::{RngMode, SimConfig};
@@ -175,19 +176,27 @@ pub fn run_with_backend<Op: BackendOp>(g: &Graph, backend: Backend, op: Op) -> O
         Backend::Csr => op.run(g),
         Backend::Compressed => op.run(&CompressedGraph::from_view(g)),
         Backend::Disk => {
-            let dir = std::env::temp_dir().join(format!(
+            // Declared before `disk`, so it is dropped after it: the
+            // directory goes even when the write, the open or `op` panics.
+            let dir = ShardDir(std::env::temp_dir().join(format!(
                 "xp-disk-backend-{}-{}",
                 std::process::id(),
                 DISK_DIR_COUNTER.fetch_add(1, Ordering::Relaxed)
-            ));
-            stream::write_sharded_from_view(&dir, g, stream::DEFAULT_NODES_PER_SHARD)
+            )));
+            stream::write_sharded_from_view(&dir.0, g, stream::DEFAULT_NODES_PER_SHARD)
                 .expect("write disk-backend shard directory");
-            let disk = DiskGraph::open(&dir).expect("reopen disk-backend shard directory");
-            let out = op.run(&disk);
-            drop(disk);
-            let _ = std::fs::remove_dir_all(&dir);
-            out
+            let disk = DiskGraph::open(&dir.0).expect("reopen disk-backend shard directory");
+            op.run(&disk)
         }
+    }
+}
+
+/// A disk-backend shard directory, removed when dropped.
+struct ShardDir(PathBuf);
+
+impl Drop for ShardDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
     }
 }
 

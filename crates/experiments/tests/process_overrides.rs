@@ -5,6 +5,8 @@
 //! process reads these globals, so the tests that write them run here, in
 //! a test binary of their own, where no other test can observe a
 //! half-restored override. Within this binary they take one lock in turn.
+//! The disk backend's cleanup test runs under the same lock, since the
+//! backend tests create the shard directories it looks for.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -117,4 +119,34 @@ fn explicit_backend_ignores_the_process_default() {
         assert_eq!(run_with_backend(&g, b, DegreeSum), 64, "{}", b.name());
     }
     assert_eq!(default_backend(), Backend::Disk);
+}
+
+#[test]
+fn panicking_disk_op_leaves_no_shard_directory() {
+    // Under the lock, so no other test of this binary has a disk-backend
+    // directory of this process open while the temp dir is scanned.
+    let _lock = exclusive();
+
+    /// Panics while the disk backend's shard directory exists.
+    struct Panics;
+
+    impl BackendOp for Panics {
+        type Out = ();
+        fn run<G: GraphView + ?Sized>(self, _g: &G) {
+            panic!("deliberate panic inside the disk backend");
+        }
+    }
+
+    let g = mis_graph::generators::cycle(32);
+    let caught = std::panic::catch_unwind(|| run_with_backend(&g, Backend::Disk, Panics));
+    assert!(caught.is_err());
+
+    let prefix = format!("xp-disk-backend-{}-", std::process::id());
+    let leftovers: Vec<String> = std::fs::read_dir(std::env::temp_dir())
+        .expect("read the temp dir")
+        .filter_map(Result::ok)
+        .map(|entry| entry.file_name().to_string_lossy().into_owned())
+        .filter(|name| name.starts_with(&prefix))
+        .collect();
+    assert!(leftovers.is_empty(), "leaked {leftovers:?}");
 }
