@@ -22,7 +22,6 @@ use crate::TraceLevel;
 /// [`SimConfig`] makes MIS members re-announce every round, restoring
 /// safety at the cost of extra signals.
 #[derive(Debug, Clone, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FaultPlan {
     /// Probability that an individual beep delivery is lost (per directed
     /// edge, per exchange). Zero means a reliable network.
@@ -103,7 +102,6 @@ impl FaultPlan {
 /// speed. `tests/kernel_equivalence.rs` pins the equivalence with property
 /// tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum PropagationKernel {
     /// Reference implementation: push from each beeping node, in
     /// ascending id order, to its neighbours, one delivery at a time.
@@ -153,7 +151,6 @@ impl PropagationKernel {
 /// (equally valid) random sequences, so switching modes changes individual
 /// run outcomes while preserving every statistical property.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum RngMode {
     /// Legacy stateful streams (the default): each node consumes its own
     /// [`node_rng`](crate::rng::node_rng) stream across rounds, and

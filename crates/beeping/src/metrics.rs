@@ -12,7 +12,6 @@ use mis_graph::{Graph, GraphView};
 /// emits in both exchanges and contributes two signals but one beep).
 /// Theorem 6 bounds expected beeps per node by a constant.
 #[derive(Debug, Clone, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Metrics {
     /// Number of completed rounds.
     pub rounds: u32,

@@ -5,7 +5,6 @@ use core::fmt;
 /// Lifecycle state of a node in the simulator, mirroring the automaton of
 /// Figure 2 of the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum NodeStatus {
     /// Participating: may beep and listen.
     Active,
@@ -40,7 +39,6 @@ impl fmt::Display for NodeStatus {
 /// A node's decision at the end of a round, returned by
 /// [`BeepingProcess::end_round`](crate::BeepingProcess::end_round).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Verdict {
     /// Remain active into the next round.
     Continue,
@@ -69,7 +67,6 @@ impl fmt::Display for Verdict {
 /// al. needs `node_count` and `max_degree`, which is exactly why it is
 /// interesting to compare.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NetworkInfo {
     /// Total number of nodes `n`.
     pub node_count: usize,

@@ -6,7 +6,6 @@ use mis_graph::NodeId;
 
 /// How much per-round detail the simulator records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TraceLevel {
     /// Record nothing (default; zero overhead).
     #[default]
@@ -17,7 +16,6 @@ pub enum TraceLevel {
 
 /// Summary of one simulated round.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RoundRecord {
     /// Round index (0-based).
     pub round: u32,
@@ -47,7 +45,6 @@ impl fmt::Display for RoundRecord {
 
 /// The recorded sequence of rounds (empty unless tracing was enabled).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Trace {
     records: Vec<RoundRecord>,
 }

@@ -15,7 +15,6 @@ use crate::ode::{rk4_step, Rk4Scratch};
 /// unstable and near-uniform initial conditions resolve into alternating
 /// high-Delta/high-Notch cells.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CollierParams {
     /// Half-saturation constant `a` of Notch activation.
     pub a: f64,
@@ -87,7 +86,6 @@ impl CollierParams {
 
 /// Continuous state of one cell.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CellState {
     /// Notch activity `n_i ∈ [0, 1]`.
     pub notch: f64,

@@ -29,7 +29,6 @@ use mis_graph::NodeId;
 /// assert_eq!(gentle.up_factor, 1.5);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FeedbackConfig {
     /// Initial beeping probability (paper: ½).
     pub initial_p: f64,

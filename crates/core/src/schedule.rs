@@ -51,7 +51,6 @@ impl<S: ProbabilitySchedule + ?Sized> ProbabilitySchedule for Arc<S> {
 /// );
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SweepSchedule;
 
 impl SweepSchedule {
@@ -93,7 +92,6 @@ impl ProbabilitySchedule for SweepSchedule {
 /// of beeps per node stays bounded by a constant, unlike the uninformed
 /// sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ScienceSchedule {
     base: f64,
     phases: u32,
@@ -145,7 +143,6 @@ impl ProbabilitySchedule for ScienceSchedule {
 /// A constant probability at every step — the simplest member of the
 /// global-schedule class, and the strawman that motivates adaptivity.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ConstantSchedule(f64);
 
 impl ConstantSchedule {
@@ -197,7 +194,6 @@ impl ProbabilitySchedule for ConstantSchedule {
 /// assert_eq!(s.probability(6), 0.125);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DecreasingSchedule {
     initial: f64,
     steps_per_level: u32,
@@ -235,7 +231,6 @@ impl ProbabilitySchedule for DecreasingSchedule {
 
 /// What a [`CustomSchedule`] does after its explicit sequence is exhausted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TailBehavior {
     /// Repeat the final value forever (default).
     #[default]
@@ -259,7 +254,6 @@ pub enum TailBehavior {
 /// assert_eq!(h.probability(100), 0.25);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CustomSchedule {
     values: Vec<f64>,
     tail: TailBehavior,

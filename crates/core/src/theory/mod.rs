@@ -25,7 +25,6 @@ pub mod lower_bound;
 
 /// The constants fixed at the start of the proof of Theorem 2.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PaperConstants {
     /// Light-neighbour weight threshold `α` (paper: 10⁻³).
     pub alpha: f64,

@@ -25,7 +25,6 @@ use crate::{GraphError, NodeId};
 /// # Ok::<(), mis_graph::GraphError>(())
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Graph {
     /// `offsets[v]..offsets[v + 1]` indexes `adjacency` for node `v`.
     offsets: Vec<usize>,

@@ -19,7 +19,6 @@ use crate::OnlineStats;
 /// assert!(ci.low() < ci.high());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ConfidenceInterval {
     mean: f64,
     half_width: f64,

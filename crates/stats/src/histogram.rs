@@ -20,7 +20,6 @@ use core::fmt;
 /// assert_eq!(h.count(0), 2); // [0, 2)
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Histogram {
     low: f64,
     high: f64,

@@ -8,7 +8,6 @@ use core::fmt;
 
 /// One named data series for an [`AsciiPlot`].
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Series {
     name: String,
     glyph: char,
@@ -59,7 +58,6 @@ impl Series {
 /// assert!(s.contains("data"));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AsciiPlot {
     width: usize,
     height: usize,

@@ -23,7 +23,6 @@ use core::fmt;
 /// assert!((fit.r_squared() - 1.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LinearFit {
     slope: f64,
     intercept: f64,
@@ -122,7 +121,6 @@ impl fmt::Display for LinearFit {
 
 /// The model curves the paper compares against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ModelCurve {
     /// `c · log₂ n` — the optimal-round-complexity shape (feedback, Luby).
     LogN,
@@ -188,7 +186,6 @@ impl fmt::Display for ModelCurve {
 /// assert!(fit.r_squared() > 0.999);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ModelFit {
     curve: ModelCurve,
     coefficient: f64,

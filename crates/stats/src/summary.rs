@@ -21,7 +21,6 @@ use core::fmt;
 /// assert_eq!(s.count(), 8);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct OnlineStats {
     count: u64,
     mean: f64,
@@ -171,7 +170,6 @@ impl fmt::Display for OnlineStats {
 /// assert_eq!(s.min(), 1.0);
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Summary {
     sorted: Vec<f64>,
     online: OnlineStats,

@@ -4,7 +4,6 @@ use core::fmt;
 
 /// Column alignment in markdown output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Align {
     /// Left-aligned column (default).
     #[default]
@@ -31,7 +30,6 @@ pub enum Align {
 /// assert!(t.to_csv().starts_with("n,rounds"));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Table {
     headers: Vec<String>,
     aligns: Vec<Align>,

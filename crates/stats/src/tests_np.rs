@@ -42,7 +42,6 @@ pub fn pearson_correlation(xs: &[f64], ys: &[f64]) -> f64 {
 
 /// Result of a Mann–Whitney U test.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MannWhitney {
     /// The U statistic of the *first* sample.
     pub u: f64,
@@ -155,7 +154,6 @@ fn standard_normal_cdf(x: f64) -> f64 {
 
 /// Result of a two-sample Kolmogorov–Smirnov test.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct KolmogorovSmirnov {
     /// The KS statistic: the supremum distance between the two empirical
     /// CDFs, in `[0, 1]`.
