@@ -122,7 +122,7 @@ fn submit(state: &Arc<ServerState>, request: Option<&Json>) -> Reply {
     let key = cache_key(&request, graph.as_ref());
     let now = now_unix_ms();
     let (id, cached, job_state) = if state.store.lookup(&key).is_some() {
-        let id = state.jobs.insert_done(key.clone(), request, graph, now);
+        let id = state.jobs.insert_done(key.clone(), request.runs, now);
         (id, true, "done")
     } else {
         let id = state.jobs.enqueue(key.clone(), request, graph, now);

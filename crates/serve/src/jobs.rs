@@ -2,7 +2,15 @@
 //! workers execute.
 //!
 //! A submitted request becomes a [`Job`](JobSnapshot) with a monotonically
-//! increasing id. Worker threads pop ids off a FIFO queue, re-check the
+//! increasing id. A queued job holds its validated request and the graph
+//! built at submission until a worker [claims](JobTable::claim) it: the
+//! claim moves both into the worker's [`ClaimedJob`], and they are freed
+//! when the worker finishes. A job answered from the cache at submission is
+//! born done and never holds either. A claimed or born-done job is only its
+//! key, state and counters, which is all `status`, `watch` and `fetch`
+//! read; the table keeps that row for the daemon's lifetime.
+//!
+//! Worker threads pop ids off a FIFO queue, re-check the
 //! store (so concurrent identical submissions run the engine once at
 //! most in the common case), and execute the request through the same
 //! unified [`Engine`](mis_core::Engine) path every CLI batch uses:
@@ -56,8 +64,9 @@ impl JobState {
 
 struct Job {
     key: String,
-    request: RunRequest,
-    graph: Arc<Graph>,
+    /// The request and its graph while the job is queued; `claim` takes
+    /// them.
+    work: Option<(RunRequest, Arc<Graph>)>,
     state: JobState,
     cached: bool,
     total_runs: usize,
@@ -86,7 +95,9 @@ pub struct JobSnapshot {
     pub created_unix_ms: u64,
 }
 
-/// Everything a worker needs to execute one claimed job.
+/// Everything a worker needs to execute one claimed job. It is the only
+/// owner of the job's request and graph, which are freed when it is
+/// dropped.
 pub struct ClaimedJob {
     /// Job id.
     pub id: u64,
@@ -148,8 +159,7 @@ impl JobTable {
             id,
             Job {
                 key,
-                request,
-                graph,
+                work: Some((request, graph)),
                 state: JobState::Queued,
                 cached: false,
                 total_runs,
@@ -163,16 +173,10 @@ impl JobTable {
         id
     }
 
-    /// Registers a job that was answered from the cache at submission
-    /// time: born `Done`, `cached`, with full progress.
-    pub fn insert_done(
-        &self,
-        key: String,
-        request: RunRequest,
-        graph: Arc<Graph>,
-        created_unix_ms: u64,
-    ) -> u64 {
-        let total_runs = request.runs;
+    /// Registers a job of `total_runs` runs that was answered from the
+    /// cache at submission time: born `Done`, `cached`, with full
+    /// progress, and with nothing for a worker to claim.
+    pub fn insert_done(&self, key: String, total_runs: usize, created_unix_ms: u64) -> u64 {
         let mut inner = self.inner.lock().expect("job table poisoned");
         let id = inner.next_id;
         inner.next_id += 1;
@@ -180,8 +184,7 @@ impl JobTable {
             id,
             Job {
                 key,
-                request,
-                graph,
+                work: None,
                 state: JobState::Done,
                 cached: true,
                 total_runs,
@@ -211,17 +214,20 @@ impl JobTable {
         }
     }
 
-    /// Marks `id` running and returns what its worker needs.
+    /// Marks queued job `id` running and moves its request and graph out
+    /// to the worker. `None` if `id` is unknown or was never queued or
+    /// already claimed.
     #[must_use]
     pub fn claim(&self, id: u64) -> Option<ClaimedJob> {
         let mut inner = self.inner.lock().expect("job table poisoned");
         let job = inner.jobs.get_mut(&id)?;
+        let (request, graph) = job.work.take()?;
         job.state = JobState::Running;
         Some(ClaimedJob {
             id,
             key: job.key.clone(),
-            request: job.request.clone(),
-            graph: Arc::clone(&job.graph),
+            request,
+            graph,
             progress: Arc::clone(&job.progress),
         })
     }
@@ -413,11 +419,15 @@ mod tests {
         let a = table.enqueue("k1".into(), req.clone(), Arc::clone(&g), 0);
         let b = table.enqueue("k2".into(), req, g, 0);
         assert!(a < b);
+        assert_eq!(table.snapshot(a).unwrap().state, JobState::Queued);
         let stop = AtomicBool::new(false);
         assert_eq!(table.pop_wait(&stop), Some(a));
         assert_eq!(table.pop_wait(&stop), Some(b));
         let claimed = table.claim(a).unwrap();
+        assert_eq!(claimed.id, a);
         assert_eq!(claimed.key, "k1");
+        assert_eq!(claimed.request.runs, 2);
+        assert_eq!(claimed.graph.node_count(), 6);
         assert_eq!(table.snapshot(a).unwrap().state, JobState::Running);
         table.mark_done(a, false);
         assert_eq!(table.snapshot(a).unwrap().state, JobState::Done);
@@ -430,21 +440,49 @@ mod tests {
         assert_eq!(table.pop_wait(&stop), None);
     }
 
+    fn holds_work(table: &JobTable, id: u64) -> bool {
+        table.inner.lock().unwrap().jobs[&id].work.is_some()
+    }
+
     #[test]
     fn cache_hit_jobs_are_born_done() {
         let table = JobTable::new();
-        let g = Arc::new(generators::cycle(6));
         let req = request(
             r#"{"graph": {"generator": "cycle", "n": 6},
                 "algorithm": {"family": "feedback"}, "runs": 3}"#,
         );
-        let id = table.insert_done("k".into(), req, g, 7);
+        let id = table.insert_done("k".into(), req.runs, 7);
         let snap = table.snapshot(id).unwrap();
         assert_eq!(snap.state, JobState::Done);
         assert!(snap.cached);
         assert_eq!(snap.progress, 3);
         assert_eq!(snap.total, 3);
         assert_eq!(snap.created_unix_ms, 7);
+        // Nothing to run: no graph is held, and no worker can claim it.
+        assert!(!holds_work(&table, id));
+        assert!(table.claim(id).is_none());
+        assert_eq!(table.snapshot(id).unwrap(), snap);
+    }
+
+    #[test]
+    fn claim_moves_the_graph_out_once_and_dropping_the_claim_frees_it() {
+        let table = JobTable::new();
+        let g = Arc::new(generators::cycle(6));
+        let req = request(
+            r#"{"graph": {"generator": "cycle", "n": 6},
+                "algorithm": {"family": "feedback"}, "runs": 2}"#,
+        );
+        let id = table.enqueue("k".into(), req, Arc::clone(&g), 0);
+        assert!(holds_work(&table, id));
+        let claimed = table.claim(id).unwrap();
+        assert!(!holds_work(&table, id));
+        assert!(table.claim(id).is_none());
+        assert!(table.claim(id + 1).is_none());
+        assert_eq!(Arc::strong_count(&g), 2);
+        drop(claimed);
+        assert_eq!(Arc::strong_count(&g), 1);
+        // The row stays for status and fetch.
+        assert_eq!(table.snapshot(id).unwrap().state, JobState::Running);
     }
 
     #[test]

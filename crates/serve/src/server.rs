@@ -9,11 +9,12 @@
 //!   100 ms poll timeout so it observes shutdown even mid-line; a slow or
 //!   stalled client therefore blocks only its own thread, never the
 //!   queue or other connections;
-//! * `workers` **engine workers** draining the job queue; each re-checks
-//!   the store before running (in-flight duplicate submissions collapse
-//!   to one engine execution) and publishes its payload under the job's
-//!   content address. A panicking engine marks the job `error` and the
-//!   worker survives.
+//! * `workers` **engine workers** draining the job queue; each claims the
+//!   job's request and graph out of the table (they are freed when the
+//!   job ends), re-checks the store before running (in-flight duplicate
+//!   submissions collapse to one engine execution) and publishes its
+//!   payload under the job's content address. A panicking engine marks
+//!   the job `error` and the worker survives.
 
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
