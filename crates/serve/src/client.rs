@@ -1,5 +1,8 @@
 //! The blocking client: one socket, one JSON line per call.
 //!
+//! Each request goes out as one frame in one write, on a socket with Nagle
+//! off, so a call costs one round trip and no delayed-ACK wait.
+//!
 //! [`ServeClient`] is what the test suites, the CI smoke job, and the
 //! `mis-serve client` subcommand use. It deliberately exposes a
 //! [`raw_call`](ServeClient::raw_call) escape hatch sending arbitrary
@@ -7,11 +10,13 @@
 //! raw [`fetch_line`](ServeClient::fetch_line) so payload bytes can be
 //! compared without a parse/re-render step in between.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use mis_beeping::json::Json;
+
+use crate::protocol::write_frame;
 
 /// Maximum status polls in [`wait`](ServeClient::wait) before giving up
 /// (at 5 ms per poll ≈ 100 s of queue + run time).
@@ -24,13 +29,14 @@ pub struct ServeClient {
 }
 
 impl ServeClient {
-    /// Connects to a running daemon.
+    /// Connects to a running daemon, with Nagle off.
     ///
     /// # Errors
     ///
     /// Propagates connection failures.
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         let writer = stream.try_clone()?;
         Ok(Self {
             reader: BufReader::new(stream),
@@ -65,9 +71,7 @@ impl ServeClient {
     /// Propagates transport failures; an empty reply (server closed the
     /// connection) is `UnexpectedEof`.
     pub fn raw_call(&mut self, line: &str) -> std::io::Result<String> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
+        write_frame(&mut self.writer, line)?;
         self.read_reply_line()
     }
 
@@ -216,5 +220,26 @@ impl ServeClient {
     /// Propagates [`call`](Self::call) failures.
     pub fn shutdown(&mut self) -> std::io::Result<Json> {
         self.call(&Self::cmd0("shutdown"))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    #[test]
+    fn both_ends_of_a_connection_turn_nagle_off() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = ServeClient::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        crate::server::configure_accepted(&accepted).unwrap();
+        assert!(client.writer.nodelay().unwrap());
+        assert!(client.reader.get_ref().nodelay().unwrap());
+        assert!(accepted.nodelay().unwrap());
+        assert_eq!(
+            accepted.read_timeout().unwrap(),
+            Some(Duration::from_millis(100))
+        );
     }
 }

@@ -19,7 +19,7 @@
 //! | Module | Layer |
 //! |--------|-------|
 //! | [`config`] | [`ServeConfig`] — address, cache dir, worker counts, frame cap |
-//! | [`protocol`] | framing (bounded line reader) and typed error replies |
+//! | [`protocol`] | framing both ways (bounded line reader, one-write frames) and typed error replies |
 //! | [`request`] | request parsing, validation, canonicalisation, cache keys |
 //! | [`store`] | [`ResultStore`] — content-addressed payloads + hit/miss stats |
 //! | [`jobs`] | job table, FIFO queue, and the engine-executing workers |

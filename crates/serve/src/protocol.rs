@@ -1,9 +1,13 @@
-//! Wire framing and typed error replies.
+//! Wire framing in both directions, and typed error replies.
 //!
 //! The protocol is one JSON object per line in each direction. Framing is
 //! deliberately dumb — `\n`-delimited, no length prefixes — so `nc` and a
-//! shell loop are valid clients. The subtlety lives in the *failure*
-//! paths, which the protocol test suite pins:
+//! shell loop are valid clients. Both ends frame through this module: the
+//! daemon reads requests with [`read_frame`], and the daemon's replies and
+//! `watch` lines as well as [`ServeClient`](crate::ServeClient)'s requests
+//! go out through [`write_frame`], which hands the line and its `\n` to the
+//! socket in one write. The subtlety lives in the *failure* paths, which
+//! the protocol test suite pins:
 //!
 //! * an **oversized** line is drained to its newline and rejected with
 //!   `frame_too_large`, leaving the connection usable for the next frame;
@@ -12,7 +16,7 @@
 //! * reads poll in 100 ms slices so a connection blocked mid-line still
 //!   observes daemon shutdown.
 
-use std::io::{BufRead, ErrorKind};
+use std::io::{BufRead, ErrorKind, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use mis_beeping::json::Json;
@@ -93,6 +97,26 @@ pub fn read_frame<R: BufRead>(reader: &mut R, max_bytes: usize, shutdown: &Atomi
     }
 }
 
+/// Writes `line` and its `\n` terminator as one frame, in a single
+/// `write_all`.
+///
+/// A line written in two pieces stalls on a socket: with Nagle on, the
+/// lone `\n` waits until the peer acknowledges the line, and the peer
+/// holds that acknowledgement back (delayed ACK, about 40 ms on Linux)
+/// because it has no reply to carry it on until the frame is complete.
+/// One write per frame, on a socket with `TCP_NODELAY` set, sends the
+/// frame at once.
+///
+/// # Errors
+///
+/// Propagates the writer's failure.
+pub fn write_frame<W: Write>(w: &mut W, line: &str) -> std::io::Result<()> {
+    let mut frame = Vec::with_capacity(line.len() + 1);
+    frame.extend_from_slice(line.as_bytes());
+    frame.push(b'\n');
+    w.write_all(&frame)
+}
+
 /// Builds the standard error reply `{"ok": false, "error": {...}}`.
 #[must_use]
 pub fn error_reply(code: &str, message: &str) -> Json {
@@ -161,6 +185,57 @@ mod tests {
         let stop = AtomicBool::new(true);
         let mut r = BufReader::new(&b"ping\n"[..]);
         assert_eq!(read_frame(&mut r, 64, &stop), Frame::Shutdown);
+    }
+
+    /// A sink that records every `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_frame_issues_one_write_per_frame() {
+        let mut w = CountingWriter::default();
+        write_frame(&mut w, r#"{"cmd":"ping"}"#).unwrap();
+        assert_eq!(w.writes, 1);
+        assert_eq!(w.bytes, b"{\"cmd\":\"ping\"}\n");
+        write_frame(&mut w, "").unwrap();
+        write_frame(&mut w, &"z".repeat(70_000)).unwrap();
+        assert_eq!(w.writes, 3);
+        assert_eq!(w.bytes.len(), 15 + 1 + 70_001);
+    }
+
+    #[test]
+    fn read_frame_returns_what_write_frame_wrote() {
+        let max = 32;
+        let lines = [
+            String::new(),
+            r#"{"ok":true,"pong":true}"#.to_owned(),
+            "é".repeat(max / 2),
+            "m".repeat(max),
+        ];
+        let mut wire = Vec::new();
+        for line in &lines {
+            write_frame(&mut wire, line).unwrap();
+        }
+        let mut r = BufReader::new(&wire[..]);
+        for line in &lines {
+            assert_eq!(read_frame(&mut r, max, &quiet()), Frame::Line(line.clone()));
+        }
+        assert_eq!(read_frame(&mut r, max, &quiet()), Frame::Eof);
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! * one detached **connection thread** per client, reading frames with a
 //!   100 ms poll timeout so it observes shutdown even mid-line; a slow or
 //!   stalled client therefore blocks only its own thread, never the
-//!   queue or other connections;
+//!   queue or other connections. It writes every reply and `watch` line
+//!   as one frame in one write ([`write_frame`]) on a socket with Nagle
+//!   off, so no reply waits on the client's delayed ACK;
 //! * `workers` **engine workers** draining the job queue; each claims the
 //!   job's request and graph out of the table (they are freed when the
 //!   job ends), re-checks the store before running (in-flight duplicate
@@ -16,7 +18,6 @@
 //!   payload under the job's content address. A panicking engine marks
 //!   the job `error` and the worker survives.
 
-use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -27,7 +28,7 @@ use std::time::Duration;
 use crate::config::ServeConfig;
 use crate::handlers::{self, Reply};
 use crate::jobs::{JobState, JobTable};
-use crate::protocol::{error_reply, read_frame, Frame};
+use crate::protocol::{error_reply, read_frame, write_frame, Frame};
 use crate::store::ResultStore;
 
 /// Shared state every connection and worker sees.
@@ -241,17 +242,25 @@ fn worker_loop(state: &ServerState) {
     }
 }
 
-fn handle_connection(state: &Arc<ServerState>, stream: TcpStream) -> std::io::Result<()> {
+/// Prepares an accepted socket: reads time out every 100 ms so the
+/// connection thread can poll shutdown, and Nagle is off so each frame
+/// leaves at once.
+pub(crate) fn configure_accepted(stream: &TcpStream) -> std::io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_millis(100)))?;
+    stream.set_nodelay(true)
+}
+
+fn handle_connection(state: &Arc<ServerState>, stream: TcpStream) -> std::io::Result<()> {
+    configure_accepted(&stream)?;
     let mut writer = stream.try_clone()?;
     let mut reader = std::io::BufReader::new(stream);
     loop {
         match read_frame(&mut reader, state.config.max_frame_bytes, &state.shutdown) {
             Frame::Line(line) => match handlers::dispatch(state, &line) {
-                Reply::Single(text) => write_line(&mut writer, &text)?,
+                Reply::Single(text) => write_frame(&mut writer, &text)?,
                 Reply::Watch { job } => stream_watch(state, &mut writer, job)?,
                 Reply::Shutdown(text) => {
-                    write_line(&mut writer, &text)?;
+                    write_frame(&mut writer, &text)?;
                     state.shutdown.store(true, Ordering::Relaxed);
                     wake_accept(state);
                     return Ok(());
@@ -266,21 +275,15 @@ fn handle_connection(state: &Arc<ServerState>, stream: TcpStream) -> std::io::Re
                     ),
                 )
                 .render();
-                write_line(&mut writer, &text)?;
+                write_frame(&mut writer, &text)?;
             }
             Frame::BadUtf8 => {
                 let text = error_reply("bad_json", "request line is not valid UTF-8").render();
-                write_line(&mut writer, &text)?;
+                write_frame(&mut writer, &text)?;
             }
             Frame::Eof | Frame::Truncated | Frame::Shutdown => return Ok(()),
         }
     }
-}
-
-fn write_line(writer: &mut TcpStream, text: &str) -> std::io::Result<()> {
-    writer.write_all(text.as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()
 }
 
 /// Streams status lines for `job` until it finishes: one line per
@@ -291,12 +294,12 @@ fn stream_watch(state: &ServerState, writer: &mut TcpStream, job: u64) -> std::i
     loop {
         let Some(snap) = state.jobs.snapshot(job) else {
             let text = error_reply("unknown_job", &format!("no job {job}")).render();
-            return write_line(writer, &text);
+            return write_frame(writer, &text);
         };
         let finished = matches!(snap.state, JobState::Done | JobState::Error(_));
         let line = handlers::status_json(&snap).render();
         if last.as_ref() != Some(&line) {
-            write_line(writer, &line)?;
+            write_frame(writer, &line)?;
             last = Some(line);
         }
         if finished || state.shutdown.load(Ordering::Relaxed) {
