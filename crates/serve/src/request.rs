@@ -719,6 +719,40 @@ mod tests {
     }
 
     #[test]
+    fn cache_keys_are_pinned_per_family() {
+        // Persisted cache entries are named by these keys, so a change to
+        // the canonical form must show up here and bump PROTO_VERSION.
+        let g = generators::cycle(8);
+        let pinned = [
+            (r#"{"family": "feedback"}"#, "aa35999fd0ff9fca"),
+            (r#"{"family": "sweep"}"#, "4d151e650af38205"),
+            (
+                r#"{"family": "science", "phase_factor": 3}"#,
+                "ab18bb1fbc381343",
+            ),
+            (r#"{"family": "constant", "p": 0.25}"#, "0d14fe0ba1ed1e0a"),
+            (r#"{"family": "luby_priority"}"#, "2e5c64a7d91aa76e"),
+            (r#"{"family": "luby_marking"}"#, "2df55b222673cebb"),
+            (r#"{"family": "metivier"}"#, "35de29da52b01eba"),
+            (r#"{"family": "greedy_local"}"#, "d42ddb7d63e2b095"),
+        ];
+        let mut actual = String::new();
+        for (algorithm, _) in pinned {
+            let text = format!(
+                r#"{{"graph": {{"generator": "cycle", "n": 8}},
+                    "algorithm": {algorithm}, "seed": "3", "runs": 4}}"#
+            );
+            let key = cache_key(&parse(&text).unwrap(), &g);
+            actual.push_str(&format!("{algorithm} {key}\n"));
+        }
+        let expected: String = pinned
+            .iter()
+            .map(|(algorithm, key)| format!("{algorithm} {key}\n"))
+            .collect();
+        assert_eq!(actual, expected);
+    }
+
+    #[test]
     fn typed_rejections() {
         let cases = [
             (r#"{"runs": 1}"#, "bad_request"),
