@@ -175,8 +175,7 @@ impl MsgRunOutcome {
 /// Both strategies deliver the same messages in the same (ascending
 /// neighbour id) order, so run outcomes are **bit-identical** — only
 /// allocation behaviour and speed differ. `simbench --suite baselines`
-/// and the `message_runtime` criterion group time the two against each
-/// other.
+/// times the two against each other.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum InboxStrategy {
     /// The arena loop (the default): in the dense (pull) direction one

@@ -1,9 +1,8 @@
-//! Shared fixtures for the benchmark suite.
+//! Graph fixtures for `simbench`, the benchmark binary that records the
+//! `BENCH_*.json` files.
 //!
-//! Each bench target in `benches/` regenerates the wall-clock side of one
-//! paper artefact (the statistical side lives in `mis-experiments`; see
-//! `DESIGN.md` §3). Graph fixtures are deterministic so successive bench
-//! runs are comparable.
+//! The fixtures are deterministic, so successive bench runs are
+//! comparable.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -11,25 +10,8 @@
 use mis_graph::{generators, Graph, NodeId};
 use rand::{rngs::SmallRng, SeedableRng};
 
-/// Deterministic `G(n, ½)` fixture (the Figures 3/5 workload).
-#[must_use]
-pub fn gnp_half(n: usize) -> Graph {
-    generators::gnp(n, 0.5, &mut SmallRng::seed_from_u64(0xF16 ^ n as u64))
-}
-
-/// Deterministic sparse `G(n, 10/n)` fixture.
-///
-/// Kept at `p = 10/n` (not `10/(n−1)`) so the fixture graphs — and with
-/// them the cross-commit bench trajectory — stay identical to earlier
-/// revisions.
-#[must_use]
-pub fn gnp_sparse(n: usize) -> Graph {
-    let p = (10.0 / n as f64).min(1.0);
-    generators::gnp(n, p, &mut SmallRng::seed_from_u64(0x5BA5 ^ n as u64))
-}
-
 /// Deterministic `G(n, d/(n−1))` fixture with mean degree ≈ `d` — the
-/// kernel-throughput workload (`simbench` and the simulator bench).
+/// kernel-throughput workload of `simbench`.
 #[must_use]
 pub fn gnp_mean_degree(n: usize, d: f64) -> Graph {
     let p = if n > 1 {
@@ -53,34 +35,9 @@ pub fn gnp_mean_degree_edges(n: usize, d: f64, emit: impl FnMut(NodeId, NodeId))
     generators::gnp_edges(n, p, &mut SmallRng::seed_from_u64(0x5BA5 ^ n as u64), emit);
 }
 
-/// Deterministic random geometric fixture (sensor networks).
-#[must_use]
-pub fn rgg(n: usize, radius: f64) -> Graph {
-    generators::random_geometric(n, radius, &mut SmallRng::seed_from_u64(0x36 ^ n as u64))
-}
-
-/// The Theorem 1 clique-union family by side parameter.
-#[must_use]
-pub fn clique_family(side: usize) -> Graph {
-    generators::theorem1_family(side)
-}
-
-/// Square grid fixture (§5 workload).
-#[must_use]
-pub fn grid(side: usize) -> Graph {
-    generators::grid2d(side, side)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fixtures_are_deterministic() {
-        assert_eq!(gnp_half(64), gnp_half(64));
-        assert_eq!(gnp_sparse(128), gnp_sparse(128));
-        assert_eq!(rgg(50, 0.2), rgg(50, 0.2));
-    }
 
     #[test]
     fn streamed_gnp_matches_in_ram_fixture() {
@@ -90,12 +47,5 @@ mod tests {
         edges.sort_unstable();
         let direct: Vec<(NodeId, NodeId)> = g.edges().collect();
         assert_eq!(edges, direct);
-    }
-
-    #[test]
-    fn fixtures_have_expected_sizes() {
-        assert_eq!(gnp_half(64).node_count(), 64);
-        assert_eq!(grid(9).node_count(), 81);
-        assert_eq!(clique_family(4).node_count(), 40);
     }
 }

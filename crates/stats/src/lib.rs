@@ -27,7 +27,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod ci;
 mod histogram;
 mod plot;
 pub mod regression;
@@ -35,13 +34,12 @@ mod summary;
 mod table;
 mod tests_np;
 
-pub use ci::ConfidenceInterval;
 pub use histogram::Histogram;
 pub use plot::{AsciiPlot, Series};
 pub use regression::{LinearFit, ModelCurve, ModelFit};
 pub use summary::{OnlineStats, Summary};
 pub use table::{Align, Table};
-pub use tests_np::{ks_test, mann_whitney_u, pearson_correlation, KolmogorovSmirnov, MannWhitney};
+pub use tests_np::{ks_test, mann_whitney_u, KolmogorovSmirnov, MannWhitney};
 
 /// Base-2 logarithm as used throughout the paper (`log n` always means
 /// `log₂ n` there).

@@ -1,4 +1,4 @@
-//! Correlation and nonparametric significance tests.
+//! Nonparametric significance tests.
 //!
 //! The experiment harness uses these to back its comparative claims
 //! (“feedback needs fewer rounds than the sweep”) with more than a pair of
@@ -6,39 +6,6 @@
 //! distributions the simulations produce.
 
 use core::fmt;
-
-/// Pearson correlation coefficient of two equal-length samples.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length, have fewer than two elements, or
-/// either sample is constant.
-///
-/// # Examples
-///
-/// ```
-/// use mis_stats::pearson_correlation;
-///
-/// let x = [1.0, 2.0, 3.0, 4.0];
-/// let y = [2.0, 4.0, 6.0, 8.0];
-/// assert!((pearson_correlation(&x, &y) - 1.0).abs() < 1e-12);
-/// ```
-#[must_use]
-pub fn pearson_correlation(xs: &[f64], ys: &[f64]) -> f64 {
-    assert_eq!(xs.len(), ys.len(), "mismatched sample lengths");
-    assert!(xs.len() >= 2, "need at least two observations");
-    let n = xs.len() as f64;
-    let mx = xs.iter().sum::<f64>() / n;
-    let my = ys.iter().sum::<f64>() / n;
-    let (mut sxx, mut syy, mut sxy) = (0.0, 0.0, 0.0);
-    for (&x, &y) in xs.iter().zip(ys) {
-        sxx += (x - mx) * (x - mx);
-        syy += (y - my) * (y - my);
-        sxy += (x - mx) * (y - my);
-    }
-    assert!(sxx > 0.0 && syy > 0.0, "constant sample has no correlation");
-    sxy / (sxx * syy).sqrt()
-}
 
 /// Result of a Mann–Whitney U test.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -248,29 +215,6 @@ fn kolmogorov_sf(lambda: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn correlation_extremes() {
-        let x = [1.0, 2.0, 3.0];
-        let up = [10.0, 20.0, 30.0];
-        let down = [30.0, 20.0, 10.0];
-        assert!((pearson_correlation(&x, &up) - 1.0).abs() < 1e-12);
-        assert!((pearson_correlation(&x, &down) + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn correlation_of_independent_noise_is_small() {
-        // Deterministic pseudo-noise with no shared structure.
-        let x: Vec<f64> = (0..200).map(|i| ((i * 37) % 101) as f64).collect();
-        let y: Vec<f64> = (0..200).map(|i| ((i * 53 + 7) % 97) as f64).collect();
-        assert!(pearson_correlation(&x, &y).abs() < 0.2);
-    }
-
-    #[test]
-    #[should_panic(expected = "constant sample")]
-    fn constant_sample_panics() {
-        let _ = pearson_correlation(&[1.0, 1.0], &[1.0, 2.0]);
-    }
 
     #[test]
     fn mann_whitney_detects_separation() {
