@@ -31,6 +31,12 @@
 //! through the same deterministic `--jobs N` batch path
 //! ([`RunPlan`](mis_core::RunPlan)) as the beeping algorithms.
 //!
+//! [`Family`] is the workspace's one list of algorithm families: the
+//! beeping [`Algorithm`](mis_core::Algorithm)s plus the four baselines
+//! here, with their wire names. [`Family::dispatch`] builds a family's
+//! engine from a `SimConfig` and passes it to a [`FamilyOp`], which is how
+//! `xp race` and `mis-serve` run any family without naming a factory.
+//!
 //! # Examples
 //!
 //! ```
@@ -54,12 +60,14 @@
 
 mod engine;
 pub mod exact;
+mod family;
 mod greedy_local;
 mod luby;
 mod metivier;
 mod runtime;
 
 pub use engine::{MessageEngine, MessageRunRecord, DEFAULT_MESSAGE_ROUND_CAP};
+pub use family::{Family, FamilyOp};
 pub use greedy_local::{GreedyLocalFactory, GreedyLocalProcess, GreedyMsg};
 pub use luby::{LubyMarkingFactory, LubyMarkingProcess, LubyPriorityFactory, LubyPriorityProcess};
 pub use metivier::{MetivierFactory, MetivierProcess};

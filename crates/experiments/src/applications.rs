@@ -7,13 +7,13 @@
 //! feedback algorithm (and the DISC'11 sweep, for comparison) as its only
 //! distributed primitive and inherits its round behaviour.
 //!
-//! All three tables fan their trials out through [`run_trials`] — the
-//! unified work-stealing batch path — and each per-trial application run
-//! executes through an [`AppEngine`] (the PR-3 `Engine` implementation for
-//! the reductions), so `xp apps --jobs N` parallelises one of the slowest
-//! figures in the repo with bit-identical tables for any job count and the
-//! derived graphs stay lazy views (no line-graph or product
-//! materialisation per trial).
+//! All three tables fan their trials out through
+//! [`RunContext::run_trials`] — the unified work-stealing batch path — and
+//! each per-trial application run executes through an [`AppEngine`] (the
+//! `Engine` implementation for the reductions), so `xp apps --jobs N`
+//! parallelises one of the slowest figures in the repo with bit-identical
+//! tables for any job count and the derived graphs stay lazy views (no
+//! line-graph or product materialisation per trial).
 
 use mis_apps::{coloring, dominating, matching, AppEngine};
 use mis_beeping::rng::trial_seed;
@@ -23,8 +23,8 @@ use mis_graph::{generators, ops, Graph};
 use mis_stats::{OnlineStats, Table};
 use rand::{rngs::SmallRng, SeedableRng};
 
-use crate::run_trials;
 use crate::seeds::{experiment, stage_seed};
+use crate::RunContext;
 
 /// Per-algorithm sub-stream tags. Each one is mixed into the trial seed
 /// through the same SplitMix64 derivation the batch planner uses
@@ -164,7 +164,7 @@ fn workloads() -> Vec<(String, WorkloadGen)> {
 ///
 /// Panics on zero trials or if any run fails (a correctness bug).
 #[must_use]
-pub fn run(config: &AppsConfig) -> AppsResults {
+pub fn run(config: &AppsConfig, ctx: &RunContext) -> AppsResults {
     assert!(config.trials > 0, "need at least one trial");
     let mut matching_rows = Vec::new();
     let mut coloring_rows = Vec::new();
@@ -176,7 +176,7 @@ pub fn run(config: &AppsConfig) -> AppsResults {
     for (wi, (name, make_graph)) in workloads().into_iter().enumerate() {
         let matching_master = stage_seed(config.seed, experiment::APPS_MATCHING, wi as u64);
 
-        let samples = run_trials(config.trials, matching_master, |tseed, _| {
+        let samples = ctx.run_trials(config.trials, matching_master, |tseed, _| {
             let g = make_graph(tseed);
             let feedback = matching_feedback.run(&g, trial_seed(tseed, FEEDBACK_STREAM));
             let sweep = matching_sweep.run(&g, trial_seed(tseed, SWEEP_STREAM));
@@ -201,7 +201,7 @@ pub fn run(config: &AppsConfig) -> AppsResults {
         });
 
         let coloring_master = stage_seed(config.seed, experiment::APPS_COLORING, wi as u64);
-        let samples = run_trials(config.trials, coloring_master, |tseed, _| {
+        let samples = ctx.run_trials(config.trials, coloring_master, |tseed, _| {
             let g = make_graph(tseed);
             let product = product_coloring.run(&g, tseed);
             let product = product
@@ -232,7 +232,7 @@ pub fn run(config: &AppsConfig) -> AppsResults {
         });
 
         let backbone_master = stage_seed(config.seed, experiment::APPS_BACKBONE, wi as u64);
-        let samples = run_trials(config.trials, backbone_master, |tseed, _| {
+        let samples = ctx.run_trials(config.trials, backbone_master, |tseed, _| {
             let g = make_graph(tseed);
             if !ops::is_connected(&g) {
                 return None; // backbone undefined on disconnected draws
@@ -402,7 +402,7 @@ mod tests {
 
     #[test]
     fn apps_experiment_is_sane() {
-        let results = run(&AppsConfig { trials: 3, seed: 7 });
+        let results = run(&AppsConfig { trials: 3, seed: 7 }, &RunContext::default());
         assert_eq!(results.matching.len(), 5);
         assert_eq!(results.coloring.len(), 5);
         assert!(!results.backbone.is_empty());
@@ -419,7 +419,7 @@ mod tests {
 
     #[test]
     fn grid_palette_is_five() {
-        let results = run(&AppsConfig { trials: 2, seed: 3 });
+        let results = run(&AppsConfig { trials: 2, seed: 3 }, &RunContext::default());
         let grid = results
             .coloring
             .iter()
@@ -430,7 +430,7 @@ mod tests {
 
     #[test]
     fn backbone_heads_dominate_grid() {
-        let results = run(&AppsConfig { trials: 2, seed: 5 });
+        let results = run(&AppsConfig { trials: 2, seed: 5 }, &RunContext::default());
         let grid = results
             .backbone
             .iter()
@@ -443,7 +443,7 @@ mod tests {
 
     #[test]
     fn render_has_three_sections() {
-        let results = run(&AppsConfig { trials: 2, seed: 9 });
+        let results = run(&AppsConfig { trials: 2, seed: 9 }, &RunContext::default());
         let text = results.render();
         assert!(text.contains("Maximal matching"));
         assert!(text.contains("colouring"));

@@ -13,7 +13,7 @@ use mis_stats::{AsciiPlot, Series, Table};
 use rand::{rngs::SmallRng, SeedableRng};
 
 use crate::seeds::{alg, alg_seed};
-use crate::{run_on_backend, run_trials, BackendOp};
+use crate::{run_with_backend, BackendOp, RunContext};
 
 /// Configuration for the decay experiment.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,18 +71,19 @@ pub struct DecayResults {
 ///
 /// Panics on degenerate configurations or non-terminating runs.
 #[must_use]
-pub fn run(config: &DecayConfig) -> DecayResults {
+pub fn run(config: &DecayConfig, ctx: &RunContext) -> DecayResults {
     assert!(config.trials > 0, "need at least one trial");
-    let curves = run_trials(config.trials, config.seed, |trial_seed, _| {
+    let curves = ctx.run_trials(config.trials, config.seed, |trial_seed, _| {
         let mut graph_rng = SmallRng::seed_from_u64(trial_seed);
         let g = generators::gnp(config.n, 0.5, &mut graph_rng);
-        let sim = crate::sim_config().with_active_series(true);
-        // Dispatch through the backend override so `xp decay --backend X`
+        let sim = ctx.sim_config().with_active_series(true);
+        // Dispatch through the context's backend so `xp decay --backend X`
         // replays the identical simulation from compressed or paged
         // adjacency (active curves are pinned bit-identical across
         // backends).
-        run_on_backend(
+        run_with_backend(
             &g,
+            ctx.backend,
             DecayTrial {
                 trial_seed,
                 sim: &sim,
@@ -227,11 +228,14 @@ mod tests {
 
     #[test]
     fn feedback_decays_faster() {
-        let results = run(&DecayConfig {
-            n: 80,
-            trials: 8,
-            seed: 5,
-        });
+        let results = run(
+            &DecayConfig {
+                n: 80,
+                trials: 8,
+                seed: 5,
+            },
+            &RunContext::default(),
+        );
         let (f, s) = results.rounds_to_below(1.0);
         assert!(
             f.unwrap() < s.unwrap(),
@@ -251,11 +255,14 @@ mod tests {
 
     #[test]
     fn render_has_plot_and_table() {
-        let results = run(&DecayConfig {
-            n: 40,
-            trials: 3,
-            seed: 1,
-        });
+        let results = run(
+            &DecayConfig {
+                n: 40,
+                trials: 3,
+                seed: 1,
+            },
+            &RunContext::default(),
+        );
         let body = results.render();
         assert!(body.contains("feedback active"));
         assert!(body.contains("```text"));

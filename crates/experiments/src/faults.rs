@@ -20,8 +20,8 @@ use mis_graph::generators;
 use mis_stats::{OnlineStats, Table};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
-use crate::run_trials;
 use crate::seeds::{alg, alg_seed, experiment, stage_seed};
+use crate::RunContext;
 
 /// Configuration for the fault experiments.
 #[derive(Debug, Clone, PartialEq)]
@@ -104,12 +104,17 @@ pub struct FaultsResults {
     pub rows: Vec<FaultRow>,
 }
 
-fn plain() -> Algorithm {
-    Algorithm::feedback()
-}
-
-fn repaired() -> Algorithm {
-    Algorithm::feedback_with(FeedbackConfig::default().with_cautious_join(true))
+/// The variants every scenario runs: `(name, algorithm, repair)`. The
+/// repaired one joins cautiously and keeps MIS members beeping.
+fn variants() -> [(&'static str, Algorithm, bool); 2] {
+    [
+        ("plain", Algorithm::feedback(), false),
+        (
+            "repaired",
+            Algorithm::feedback_with(FeedbackConfig::default().with_cautious_join(true)),
+            true,
+        ),
+    ]
 }
 
 /// Runs both fault scenarios across both variants.
@@ -118,7 +123,7 @@ fn repaired() -> Algorithm {
 ///
 /// Panics on degenerate configurations.
 #[must_use]
-pub fn run(config: &FaultsConfig) -> FaultsResults {
+pub fn run(config: &FaultsConfig, ctx: &RunContext) -> FaultsResults {
     assert!(config.trials > 0, "need at least one trial");
     assert!(
         (0.0..=1.0).contains(&config.sleeper_fraction),
@@ -126,15 +131,12 @@ pub fn run(config: &FaultsConfig) -> FaultsResults {
     );
     let mut rows = Vec::new();
     for (i, &loss) in config.loss_rates.iter().enumerate() {
-        for (variant_name, algorithm, repair) in
-            [("plain", plain(), false), ("repaired", repaired(), true)]
-        {
+        for variant in &variants() {
             rows.push(measure(
                 config,
+                ctx,
                 format!("loss ε = {loss}"),
-                variant_name,
-                &algorithm,
-                repair,
+                variant,
                 stage_seed(config.seed, experiment::FAULTS_LOSS, i as u64),
                 move |_, _| FaultPlan {
                     message_loss: loss,
@@ -144,22 +146,19 @@ pub fn run(config: &FaultsConfig) -> FaultsResults {
         }
     }
     // Late wake-up scenario.
-    for (variant_name, algorithm, repair) in
-        [("plain", plain(), false), ("repaired", repaired(), true)]
-    {
+    for variant in &variants() {
         let sleeper_fraction = config.sleeper_fraction;
         let max_wake = config.max_wake_round;
         let n = config.n;
         rows.push(measure(
             config,
+            ctx,
             format!(
                 "wake-up ({}% sleep ≤ {} rounds)",
                 (sleeper_fraction * 100.0).round(),
                 max_wake
             ),
-            variant_name,
-            &algorithm,
-            repair,
+            variant,
             stage_seed(config.seed, experiment::FAULTS_WAKE, 0),
             move |trial_seed, _| {
                 let mut rng = SmallRng::seed_from_u64(alg_seed(trial_seed, alg::WAKE_PLAN));
@@ -184,17 +183,17 @@ pub fn run(config: &FaultsConfig) -> FaultsResults {
 
 fn measure(
     config: &FaultsConfig,
+    ctx: &RunContext,
     scenario: String,
-    variant: &str,
-    algorithm: &Algorithm,
-    repair: bool,
+    &(variant, ref algorithm, repair): &(&str, Algorithm, bool),
     master: u64,
     plan: impl Fn(u64, usize) -> FaultPlan + Sync,
 ) -> FaultRow {
-    let samples = run_trials(config.trials, master, |trial_seed, idx| {
+    let samples = ctx.run_trials(config.trials, master, |trial_seed, idx| {
         let mut graph_rng = SmallRng::seed_from_u64(trial_seed);
         let g = generators::gnp(config.n, config.edge_probability, &mut graph_rng);
-        let sim = crate::sim_config()
+        let sim = ctx
+            .sim_config()
             .with_max_rounds(config.max_rounds)
             .with_mis_keeps_beeping(repair)
             .with_faults(plan(trial_seed, idx));
@@ -283,7 +282,7 @@ mod tests {
             max_rounds: 10_000,
             seed: 3,
         };
-        let results = run(&config);
+        let results = run(&config, &RunContext::default());
         // Rows: (loss 0 × 2 variants) + (wake-up × 2 variants).
         assert_eq!(results.rows.len(), 4);
         let control_plain = &results.rows[0];
@@ -303,7 +302,7 @@ mod tests {
             max_rounds: 10_000,
             seed: 4,
         };
-        let results = run(&config);
+        let results = run(&config, &RunContext::default());
         let plain = results.rows.iter().find(|r| r.variant == "plain").unwrap();
         let repaired = results
             .rows
@@ -334,7 +333,7 @@ mod tests {
             max_rounds: 5_000,
             seed: 5,
         };
-        let body = run(&config).render();
+        let body = run(&config, &RunContext::default()).render();
         assert!(body.contains("loss ε = 0.1"));
         assert!(body.contains("repaired"));
     }

@@ -14,7 +14,7 @@ use rand::{rngs::SmallRng, SeedableRng};
 
 use crate::report::series_table;
 use crate::seeds::{alg, alg_seed, experiment, stage_seed};
-use crate::{run_trials, SeriesPoint};
+use crate::{RunContext, SeriesPoint};
 
 /// Configuration for the Figure 3 reproduction.
 #[derive(Debug, Clone, PartialEq)]
@@ -88,7 +88,7 @@ pub struct Fig3Results {
 ///
 /// Panics if the configuration is degenerate (no sizes or zero trials).
 #[must_use]
-pub fn run(config: &Fig3Config) -> Fig3Results {
+pub fn run(config: &Fig3Config, ctx: &RunContext) -> Fig3Results {
     assert!(!config.sizes.is_empty(), "need at least one size");
     assert!(config.trials > 0, "need at least one trial");
     let mut sweep = Vec::new();
@@ -96,7 +96,7 @@ pub fn run(config: &Fig3Config) -> Fig3Results {
     let mut largest_samples: (Vec<f64>, Vec<f64>) = (Vec::new(), Vec::new());
     for (si, &n) in config.sizes.iter().enumerate() {
         let master = stage_seed(config.seed, experiment::FIG3, si as u64);
-        let samples = run_trials(config.trials, master, |trial_seed, _| {
+        let samples = ctx.run_trials(config.trials, master, |trial_seed, _| {
             let mut graph_rng = SmallRng::seed_from_u64(trial_seed);
             let g = generators::gnp(n, config.edge_probability, &mut graph_rng);
             let s = solve_mis(&g, &Algorithm::sweep(), alg_seed(trial_seed, alg::SWEEP))
@@ -205,7 +205,7 @@ mod tests {
         let mut config = Fig3Config::quick();
         config.trials = 8;
         config.sizes = vec![50, 100, 200];
-        let results = run(&config);
+        let results = run(&config, &RunContext::default());
         assert_eq!(results.sweep.len(), 3);
         assert_eq!(results.feedback.len(), 3);
         // Feedback beats sweep on mean rounds at every tested size.
@@ -242,7 +242,7 @@ mod tests {
         let mut config = Fig3Config::quick();
         config.trials = 3;
         config.sizes = vec![30, 60];
-        let results = run(&config);
+        let results = run(&config, &RunContext::default());
         let body = results.render();
         assert!(body.contains("sweep rounds mean"));
         assert!(body.contains("Model fits"));
@@ -256,8 +256,8 @@ mod tests {
         let mut config = Fig3Config::quick();
         config.trials = 3;
         config.sizes = vec![40];
-        let a = run(&config);
-        let b = run(&config);
+        let a = run(&config, &RunContext::default());
+        let b = run(&config, &RunContext::default());
         assert_eq!(a.sweep[0].mean(), b.sweep[0].mean());
         assert_eq!(a.feedback[0].std_dev(), b.feedback[0].std_dev());
     }
@@ -267,6 +267,6 @@ mod tests {
     fn empty_sizes_panic() {
         let mut config = Fig3Config::quick();
         config.sizes.clear();
-        let _ = run(&config);
+        let _ = run(&config, &RunContext::default());
     }
 }

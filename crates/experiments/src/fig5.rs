@@ -14,7 +14,7 @@ use rand::{rngs::SmallRng, SeedableRng};
 
 use crate::report::series_table;
 use crate::seeds::{alg, alg_seed, experiment, stage_seed};
-use crate::{run_trials, SeriesPoint};
+use crate::{RunContext, SeriesPoint};
 
 /// Configuration for the Figure 5 reproduction.
 #[derive(Debug, Clone, PartialEq)]
@@ -90,7 +90,7 @@ pub struct Fig5Results {
 ///
 /// Panics if the configuration has no sizes or zero trials.
 #[must_use]
-pub fn run(config: &Fig5Config) -> Fig5Results {
+pub fn run(config: &Fig5Config, ctx: &RunContext) -> Fig5Results {
     assert!(!config.sizes.is_empty(), "need at least one size");
     assert!(config.trials > 0, "need at least one trial");
     let mut sweep = Vec::new();
@@ -98,7 +98,7 @@ pub fn run(config: &Fig5Config) -> Fig5Results {
     let mut science: Option<Vec<SeriesPoint>> = config.include_science.then(Vec::new);
     for (si, &n) in config.sizes.iter().enumerate() {
         let master = stage_seed(config.seed, experiment::FIG5, si as u64);
-        let samples = run_trials(config.trials, master, |trial_seed, _| {
+        let samples = ctx.run_trials(config.trials, master, |trial_seed, _| {
             let mut graph_rng = SmallRng::seed_from_u64(trial_seed);
             let g = generators::gnp(n, config.edge_probability, &mut graph_rng);
             let s = solve_mis(&g, &Algorithm::sweep(), alg_seed(trial_seed, alg::SWEEP))
@@ -220,7 +220,7 @@ mod tests {
         let mut config = Fig5Config::quick();
         config.trials = 20;
         config.sizes = vec![20, 80, 160];
-        let results = run(&config);
+        let results = run(&config, &RunContext::default());
         for p in &results.feedback {
             assert!(
                 p.mean() > 0.5 && p.mean() < 2.0,
@@ -240,7 +240,7 @@ mod tests {
         let mut config = Fig5Config::quick();
         config.trials = 20;
         config.sizes = vec![20, 160];
-        let results = run(&config);
+        let results = run(&config, &RunContext::default());
         assert!(results.sweep[1].mean() > results.sweep[0].mean());
     }
 
@@ -249,7 +249,7 @@ mod tests {
         let mut config = Fig5Config::quick().with_science();
         config.trials = 10;
         config.sizes = vec![30, 120];
-        let results = run(&config);
+        let results = run(&config, &RunContext::default());
         let science = results.science.as_ref().unwrap();
         assert_eq!(science.len(), 2);
         // §5: informed schedule keeps beeps bounded by a small constant.
@@ -264,7 +264,7 @@ mod tests {
         let mut config = Fig5Config::quick();
         config.trials = 4;
         config.sizes = vec![24, 48];
-        let results = run(&config);
+        let results = run(&config, &RunContext::default());
         let body = results.render();
         assert!(body.contains("feedback beeps/node"));
         assert!(body.contains("```text"));

@@ -24,6 +24,8 @@ use mis_graph::{generators, Graph};
 use mis_stats::Table;
 use rand::{rngs::SmallRng, SeedableRng};
 
+use crate::RunContext;
+
 /// Corpus format tag; replays reject anything else.
 pub const CORPUS_FORMAT: &str = "mis-adversary-corpus-v1";
 
@@ -59,9 +61,6 @@ pub struct FuzzConfig {
     pub allow_churn: bool,
     /// Adversary entries kept in the corpus (besides the baseline).
     pub keep: usize,
-    /// Worker threads per evaluation (`0` = one per core; never affects
-    /// results).
-    pub jobs: usize,
 }
 
 impl FuzzConfig {
@@ -83,7 +82,6 @@ impl FuzzConfig {
             max_delay: 8,
             allow_churn: true,
             keep: 4,
-            jobs: 0,
         }
     }
 
@@ -105,7 +103,6 @@ impl FuzzConfig {
             max_delay: 4,
             allow_churn: true,
             keep: 3,
-            jobs: 0,
         }
     }
 
@@ -116,9 +113,10 @@ impl FuzzConfig {
         generators::gnp(self.n, p, &mut SmallRng::seed_from_u64(self.graph_seed))
     }
 
-    /// The search schedule this config drives.
+    /// The search schedule this config drives, evaluating on
+    /// `ctx.jobs` workers.
     #[must_use]
-    pub fn schedule(&self) -> AdversarySchedule {
+    pub fn schedule(&self, ctx: &RunContext) -> AdversarySchedule {
         AdversarySchedule::new(attacked_algorithm(), self.loss_budget)
             .with_config(
                 SimConfig::default()
@@ -134,7 +132,7 @@ impl FuzzConfig {
             // was mined with this exact derivation; changing it re-rolls the
             // committed adversary search and invalidates the corpus.
             .with_search_seed(splitmix64(self.seed ^ 0xAD5E_A2C4))
-            .with_jobs(self.jobs)
+            .with_jobs(ctx.jobs)
             .with_mutation_limits(self.max_wake, self.max_delay, self.allow_churn)
     }
 }
@@ -170,10 +168,10 @@ pub struct FuzzResults {
 /// Panics on degenerate configurations (zero nodes or a loss budget
 /// outside `[0, 1]`).
 #[must_use]
-pub fn run(config: &FuzzConfig) -> FuzzResults {
+pub fn run(config: &FuzzConfig, ctx: &RunContext) -> FuzzResults {
     assert!(config.n > 0, "need at least one node");
     let graph = config.graph();
-    let report = config.schedule().search(&graph);
+    let report = config.schedule(ctx).search(&graph);
     FuzzResults {
         config: config.clone(),
         report,
@@ -430,7 +428,7 @@ fn usize_field(json: &Json, key: &str) -> Result<usize, String> {
 ///
 /// Returns a message naming the offending field when the document is not
 /// a well-formed `mis-adversary-corpus-v1` corpus.
-pub fn replay_str(text: &str, jobs: usize) -> Result<ReplayResults, String> {
+pub fn replay_str(text: &str, ctx: &RunContext) -> Result<ReplayResults, String> {
     let doc = Json::parse(text).map_err(|e| format!("corpus: {e}"))?;
     let format = field(&doc, "format")?
         .as_str()
@@ -470,11 +468,10 @@ pub fn replay_str(text: &str, jobs: usize) -> Result<ReplayResults, String> {
         seed: field(eval, "master_seed")?
             .as_u64_str()
             .ok_or("corpus: master_seed is not a u64 string")?,
-        jobs,
         ..FuzzConfig::quick()
     };
     let graph = config.graph();
-    let schedule = config.schedule();
+    let schedule = config.schedule(ctx);
     let mut entries = Vec::new();
     for entry in field(&doc, "entries")?
         .as_arr()
@@ -514,6 +511,13 @@ pub fn replay_str(text: &str, jobs: usize) -> Result<ReplayResults, String> {
 mod tests {
     use super::*;
 
+    fn jobs(jobs: usize) -> RunContext {
+        RunContext {
+            jobs,
+            ..RunContext::default()
+        }
+    }
+
     fn tiny() -> FuzzConfig {
         FuzzConfig {
             n: 60,
@@ -524,50 +528,51 @@ mod tests {
             eval_runs: 2,
             max_rounds: 5_000,
             keep: 2,
-            jobs: 1,
             ..FuzzConfig::quick()
         }
     }
 
     #[test]
     fn fuzz_is_deterministic() {
-        let a = run(&tiny());
-        let b = run(&tiny());
+        let a = run(&tiny(), &jobs(1));
+        let b = run(&tiny(), &jobs(1));
         assert_eq!(a.report, b.report);
         assert_eq!(a.corpus_string(), b.corpus_string());
     }
 
     #[test]
     fn corpus_round_trips_through_replay() {
-        let results = run(&tiny());
+        let results = run(&tiny(), &jobs(1));
         let corpus = results.corpus_string();
-        let replay = replay_str(&corpus, 1).expect("well-formed corpus");
+        let replay = replay_str(&corpus, &jobs(1)).expect("well-formed corpus");
         assert_eq!(replay.entries.len(), results.corpus_entries().len());
         assert!(replay.all_match(), "{}", replay.render());
         // Independent of the job count.
-        let replay4 = replay_str(&corpus, 4).expect("well-formed corpus");
+        let replay4 = replay_str(&corpus, &jobs(4)).expect("well-formed corpus");
         assert!(replay4.all_match());
     }
 
     #[test]
     fn replay_detects_tampered_records() {
-        let results = run(&tiny());
+        let results = run(&tiny(), &jobs(1));
         let corpus = results
             .corpus_string()
             .replacen("\"rounds\":[", "\"rounds\":[9999,", 1);
-        let replay = replay_str(&corpus, 1).expect("still well-formed");
+        let replay = replay_str(&corpus, &jobs(1)).expect("still well-formed");
         assert!(!replay.all_match());
         assert!(replay.render().contains("MISMATCH"));
     }
 
     #[test]
     fn replay_rejects_malformed_corpora() {
-        assert!(replay_str("not json", 1).is_err());
-        assert!(replay_str("{\"format\": \"other\"}", 1)
+        assert!(replay_str("not json", &jobs(1)).is_err());
+        assert!(replay_str("{\"format\": \"other\"}", &jobs(1))
             .unwrap_err()
             .contains("unsupported format"));
         let missing = "{\"format\": \"mis-adversary-corpus-v1\"}";
-        assert!(replay_str(missing, 1).unwrap_err().contains("workload"));
+        assert!(replay_str(missing, &jobs(1))
+            .unwrap_err()
+            .contains("workload"));
     }
 
     #[test]
@@ -576,8 +581,7 @@ mod tests {
         // direct test so regressions surface here first.
         let mut config = FuzzConfig::quick();
         config.n = 120;
-        config.jobs = 1;
-        let results = run(&config);
+        let results = run(&config, &jobs(1));
         assert!(
             results.report.beats_uniform(),
             "quick search no longer beats uniform:\n{}",

@@ -5,7 +5,7 @@ use mis_graph::generators;
 use mis_stats::Table;
 
 use crate::seeds::{experiment, stage_seed};
-use crate::{run_trials, SeriesPoint};
+use crate::{RunContext, SeriesPoint};
 
 /// Configuration for the grid beeps experiment.
 #[derive(Debug, Clone, PartialEq)]
@@ -72,7 +72,7 @@ pub struct GridBeepsResults {
 ///
 /// Panics if the configuration has no grids or zero trials.
 #[must_use]
-pub fn run(config: &GridBeepsConfig) -> GridBeepsResults {
+pub fn run(config: &GridBeepsConfig, ctx: &RunContext) -> GridBeepsResults {
     assert!(!config.grids.is_empty(), "need at least one grid");
     assert!(config.trials > 0, "need at least one trial");
     let rows = config
@@ -82,7 +82,7 @@ pub fn run(config: &GridBeepsConfig) -> GridBeepsResults {
         .map(|(i, &(r, c))| {
             let g = generators::grid2d(r, c);
             let master = stage_seed(config.seed, experiment::GRID_BEEPS, i as u64);
-            let samples = run_trials(config.trials, master, |trial_seed, _| {
+            let samples = ctx.run_trials(config.trials, master, |trial_seed, _| {
                 let result = solve_mis(&g, &Algorithm::feedback(), trial_seed).expect("terminates");
                 (
                     result.mean_beeps_per_node(),
@@ -161,7 +161,7 @@ mod tests {
             trials: 25,
             seed: 7,
         };
-        let results = run(&config);
+        let results = run(&config, &RunContext::default());
         for row in &results.rows {
             assert!(
                 row.beeps.mean() > 0.8 && row.beeps.mean() < 1.6,
@@ -185,7 +185,7 @@ mod tests {
             trials: 5,
             seed: 1,
         };
-        let results = run(&config);
+        let results = run(&config, &RunContext::default());
         assert!(results.table().to_csv().contains("4×4"));
         assert!(results.render().contains("Theorem 6"));
     }

@@ -47,8 +47,4 @@ pub mod sop;
 pub mod tails;
 
 pub use report::Report;
-pub use runner::{
-    default_backend, default_jobs, default_shards, run_on_backend, run_trials,
-    run_trials_with_jobs, run_with_backend, set_default_backend, set_default_jobs,
-    set_default_shards, sim_config, Backend, BackendOp, SeriesPoint,
-};
+pub use runner::{run_with_backend, Backend, BackendOp, RunContext, SeriesPoint};

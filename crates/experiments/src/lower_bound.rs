@@ -13,7 +13,7 @@ use mis_stats::{AsciiPlot, ModelCurve, ModelFit, Series};
 
 use crate::report::series_table;
 use crate::seeds::{alg, alg_seed, experiment, stage_seed};
-use crate::{run_trials, SeriesPoint};
+use crate::{RunContext, SeriesPoint};
 
 /// Configuration for the lower-bound experiment.
 #[derive(Debug, Clone, PartialEq)]
@@ -79,7 +79,7 @@ pub struct LowerBoundResults {
 /// Panics if the configuration is degenerate or a target size is too small
 /// to realise even `m = 1`.
 #[must_use]
-pub fn run(config: &LowerBoundConfig) -> LowerBoundResults {
+pub fn run(config: &LowerBoundConfig, ctx: &RunContext) -> LowerBoundResults {
     assert!(!config.target_sizes.is_empty(), "need at least one size");
     assert!(config.trials > 0, "need at least one trial");
     let mut sizes = Vec::new();
@@ -92,7 +92,7 @@ pub fn run(config: &LowerBoundConfig) -> LowerBoundResults {
         let n = g.node_count();
         sizes.push(n);
         let master = stage_seed(config.seed, experiment::LOWER_BOUND, i as u64);
-        let samples = run_trials(config.trials, master, |trial_seed, _| {
+        let samples = ctx.run_trials(config.trials, master, |trial_seed, _| {
             let s = solve_mis(&g, &Algorithm::sweep(), alg_seed(trial_seed, alg::SWEEP))
                 .expect("sweep terminates")
                 .rounds();
@@ -198,7 +198,7 @@ mod tests {
             trials: 8,
             seed: 3,
         };
-        let results = run(&config);
+        let results = run(&config, &RunContext::default());
         assert_eq!(results.sizes.len(), 2);
         // Feedback is faster at both sizes and the ratio grows.
         let r0 = results.sweep[0].mean() / results.feedback[0].mean();
@@ -217,7 +217,7 @@ mod tests {
             trials: 2,
             seed: 1,
         };
-        let results = run(&config);
+        let results = run(&config, &RunContext::default());
         let m = generators::theorem1_side_for_nodes(100);
         assert_eq!(results.sizes[0], m * m * (m + 1) / 2);
     }
@@ -229,7 +229,7 @@ mod tests {
             trials: 3,
             seed: 2,
         };
-        let body = run(&config).render();
+        let body = run(&config, &RunContext::default()).render();
         assert!(body.contains("Theorem 1"));
         assert!(body.contains("sweep rounds mean"));
     }

@@ -27,6 +27,10 @@
 //!
 //! `xp replay <file>` re-executes a corpus written by `xp fuzz` and exits
 //! non-zero unless every entry reproduces byte-identically.
+//!
+//! `--shards` is read by decay, robustness and faults only, and
+//! `--backend` by decay only; any other experiment (`all` and `replay`
+//! included) rejects them rather than ignore them.
 //! ```
 
 #![forbid(unsafe_code)]
@@ -36,8 +40,14 @@ use std::process::ExitCode;
 
 use mis_experiments::{
     applications, decay, faults, fig3, fig5, fuzz, grid_beeps, lower_bound, potential, quality,
-    race, robustness, sop, tails, Report,
+    race, robustness, sop, tails, Backend, Report, RunContext,
 };
+
+/// The experiments whose output depends on `--shards`.
+const SHARD_READERS: [&str; 3] = ["decay", "robustness", "faults"];
+
+/// The experiments that serve their graphs from `--backend`.
+const BACKEND_READERS: [&str; 1] = ["decay"];
 
 #[derive(Debug, Clone)]
 struct Options {
@@ -45,10 +55,8 @@ struct Options {
     quick: bool,
     seed: Option<u64>,
     trials: Option<usize>,
-    jobs: Option<usize>,
-    shards: Option<usize>,
+    ctx: RunContext,
     science: bool,
-    backend: Option<mis_experiments::Backend>,
     on: Option<race::RaceSurface>,
     out: Option<String>,
     corpus: Option<String>,
@@ -69,14 +77,13 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         quick: false,
         seed: None,
         trials: None,
-        jobs: None,
-        shards: None,
+        ctx: RunContext::default(),
         science: false,
-        backend: None,
         on: None,
         out: None,
         corpus: None,
     };
+    let mut backend_given = false;
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--quick" => opts.quick = true,
@@ -95,18 +102,19 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 if jobs == 0 {
                     return Err("--jobs must be at least 1".to_owned());
                 }
-                opts.jobs = Some(jobs);
+                opts.ctx.jobs = jobs;
             }
             "--shards" => {
                 let v = it.next().ok_or("--shards needs a value")?;
                 let shards: usize = v.parse().map_err(|_| format!("bad shard count {v:?}"))?;
-                opts.shards = Some(shards);
+                opts.ctx.shards = Some(shards);
             }
             "--backend" => {
                 let v = it.next().ok_or("--backend needs a value")?;
-                opts.backend = Some(mis_experiments::Backend::parse(v).ok_or_else(|| {
+                opts.ctx.backend = Backend::parse(v).ok_or_else(|| {
                     format!("unknown backend {v:?} (expected csr|compressed|disk)")
-                })?);
+                })?;
+                backend_given = true;
             }
             "--on" => {
                 let v = it.next().ok_or("--on needs a value")?;
@@ -133,7 +141,26 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             }
         }
     }
+    if opts.ctx.shards.is_some() {
+        only_for("--shards", &SHARD_READERS, &opts.experiment)?;
+    }
+    if backend_given {
+        only_for("--backend", &BACKEND_READERS, &opts.experiment)?;
+    }
     Ok(opts)
+}
+
+/// Rejects `flag` unless `experiment` is one of the `readers` whose output
+/// depends on it.
+fn only_for(flag: &str, readers: &[&str], experiment: &str) -> Result<(), String> {
+    if readers.contains(&experiment) {
+        Ok(())
+    } else {
+        Err(format!(
+            "{flag} applies only to {}, not to {experiment}",
+            readers.join(", ")
+        ))
+    }
 }
 
 fn run_fig3(opts: &Options) -> (String, String) {
@@ -151,7 +178,7 @@ fn run_fig3(opts: &Options) -> (String, String) {
     eprintln!("fig3: sizes {:?}, {} trials", config.sizes, config.trials);
     (
         "Figure 3 — rounds to MIS on G(n, ½)".into(),
-        fig3::run(&config).render(),
+        fig3::run(&config, &opts.ctx).render(),
     )
 }
 
@@ -173,7 +200,7 @@ fn run_fig5(opts: &Options) -> (String, String) {
     eprintln!("fig5: sizes {:?}, {} trials", config.sizes, config.trials);
     (
         "Figure 5 — mean beeps per node on G(n, ½)".into(),
-        fig5::run(&config).render(),
+        fig5::run(&config, &opts.ctx).render(),
     )
 }
 
@@ -192,7 +219,7 @@ fn run_grid(opts: &Options) -> (String, String) {
     eprintln!("grid: shapes {:?}, {} trials", config.grids, config.trials);
     (
         "§5 / Theorem 6 — beeps per node on rectangular grids".into(),
-        grid_beeps::run(&config).render(),
+        grid_beeps::run(&config, &opts.ctx).render(),
     )
 }
 
@@ -214,7 +241,7 @@ fn run_lower_bound(opts: &Options) -> (String, String) {
     );
     (
         "Theorem 1 — clique-union lower-bound family".into(),
-        lower_bound::run(&config).render(),
+        lower_bound::run(&config, &opts.ctx).render(),
     )
 }
 
@@ -233,7 +260,7 @@ fn run_tails(opts: &Options) -> (String, String) {
     eprintln!("tails: sizes {:?}, {} trials", config.sizes, config.trials);
     (
         "Theorem 2 — termination-time tails".into(),
-        tails::run(&config).render(),
+        tails::run(&config, &opts.ctx).render(),
     )
 }
 
@@ -252,7 +279,7 @@ fn run_robustness(opts: &Options) -> (String, String) {
     eprintln!("robustness: n = {}, {} trials", config.n, config.trials);
     (
         "§6 — robustness ablations".into(),
-        robustness::run(&config).render(),
+        robustness::run(&config, &opts.ctx).render(),
     )
 }
 
@@ -274,7 +301,7 @@ fn run_faults(opts: &Options) -> (String, String) {
     );
     (
         "Extension — fault injection".into(),
-        faults::run(&config).render(),
+        faults::run(&config, &opts.ctx).render(),
     )
 }
 
@@ -305,7 +332,7 @@ fn run_race(opts: &Options) -> (String, String) {
             surface.name()
         ),
     };
-    (title, race::run(&config).render())
+    (title, race::run(&config, &opts.ctx).render())
 }
 
 fn run_quality(opts: &Options) -> (String, String) {
@@ -323,7 +350,7 @@ fn run_quality(opts: &Options) -> (String, String) {
     eprintln!("quality: {} trials per workload", config.trials);
     (
         "Extension — MIS size vs exact optimum".into(),
-        quality::run(&config).render(),
+        quality::run(&config, &opts.ctx).render(),
     )
 }
 
@@ -342,7 +369,7 @@ fn run_decay(opts: &Options) -> (String, String) {
     eprintln!("decay: n = {}, {} trials", config.n, config.trials);
     (
         "Extension — active-node decay".into(),
-        decay::run(&config).render(),
+        decay::run(&config, &opts.ctx).render(),
     )
 }
 
@@ -361,7 +388,7 @@ fn run_apps(opts: &Options) -> (String, String) {
     eprintln!("apps: {} trials per workload", config.trials);
     (
         "Extension — MIS as a building block".into(),
-        applications::run(&config).render(),
+        applications::run(&config, &opts.ctx).render(),
     )
 }
 
@@ -383,7 +410,7 @@ fn run_sop(opts: &Options) -> (String, String) {
     );
     (
         "Extension — SOP selection-time statistics".into(),
-        sop::run(&config).render(),
+        sop::run(&config, &opts.ctx).render(),
     )
 }
 
@@ -416,9 +443,6 @@ fn run_fuzz(opts: &Options) -> (String, String) {
     if let Some(t) = opts.trials {
         config.eval_runs = t.max(1);
     }
-    if let Some(j) = opts.jobs {
-        config.jobs = j;
-    }
     eprintln!(
         "fuzz: G({}, d ≈ {}), budget {}, {} generations × {} candidates, {} eval runs",
         config.n,
@@ -428,7 +452,7 @@ fn run_fuzz(opts: &Options) -> (String, String) {
         config.population,
         config.eval_runs
     );
-    let results = fuzz::run(&config);
+    let results = fuzz::run(&config, &opts.ctx);
     let path = opts.corpus.as_deref().unwrap_or("worst_scenarios.json");
     match std::fs::write(path, results.corpus_string()) {
         Ok(()) => eprintln!("wrote corpus {path} (replay with `xp replay {path}`)"),
@@ -452,7 +476,7 @@ fn run_replay(opts: &Options) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let results = match fuzz::replay_str(&text, opts.jobs.unwrap_or(0)) {
+    let results = match fuzz::replay_str(&text, &opts.ctx) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("{e}");
@@ -477,12 +501,11 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if let Some(jobs) = opts.jobs {
-        mis_experiments::set_default_jobs(jobs);
-        eprintln!("running trials on {jobs} worker thread(s)");
+    let ctx = opts.ctx;
+    if ctx.jobs > 0 {
+        eprintln!("running trials on {} worker thread(s)", ctx.jobs);
     }
-    if let Some(shards) = opts.shards {
-        mis_experiments::set_default_shards(Some(shards));
+    if let Some(shards) = ctx.shards {
         eprintln!(
             "beeping simulations use counter-mode rng with {} intra-run shard(s)",
             if shards == 0 {
@@ -492,9 +515,8 @@ fn main() -> ExitCode {
             }
         );
     }
-    if let Some(backend) = opts.backend {
-        mis_experiments::set_default_backend(backend);
-        eprintln!("adjacency served from the {} backend", backend.name());
+    if ctx.backend != Backend::default() {
+        eprintln!("adjacency served from the {} backend", ctx.backend.name());
     }
     if opts.experiment == "replay" {
         return run_replay(&opts);
@@ -581,7 +603,7 @@ mod tests {
         assert!(opts.quick);
         assert_eq!(opts.seed, Some(9));
         assert_eq!(opts.trials, Some(12));
-        assert_eq!(opts.jobs, Some(4));
+        assert_eq!(opts.ctx.jobs, 4);
         assert!(!opts.science);
         assert_eq!(opts.on, None);
         assert_eq!(opts.out, None);
@@ -616,31 +638,62 @@ mod tests {
     #[test]
     fn parses_shards() {
         let opts = parse(&["decay", "--quick", "--shards", "4"]).unwrap();
-        assert_eq!(opts.shards, Some(4));
+        assert_eq!(opts.ctx.shards, Some(4));
         // 0 = auto-detect, 1 = counter-mode sequential — both valid.
-        assert_eq!(parse(&["decay", "--shards", "0"]).unwrap().shards, Some(0));
-        assert_eq!(parse(&["decay", "--shards", "1"]).unwrap().shards, Some(1));
-        assert_eq!(parse(&["decay"]).unwrap().shards, None);
+        assert_eq!(
+            parse(&["decay", "--shards", "0"]).unwrap().ctx.shards,
+            Some(0)
+        );
+        assert_eq!(
+            parse(&["decay", "--shards", "1"]).unwrap().ctx.shards,
+            Some(1)
+        );
+        assert_eq!(parse(&["decay"]).unwrap().ctx.shards, None);
         assert!(parse(&["decay", "--shards"]).is_err());
         assert!(parse(&["decay", "--shards", "many"]).is_err());
     }
 
     #[test]
     fn parses_backend() {
-        use mis_experiments::Backend;
         for (value, backend) in [
             ("csr", Backend::Csr),
             ("compressed", Backend::Compressed),
             ("disk", Backend::Disk),
         ] {
             let opts = parse(&["decay", "--backend", value]).unwrap();
-            assert_eq!(opts.backend, Some(backend));
+            assert_eq!(opts.ctx.backend, backend);
         }
-        assert_eq!(parse(&["decay"]).unwrap().backend, None);
+        assert_eq!(parse(&["decay"]).unwrap().ctx.backend, Backend::Csr);
         assert!(parse(&["decay", "--backend"]).is_err());
         let err = parse(&["decay", "--backend", "ram"]).unwrap_err();
         assert!(err.contains("ram"));
         assert!(err.contains("csr|compressed|disk"));
+    }
+
+    #[test]
+    fn shards_are_accepted_only_where_they_are_read() {
+        for experiment in SHARD_READERS {
+            assert!(
+                parse(&[experiment, "--shards", "4"]).is_ok(),
+                "{experiment}"
+            );
+        }
+        for experiment in ["fig3", "race", "potential", "fuzz", "all", "replay"] {
+            let err = parse(&[experiment, "--shards", "4"]).unwrap_err();
+            assert!(err.contains("only to decay, robustness, faults,"), "{err}");
+            assert!(err.contains(experiment), "{err}");
+        }
+    }
+
+    #[test]
+    fn backend_is_accepted_only_where_it_is_read() {
+        assert!(parse(&["decay", "--backend", "disk"]).is_ok());
+        // Even the default backend is rejected where no experiment reads it.
+        for experiment in ["fig3", "race", "robustness", "all", "replay"] {
+            let err = parse(&[experiment, "--backend", "csr"]).unwrap_err();
+            assert!(err.contains("only to decay,"), "{err}");
+            assert!(err.contains(experiment), "{err}");
+        }
     }
 
     #[test]
@@ -711,7 +764,7 @@ mod tests {
         let opts = parse(&["replay", "corpus.json", "--jobs", "2"]).unwrap();
         assert_eq!(opts.experiment, "replay");
         assert_eq!(opts.corpus.as_deref(), Some("corpus.json"));
-        assert_eq!(opts.jobs, Some(2));
+        assert_eq!(opts.ctx.jobs, 2);
         // A second positional is still rejected, as is one for any other
         // experiment.
         assert!(parse(&["replay", "a.json", "b.json"]).is_err());

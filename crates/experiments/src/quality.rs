@@ -13,8 +13,8 @@ use mis_graph::{generators, Graph};
 use mis_stats::{OnlineStats, Table};
 use rand::{rngs::SmallRng, SeedableRng};
 
-use crate::run_trials;
 use crate::seeds::{alg, alg_seed, experiment, stage_seed};
+use crate::RunContext;
 
 /// Configuration for the quality experiment.
 #[derive(Debug, Clone, PartialEq)]
@@ -119,14 +119,14 @@ fn workloads() -> Vec<(String, QualityGen)> {
 ///
 /// Panics on zero trials or if any run fails (a correctness bug).
 #[must_use]
-pub fn run(config: &QualityConfig) -> QualityResults {
+pub fn run(config: &QualityConfig, ctx: &RunContext) -> QualityResults {
     assert!(config.trials > 0, "need at least one trial");
     let rows = workloads()
         .into_iter()
         .enumerate()
         .map(|(wi, (name, make_graph))| {
             let master = stage_seed(config.seed, experiment::QUALITY, wi as u64);
-            let samples = run_trials(config.trials, master, |trial_seed, _| {
+            let samples = ctx.run_trials(config.trials, master, |trial_seed, _| {
                 let g = make_graph(trial_seed);
                 let alpha = maximum_independent_set(&g).len() as f64;
                 let feedback = solve_mis(
@@ -206,10 +206,13 @@ mod tests {
 
     #[test]
     fn quality_is_sane() {
-        let results = run(&QualityConfig {
-            trials: 5,
-            seed: 11,
-        });
+        let results = run(
+            &QualityConfig {
+                trials: 5,
+                seed: 11,
+            },
+            &RunContext::default(),
+        );
         assert_eq!(results.rows.len(), 6);
         for row in &results.rows {
             // No MIS can beat the exact optimum.
@@ -234,14 +237,20 @@ mod tests {
 
     #[test]
     fn cycle_alpha_is_exact() {
-        let results = run(&QualityConfig { trials: 2, seed: 1 });
+        let results = run(
+            &QualityConfig { trials: 2, seed: 1 },
+            &RunContext::default(),
+        );
         let cycle_row = results.rows.iter().find(|r| r.name == "cycle 25").unwrap();
         assert_eq!(cycle_row.alpha.mean(), 12.0); // ⌊25/2⌋
     }
 
     #[test]
     fn render_mentions_optimum() {
-        let results = run(&QualityConfig { trials: 2, seed: 2 });
+        let results = run(
+            &QualityConfig { trials: 2, seed: 2 },
+            &RunContext::default(),
+        );
         assert!(results.render().contains("α"));
     }
 }

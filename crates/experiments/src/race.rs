@@ -7,11 +7,13 @@
 //! matches Luby's `O(log n)` rounds with 1-bit messages and `O(1)` bits
 //! per channel.
 //!
-//! Every contender — beeping or message-passing — executes through the
-//! unified [`Engine`] layer, and the trials fan out over the same
-//! work-stealing batch path as every other experiment ([`run_trials`]),
-//! so `xp race --jobs N` parallelises the whole figure with bit-identical
-//! tables for any job count.
+//! The field is seven [`Family`] values from `mis_baselines`' registry.
+//! Every one — beeping or message-passing — executes through the unified
+//! [`Engine`] layer with the engine [`Family::dispatch`] builds under the
+//! default `SimConfig`, and the trials fan out over the same
+//! work-stealing batch path as every other experiment
+//! ([`RunContext::run_trials`]), so `xp race --jobs N` parallelises the
+//! whole figure with bit-identical tables for any job count.
 //!
 //! With `xp race --on {line,product,induced}` the whole field races on a
 //! **lazy derived-graph view** of each workload instead of the base graph
@@ -20,18 +22,17 @@
 //! the very same implicit view — the derived adjacency is never
 //! materialised for any contender.
 
-use mis_baselines::{
-    GreedyLocalFactory, LubyMarkingFactory, LubyPriorityFactory, MessageEngine, MetivierFactory,
-};
-use mis_core::engine::{AlgorithmEngine, Engine, EngineRecord, RunView};
+use mis_baselines::{Family, FamilyOp};
+use mis_beeping::SimConfig;
+use mis_core::engine::{Engine, EngineRecord, RunView};
 use mis_core::verify::{check_mis, random_greedy_mis};
 use mis_core::Algorithm;
 use mis_graph::{generators, Graph, GraphView, InducedView, LineGraphView, NodeId, ProductView};
 use mis_stats::{OnlineStats, Table};
 use rand::{rngs::SmallRng, SeedableRng};
 
-use crate::run_trials;
 use crate::seeds::{alg, alg_seed, experiment, stage_seed};
+use crate::RunContext;
 
 /// The graph surface every contender races on: the base workload graph or
 /// a lazy derived-graph view of it (`xp race --on …`).
@@ -139,87 +140,40 @@ impl Default for RaceConfig {
     }
 }
 
-/// The algorithms racing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Contender {
-    /// The paper's feedback algorithm (beeping).
-    Feedback,
-    /// Afek et al. DISC'11 sweep (beeping).
-    Sweep,
-    /// Afek et al. Science'11 informed schedule (beeping).
-    Science,
-    /// Luby, random-priority form (messages).
-    LubyPriority,
-    /// Luby, marking form (messages).
-    LubyMarking,
-    /// Métivier et al. bit-duel (messages).
-    Metivier,
-    /// Deterministic local-minimum greedy (messages; ids).
-    GreedyLocal,
+/// The seven families racing, with their table labels, in report order.
+fn field() -> [(Family, &'static str); 7] {
+    [
+        (Family::Beeping(Algorithm::feedback()), "feedback (beeps)"),
+        (Family::Beeping(Algorithm::sweep()), "sweep (beeps)"),
+        (Family::Beeping(Algorithm::science()), "science (beeps)"),
+        (Family::LubyPriority, "Luby priority (msgs)"),
+        (Family::LubyMarking, "Luby marking (msgs)"),
+        (Family::Metivier, "Métivier (bit duels)"),
+        (Family::GreedyLocal, "greedy local-min (ids)"),
+    ]
 }
 
-impl Contender {
-    /// All contenders in report order.
-    #[must_use]
-    pub fn all() -> [Contender; 7] {
-        [
-            Contender::Feedback,
-            Contender::Sweep,
-            Contender::Science,
-            Contender::LubyPriority,
-            Contender::LubyMarking,
-            Contender::Metivier,
-            Contender::GreedyLocal,
-        ]
-    }
+/// One verified run of a family's engine on one graph and seed.
+struct Verified<'g, G: ?Sized> {
+    g: &'g G,
+    seed: u64,
+}
 
-    /// Display name.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        match self {
-            Contender::Feedback => "feedback (beeps)",
-            Contender::Sweep => "sweep (beeps)",
-            Contender::Science => "science (beeps)",
-            Contender::LubyPriority => "Luby priority (msgs)",
-            Contender::LubyMarking => "Luby marking (msgs)",
-            Contender::Metivier => "Métivier (bit duels)",
-            Contender::GreedyLocal => "greedy local-min (ids)",
-        }
-    }
+impl<G: GraphView + ?Sized> FamilyOp<G> for Verified<'_, G> {
+    type Out = (f64, f64, f64);
 
-    /// Runs this contender once through the unified [`Engine`] layer,
-    /// returning `(rounds, MIS size, mean bits per channel)`. Generic over
-    /// [`GraphView`], so the same dispatch races on a base graph or on a
-    /// lazy derived-graph view.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the run fails to terminate or yields an invalid MIS.
-    #[must_use]
-    pub fn run_once<G: GraphView + ?Sized>(&self, g: &G, seed: u64) -> (f64, f64, f64) {
-        match self {
-            Contender::Feedback => {
-                run_engine(&AlgorithmEngine::new(Algorithm::feedback()), g, seed)
-            }
-            Contender::Sweep => run_engine(&AlgorithmEngine::new(Algorithm::sweep()), g, seed),
-            Contender::Science => run_engine(&AlgorithmEngine::new(Algorithm::science()), g, seed),
-            Contender::LubyPriority => {
-                run_engine(&MessageEngine::new(LubyPriorityFactory::new()), g, seed)
-            }
-            Contender::LubyMarking => {
-                run_engine(&MessageEngine::new(LubyMarkingFactory::new()), g, seed)
-            }
-            Contender::Metivier => run_engine(&MessageEngine::new(MetivierFactory::new()), g, seed),
-            Contender::GreedyLocal => {
-                run_engine(&MessageEngine::new(GreedyLocalFactory::new()), g, seed)
-            }
-        }
+    fn run<E: Engine<G>>(self, engine: E) -> Self::Out {
+        run_engine(&engine, self.g, self.seed)
     }
 }
 
-/// One verified run of any engine: beeping and message contenders share
-/// this code path (and its correctness checks) exactly, on any
-/// [`GraphView`].
+/// One verified run of any engine, returning `(rounds, MIS size, mean
+/// bits per channel)`: beeping and message families share this code path
+/// (and its correctness checks) exactly, on any [`GraphView`].
+///
+/// # Panics
+///
+/// Panics if the run fails to terminate or yields an invalid MIS.
 fn run_engine<G, E>(engine: &E, g: &G, seed: u64) -> (f64, f64, f64)
 where
     G: GraphView + ?Sized,
@@ -236,11 +190,13 @@ where
     )
 }
 
-/// Per-contender statistics on one workload.
+/// Per-family statistics on one workload.
 #[derive(Debug, Clone)]
-pub struct ContenderStats {
+pub struct FamilyStats {
     /// Which algorithm.
-    pub contender: Contender,
+    pub family: Family,
+    /// Its table label.
+    pub label: &'static str,
     /// Rounds across trials.
     pub rounds: OnlineStats,
     /// MIS size across trials.
@@ -254,8 +210,8 @@ pub struct ContenderStats {
 pub struct WorkloadResults {
     /// Workload label.
     pub name: String,
-    /// One entry per contender.
-    pub contenders: Vec<ContenderStats>,
+    /// One entry per racing family, in report order.
+    pub contenders: Vec<FamilyStats>,
     /// Mean greedy (sequential) MIS size, for scale.
     pub greedy_size: OnlineStats,
 }
@@ -306,30 +262,32 @@ fn workloads(scale: usize) -> Vec<(String, WorkloadGen)> {
 }
 
 /// One trial of the whole field on one surface: the sequential greedy
-/// size anchor plus every contender, all on the same [`GraphView`].
+/// size anchor plus every family, all on the same [`GraphView`].
 fn trial_on<G: GraphView + ?Sized>(g: &G, trial_seed: u64) -> (f64, Vec<(f64, f64, f64)>) {
     let mut rng = SmallRng::seed_from_u64(alg_seed(trial_seed, alg::GREEDY));
     let greedy = random_greedy_mis(g, &mut rng).len() as f64;
-    let runs: Vec<(f64, f64, f64)> = Contender::all()
+    let config = SimConfig::default();
+    let seed = alg_seed(trial_seed, alg::CONTENDER);
+    let runs: Vec<(f64, f64, f64)> = field()
         .iter()
-        .map(|c| c.run_once(g, alg_seed(trial_seed, alg::CONTENDER)))
+        .map(|(family, _)| family.dispatch(&config, Verified { g, seed }))
         .collect();
     (greedy, runs)
 }
 
-/// Runs the race.
+/// Runs the race, fanning trials out over `ctx.jobs` workers.
 ///
 /// # Panics
 ///
-/// Panics if any contender fails on any workload (a correctness bug).
+/// Panics if any family fails on any workload (a correctness bug).
 #[must_use]
-pub fn run(config: &RaceConfig) -> RaceResults {
+pub fn run(config: &RaceConfig, ctx: &RunContext) -> RaceResults {
     assert!(config.trials > 0, "need at least one trial");
     let mut results = Vec::new();
     for (wi, (name, make_graph)) in workloads(config.scale).into_iter().enumerate() {
         let master = stage_seed(config.seed, experiment::RACE, wi as u64);
         let surface = config.surface;
-        let per_trial = run_trials(config.trials, master, |trial_seed, _| {
+        let per_trial = ctx.run_trials(config.trials, master, |trial_seed, _| {
             let g = make_graph(trial_seed);
             // The view is rebuilt from the base CSR inside the trial (the
             // same purity contract as `Engine::run`), so trials stay
@@ -344,11 +302,12 @@ pub fn run(config: &RaceConfig) -> RaceResults {
                 }
             }
         });
-        let contenders = Contender::all()
-            .iter()
+        let contenders = field()
+            .into_iter()
             .enumerate()
-            .map(|(ci, &contender)| ContenderStats {
-                contender,
+            .map(|(ci, (family, label))| FamilyStats {
+                family,
+                label,
                 rounds: per_trial.iter().map(|(_, runs)| runs[ci].0).collect(),
                 mis_size: per_trial.iter().map(|(_, runs)| runs[ci].1).collect(),
                 bits_per_channel: per_trial.iter().map(|(_, runs)| runs[ci].2).collect(),
@@ -377,7 +336,7 @@ impl WorkloadResults {
         t.numeric();
         for c in &self.contenders {
             t.push_row(vec![
-                c.contender.name().to_owned(),
+                c.label.to_owned(),
                 format!("{:.1}", c.rounds.mean()),
                 format!("{:.1}", c.rounds.std_dev()),
                 format!("{:.1}", c.mis_size.mean()),
@@ -413,14 +372,14 @@ impl RaceResults {
         out
     }
 
-    /// Convenience lookup of one contender's mean rounds on workload `w`.
+    /// Convenience lookup of one family's mean rounds on workload `w`.
     #[must_use]
-    pub fn mean_rounds(&self, workload: usize, contender: Contender) -> Option<f64> {
+    pub fn mean_rounds(&self, workload: usize, family: &Family) -> Option<f64> {
         self.workloads
             .get(workload)?
             .contenders
             .iter()
-            .find_map(|c| (c.contender == contender).then(|| c.rounds.mean()))
+            .find_map(|c| (c.family == *family).then(|| c.rounds.mean()))
     }
 }
 
@@ -429,12 +388,15 @@ mod tests {
     use super::*;
 
     fn tiny() -> RaceResults {
-        run(&RaceConfig {
-            trials: 4,
-            seed: 77,
-            scale: 3,
-            surface: RaceSurface::Base,
-        })
+        run(
+            &RaceConfig {
+                trials: 4,
+                seed: 77,
+                scale: 3,
+                surface: RaceSurface::Base,
+            },
+            &RunContext::default(),
+        )
     }
 
     #[test]
@@ -444,12 +406,7 @@ mod tests {
         for w in &results.workloads {
             assert_eq!(w.contenders.len(), 7);
             for c in &w.contenders {
-                assert!(
-                    c.rounds.mean() >= 1.0,
-                    "{} on {}",
-                    c.contender.name(),
-                    w.name
-                );
+                assert!(c.rounds.mean() >= 1.0, "{} on {}", c.label, w.name);
                 assert!(c.mis_size.mean() >= 1.0);
             }
             assert!(w.greedy_size.mean() >= 1.0);
@@ -463,12 +420,12 @@ mod tests {
             let feedback = w
                 .contenders
                 .iter()
-                .find(|c| c.contender == Contender::Feedback)
+                .find(|c| c.family == Family::Beeping(Algorithm::feedback()))
                 .unwrap();
             let luby = w
                 .contenders
                 .iter()
-                .find(|c| c.contender == Contender::LubyPriority)
+                .find(|c| c.family == Family::LubyPriority)
                 .unwrap();
             assert!(
                 feedback.bits_per_channel.mean() < luby.bits_per_channel.mean(),
@@ -482,7 +439,7 @@ mod tests {
 
     #[test]
     fn derived_surface_races_fill_every_cell() {
-        // The derived-graph race: all seven contenders on the same lazy
+        // The derived-graph race: all seven families on the same lazy
         // view, every surface, with the correctness checks of run_engine
         // live on every run.
         for surface in [
@@ -490,23 +447,21 @@ mod tests {
             RaceSurface::Product,
             RaceSurface::Induced,
         ] {
-            let results = run(&RaceConfig {
-                trials: 2,
-                seed: 5,
-                scale: 3,
-                surface,
-            });
+            let results = run(
+                &RaceConfig {
+                    trials: 2,
+                    seed: 5,
+                    scale: 3,
+                    surface,
+                },
+                &RunContext::default(),
+            );
             assert_eq!(results.workloads.len(), 5, "{}", surface.name());
             for w in &results.workloads {
                 assert!(w.name.ends_with(surface.label().trim_start()), "{}", w.name);
                 assert_eq!(w.contenders.len(), 7);
                 for c in &w.contenders {
-                    assert!(
-                        c.rounds.mean() >= 1.0,
-                        "{} on {}",
-                        c.contender.name(),
-                        w.name
-                    );
+                    assert!(c.rounds.mean() >= 1.0, "{} on {}", c.label, w.name);
                 }
             }
         }
@@ -538,7 +493,8 @@ mod tests {
             assert!(body.contains(&w.name));
         }
         assert!(body.contains("greedy sequential"));
-        assert!(results.mean_rounds(0, Contender::Feedback).is_some());
-        assert!(results.mean_rounds(9, Contender::Feedback).is_none());
+        let feedback = Family::Beeping(Algorithm::feedback());
+        assert!(results.mean_rounds(0, &feedback).is_some());
+        assert!(results.mean_rounds(9, &feedback).is_none());
     }
 }

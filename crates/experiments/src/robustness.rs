@@ -15,8 +15,8 @@ use mis_graph::generators;
 use mis_stats::{OnlineStats, Table};
 use rand::{rngs::SmallRng, SeedableRng};
 
-use crate::run_trials;
 use crate::seeds::{alg, alg_seed, experiment, stage_seed};
+use crate::RunContext;
 
 /// Configuration for the robustness experiment.
 #[derive(Debug, Clone, PartialEq)]
@@ -146,13 +146,13 @@ fn unit_hash(seed: u64, node: u32) -> f64 {
 /// Panics if any variant produces an invalid MIS or fails to terminate, or
 /// the configuration is degenerate.
 #[must_use]
-pub fn run(config: &RobustnessConfig) -> RobustnessResults {
+pub fn run(config: &RobustnessConfig, ctx: &RunContext) -> RobustnessResults {
     assert!(config.trials > 0, "need at least one trial");
     let variant_list = variants();
     let mut results = Vec::with_capacity(variant_list.len());
     for (vi, (name, kind)) in variant_list.into_iter().enumerate() {
         let master = stage_seed(config.seed, experiment::ROBUSTNESS, vi as u64);
-        let samples = run_trials(config.trials, master, |trial_seed, _| {
+        let samples = ctx.run_trials(config.trials, master, |trial_seed, _| {
             let mut graph_rng = SmallRng::seed_from_u64(trial_seed);
             let g = generators::gnp(config.n, config.edge_probability, &mut graph_rng);
             let cfg_seed = splitmix64(trial_seed);
@@ -172,7 +172,7 @@ pub fn run(config: &RobustnessConfig) -> RobustnessResults {
                 FeedbackProcess::new(cfg)
             });
             let sim_seed = alg_seed(trial_seed, alg::VARIANT_SIM);
-            let outcome = Simulator::new(&g, &factory, sim_seed, crate::sim_config()).run();
+            let outcome = Simulator::new(&g, &factory, sim_seed, ctx.sim_config()).run();
             assert!(outcome.terminated(), "variant failed to terminate");
             check_mis(&g, &outcome.mis()).expect("variant produced an invalid MIS");
             (
@@ -246,7 +246,7 @@ mod tests {
             trials: 6,
             seed: 9,
         };
-        let results = run(&config);
+        let results = run(&config, &RunContext::default());
         assert!(results.variants.len() >= 10);
         assert!(results.variants[0].name.contains("baseline"));
         let worst = results.worst_slowdown();
@@ -276,7 +276,7 @@ mod tests {
             trials: 3,
             seed: 2,
         };
-        let body = run(&config).render();
+        let body = run(&config, &RunContext::default()).render();
         assert!(body.contains("baseline"));
         assert!(body.contains("Worst slowdown"));
         assert!(body.contains("per-node random factors"));

@@ -17,8 +17,8 @@ use mis_graph::generators;
 use mis_stats::{ks_test, OnlineStats, Table};
 use rand::{rngs::SmallRng, SeedableRng};
 
-use crate::run_trials;
 use crate::seeds::{experiment, stage_seed};
+use crate::RunContext;
 
 /// Configuration for the SOP-timing experiment.
 #[derive(Debug, Clone, PartialEq)]
@@ -94,7 +94,7 @@ pub struct SopResults {
 /// Panics on zero trials or if any run fails to complete (a bug: the
 /// models are guaranteed to terminate well within the step cap).
 #[must_use]
-pub fn run(config: &SopConfig) -> SopResults {
+pub fn run(config: &SopConfig, ctx: &RunContext) -> SopResults {
     assert!(config.trials > 0, "need at least one trial");
     let tissue = generators::hex_grid(config.side, config.side);
     let cells = tissue.node_count() as f64;
@@ -104,7 +104,7 @@ pub fn run(config: &SopConfig) -> SopResults {
         .enumerate()
         .map(|(mi, model)| {
             let master = stage_seed(config.seed, experiment::SOP_MODEL, mi as u64);
-            let samples = run_trials(config.trials, master, |trial_seed, _| {
+            let samples = ctx.run_trials(config.trials, master, |trial_seed, _| {
                 let outcome = run_sop_selection(
                     &tissue,
                     SopParams::for_model(model),
@@ -133,7 +133,7 @@ pub fn run(config: &SopConfig) -> SopResults {
         .collect();
 
     let alg_master = stage_seed(config.seed, experiment::SOP_ALG, 0);
-    let alg = run_trials(config.trials, alg_master, |trial_seed, _| {
+    let alg = ctx.run_trials(config.trials, alg_master, |trial_seed, _| {
         let result = solve_mis(&tissue, &Algorithm::feedback(), trial_seed).expect("terminates");
         (
             result.mis().len() as f64 / cells,
@@ -224,11 +224,14 @@ mod tests {
 
     #[test]
     fn sop_experiment_is_sane() {
-        let results = run(&SopConfig {
-            trials: 4,
-            side: 6,
-            seed: 3,
-        });
+        let results = run(
+            &SopConfig {
+                trials: 4,
+                side: 6,
+                seed: 3,
+            },
+            &RunContext::default(),
+        );
         assert_eq!(results.rows.len(), 3);
         for row in &results.rows {
             assert!(
@@ -246,11 +249,14 @@ mod tests {
 
     #[test]
     fn fixed_rate_is_least_dispersed() {
-        let results = run(&SopConfig {
-            trials: 6,
-            side: 8,
-            seed: 7,
-        });
+        let results = run(
+            &SopConfig {
+                trials: 6,
+                side: 8,
+                seed: 7,
+            },
+            &RunContext::default(),
+        );
         let fixed = results
             .rows
             .iter()
@@ -271,11 +277,14 @@ mod tests {
 
     #[test]
     fn ks_separates_fixed_from_random_once() {
-        let results = run(&SopConfig {
-            trials: 6,
-            side: 8,
-            seed: 9,
-        });
+        let results = run(
+            &SopConfig {
+                trials: 6,
+                side: 8,
+                seed: 9,
+            },
+            &RunContext::default(),
+        );
         let fixed = &results.rows[0].pooled_times;
         let once = &results.rows[1].pooled_times;
         let ks = ks_test(fixed, once);
@@ -284,11 +293,14 @@ mod tests {
 
     #[test]
     fn render_has_both_tables() {
-        let results = run(&SopConfig {
-            trials: 3,
-            side: 5,
-            seed: 1,
-        });
+        let results = run(
+            &SopConfig {
+                trials: 3,
+                side: 5,
+                seed: 1,
+            },
+            &RunContext::default(),
+        );
         let text = results.render();
         assert!(text.contains("KS"));
         assert!(text.contains("feedback algorithm"));

@@ -11,8 +11,8 @@ use mis_graph::generators;
 use mis_stats::{Histogram, Summary, Table};
 use rand::{rngs::SmallRng, SeedableRng};
 
-use crate::run_trials;
 use crate::seeds::{alg, alg_seed, experiment, stage_seed};
+use crate::RunContext;
 
 /// Configuration for the tail experiment.
 #[derive(Debug, Clone, PartialEq)]
@@ -86,7 +86,7 @@ pub struct TailsResults {
 ///
 /// Panics on degenerate configurations (no sizes, zero trials, sizes < 2).
 #[must_use]
-pub fn run(config: &TailsConfig) -> TailsResults {
+pub fn run(config: &TailsConfig, ctx: &RunContext) -> TailsResults {
     assert!(!config.sizes.is_empty(), "need at least one size");
     assert!(config.trials > 0, "need at least one trial");
     let rows = config
@@ -96,7 +96,7 @@ pub fn run(config: &TailsConfig) -> TailsResults {
         .map(|(i, &n)| {
             assert!(n >= 2, "sizes below 2 make log₂ n degenerate");
             let master = stage_seed(config.seed, experiment::TAILS, i as u64);
-            let samples = run_trials(config.trials, master, |trial_seed, _| {
+            let samples = ctx.run_trials(config.trials, master, |trial_seed, _| {
                 let mut graph_rng = SmallRng::seed_from_u64(trial_seed);
                 let g = generators::gnp(n, config.edge_probability, &mut graph_rng);
                 f64::from(
@@ -207,7 +207,7 @@ mod tests {
             thresholds: vec![2.0, 6.0],
             seed: 4,
         };
-        let results = run(&config);
+        let results = run(&config, &RunContext::default());
         let row = &results.rows[0];
         let loose = row.tail_fractions[0].1;
         let tight = row.tail_fractions[1].1;
@@ -226,7 +226,7 @@ mod tests {
             thresholds: vec![3.0],
             seed: 5,
         };
-        let results = run(&config);
+        let results = run(&config, &RunContext::default());
         let body = results.render();
         assert!(body.contains("P[>3·log2 n]"));
         assert!(results.histogram().is_some());
@@ -243,6 +243,6 @@ mod tests {
             thresholds: vec![],
             seed: 0,
         };
-        let _ = run(&config);
+        let _ = run(&config, &RunContext::default());
     }
 }

@@ -9,7 +9,7 @@
 
 use mis_experiments::{
     applications, decay, faults, fig3, fig5, fuzz, grid_beeps, lower_bound, potential, quality,
-    race, robustness, set_default_backend, set_default_shards, sop, tails, Backend,
+    race, robustness, sop, tails, Backend, RunContext,
 };
 
 /// `(row, fnv1a64(render()))`, in the order the test computes them.
@@ -50,37 +50,44 @@ fn fnv1a64(text: &str) -> u64 {
 fn quick_experiment_outputs_match_their_pinned_digests() {
     let mut rows: Vec<(&str, u64)> = Vec::new();
     let mut pin = |name, body: String| rows.push((name, fnv1a64(&body)));
+    let ctx = RunContext::default();
 
-    pin("fig3", fig3::run(&fig3::Fig3Config::quick()).render());
-    pin("fig5", fig5::run(&fig5::Fig5Config::quick()).render());
+    pin("fig3", fig3::run(&fig3::Fig3Config::quick(), &ctx).render());
+    pin("fig5", fig5::run(&fig5::Fig5Config::quick(), &ctx).render());
     pin(
         "grid",
-        grid_beeps::run(&grid_beeps::GridBeepsConfig::quick()).render(),
+        grid_beeps::run(&grid_beeps::GridBeepsConfig::quick(), &ctx).render(),
     );
     pin(
         "lower-bound",
-        lower_bound::run(&lower_bound::LowerBoundConfig::quick()).render(),
+        lower_bound::run(&lower_bound::LowerBoundConfig::quick(), &ctx).render(),
     );
-    pin("tails", tails::run(&tails::TailsConfig::quick()).render());
+    pin(
+        "tails",
+        tails::run(&tails::TailsConfig::quick(), &ctx).render(),
+    );
     pin(
         "robustness",
-        robustness::run(&robustness::RobustnessConfig::quick()).render(),
+        robustness::run(&robustness::RobustnessConfig::quick(), &ctx).render(),
     );
     pin(
         "faults",
-        faults::run(&faults::FaultsConfig::quick()).render(),
+        faults::run(&faults::FaultsConfig::quick(), &ctx).render(),
     );
-    pin("race", race::run(&race::RaceConfig::quick()).render());
+    pin("race", race::run(&race::RaceConfig::quick(), &ctx).render());
     pin(
         "quality",
-        quality::run(&quality::QualityConfig::quick()).render(),
+        quality::run(&quality::QualityConfig::quick(), &ctx).render(),
     );
-    pin("decay", decay::run(&decay::DecayConfig::quick()).render());
+    pin(
+        "decay",
+        decay::run(&decay::DecayConfig::quick(), &ctx).render(),
+    );
     pin(
         "apps",
-        applications::run(&applications::AppsConfig::quick()).render(),
+        applications::run(&applications::AppsConfig::quick(), &ctx).render(),
     );
-    pin("sop", sop::run(&sop::SopConfig::quick()).render());
+    pin("sop", sop::run(&sop::SopConfig::quick(), &ctx).render());
     pin(
         "potential",
         potential::run(&potential::PotentialConfig::quick()).render(),
@@ -92,34 +99,38 @@ fn quick_experiment_outputs_match_their_pinned_digests() {
     ] {
         pin(
             name,
-            race::run(&race::RaceConfig::quick().on(surface)).render(),
+            race::run(&race::RaceConfig::quick().on(surface), &ctx).render(),
         );
     }
-    let fuzzed = fuzz::run(&fuzz::FuzzConfig::quick());
+    let fuzzed = fuzz::run(&fuzz::FuzzConfig::quick(), &ctx);
     pin("fuzz", fuzzed.render());
     pin("fuzz corpus", fuzzed.corpus_string());
 
-    set_default_shards(Some(4));
+    let sharded = RunContext {
+        shards: Some(4),
+        ..ctx
+    };
     pin(
         "decay --shards 4",
-        decay::run(&decay::DecayConfig::quick()).render(),
+        decay::run(&decay::DecayConfig::quick(), &sharded).render(),
     );
     pin(
         "robustness --shards 4",
-        robustness::run(&robustness::RobustnessConfig::quick()).render(),
+        robustness::run(&robustness::RobustnessConfig::quick(), &sharded).render(),
     );
     pin(
         "faults --shards 4",
-        faults::run(&faults::FaultsConfig::quick()).render(),
+        faults::run(&faults::FaultsConfig::quick(), &sharded).render(),
     );
-    set_default_shards(None);
 
-    set_default_backend(Backend::Disk);
+    let disk = RunContext {
+        backend: Backend::Disk,
+        ..ctx
+    };
     pin(
         "decay --backend disk",
-        decay::run(&decay::DecayConfig::quick()).render(),
+        decay::run(&decay::DecayConfig::quick(), &disk).render(),
     );
-    set_default_backend(Backend::Csr);
 
     let digest = |name: &str| rows.iter().find(|r| r.0 == name).map(|r| r.1);
     assert_eq!(

@@ -13,28 +13,27 @@
 //! Worker threads pop ids off a FIFO queue, re-check the
 //! store (so concurrent identical submissions run the engine once at
 //! most in the common case), and execute the request through the same
-//! unified [`Engine`](mis_core::Engine) path every CLI batch uses:
-//! [`RunPlan::execute_observed`] over the work-stealing runner, on the
-//! backend the request named. Payload bytes are therefore identical to a
-//! solo run of the same (graph, config, seed range) — which the protocol
-//! test suite asserts record by record.
+//! unified [`Engine`] path every CLI batch uses: the request's
+//! [`Family`](mis_baselines::Family) builds its engine from the request's
+//! `SimConfig` ([`dispatch`](mis_baselines::Family::dispatch)), and
+//! [`RunPlan::execute_observed`] runs the seed range over the
+//! work-stealing runner, on the backend the request named. Payload bytes
+//! are therefore identical to a solo run of the same (graph, config, seed
+//! range) — which the protocol test suite asserts record by record.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use mis_baselines::{
-    GreedyLocalFactory, LubyMarkingFactory, LubyPriorityFactory, MessageEngine, MessageFactory,
-    MetivierFactory,
-};
+use mis_baselines::FamilyOp;
 use mis_beeping::json::Json;
-use mis_core::engine::{AlgorithmEngine, EngineRecord};
+use mis_core::engine::{Engine, EngineRecord};
 use mis_core::{BatchReport, RunPlan};
 use mis_experiments::{run_with_backend, BackendOp};
 use mis_graph::{Graph, GraphView};
 
-use crate::request::{AlgorithmSpec, RunRequest};
+use crate::request::RunRequest;
 
 /// Lifecycle of a job.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -286,7 +285,7 @@ pub fn execute_request(
     run_with_backend(
         graph,
         request.backend,
-        ExecOp {
+        Batch {
             request,
             jobs,
             progress,
@@ -295,58 +294,48 @@ pub fn execute_request(
     )
 }
 
-struct ExecOp<'a> {
+/// A request's seed range and its observers, waiting for a backend.
+#[derive(Clone, Copy)]
+struct Batch<'a> {
     request: &'a RunRequest,
     jobs: usize,
     progress: &'a AtomicUsize,
     engine_runs: &'a AtomicU64,
 }
 
-impl BackendOp for ExecOp<'_> {
+impl BackendOp for Batch<'_> {
     type Out = String;
 
-    fn run<G: GraphView + ?Sized>(self, g: &G) -> String {
-        let req = self.request;
-        match req.algorithm {
-            AlgorithmSpec::LubyPriority => self.message(g, LubyPriorityFactory::new()),
-            AlgorithmSpec::LubyMarking => self.message(g, LubyMarkingFactory::new()),
-            AlgorithmSpec::Metivier => self.message(g, MetivierFactory::new()),
-            AlgorithmSpec::GreedyLocal => self.message(g, GreedyLocalFactory::new()),
-            _ => {
-                let algorithm = req
-                    .algorithm
-                    .to_algorithm()
-                    .expect("beeping family validated at parse time");
-                let engine = AlgorithmEngine::new(algorithm).with_config(req.config.clone());
-                self.run_plan(g, engine)
-            }
-        }
+    fn run<G: GraphView + ?Sized>(self, graph: &G) -> String {
+        let request = self.request;
+        request
+            .algorithm
+            .dispatch(&request.config, ExecOp { batch: self, graph })
     }
 }
 
-impl ExecOp<'_> {
-    fn message<G, F>(&self, g: &G, factory: F) -> String
-    where
-        G: GraphView + ?Sized,
-        F: MessageFactory + Sync,
-    {
-        let engine = MessageEngine::new(factory)
-            .with_max_rounds(self.request.config.max_rounds)
-            .with_shards(self.request.config.shards);
-        self.run_plan(g, engine)
-    }
+/// A batch on a concrete backend, waiting for the family's engine.
+struct ExecOp<'a, G: ?Sized> {
+    batch: Batch<'a>,
+    graph: &'a G,
+}
 
-    fn run_plan<G, E>(&self, g: &G, engine: E) -> String
-    where
-        G: GraphView + ?Sized,
-        E: mis_core::Engine<G>,
-    {
-        let report = RunPlan::for_engine(engine, self.request.runs)
-            .with_master_seed(self.request.seed)
-            .with_jobs(self.jobs)
-            .execute_observed(g, |_| {
-                self.progress.fetch_add(1, Ordering::Relaxed);
-                self.engine_runs.fetch_add(1, Ordering::Relaxed);
+impl<G: GraphView + ?Sized> FamilyOp<G> for ExecOp<'_, G> {
+    type Out = String;
+
+    fn run<E: Engine<G>>(self, engine: E) -> String {
+        let Batch {
+            request,
+            jobs,
+            progress,
+            engine_runs,
+        } = self.batch;
+        let report = RunPlan::for_engine(engine, request.runs)
+            .with_master_seed(request.seed)
+            .with_jobs(jobs)
+            .execute_observed(self.graph, |_| {
+                progress.fetch_add(1, Ordering::Relaxed);
+                engine_runs.fetch_add(1, Ordering::Relaxed);
             });
         render_payload(&report)
     }

@@ -62,6 +62,6 @@ pub mod store;
 pub use client::ServeClient;
 pub use config::ServeConfig;
 pub use protocol::{error_reply, Frame};
-pub use request::{cache_key, graph_digest, AlgorithmSpec, GraphSpec, RequestError, RunRequest};
+pub use request::{cache_key, graph_digest, GraphSpec, RequestError, RunRequest};
 pub use server::{Server, ServerHandle};
 pub use store::{CacheStats, ResultStore};

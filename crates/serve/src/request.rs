@@ -4,13 +4,17 @@
 //! into a typed [`RunRequest`], validates every knob *before* anything can
 //! panic downstream, and re-renders it in one fixed canonical form — which
 //! is why permuted-but-equivalent request texts address the same cache
-//! entry.
+//! entry. The `algorithm` object parses to a [`Family`] from
+//! `mis_baselines`' registry; the wire names are [`Family::name`], and the
+//! canonical form of the family's parameters is kept here, beside the rest
+//! of the cache key.
 //!
 //! The cache key is `fnv1a64(canonical request JSON)`, where the canonical
 //! form embeds a **digest of the built graph** rather than the graph spec:
 //! a DIMACS upload and a generator spec that produce the same adjacency
 //! structure hit the same entry. See [`cache_key`].
 
+use mis_baselines::Family;
 use mis_beeping::json::Json;
 use mis_beeping::{FaultPlan, PropagationKernel, RngMode, SimConfig};
 use mis_core::Algorithm;
@@ -234,139 +238,68 @@ impl GraphSpec {
     }
 }
 
-/// The algorithm family a request runs — all seven families of the
-/// unified [`Engine`](mis_core::Engine) path.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum AlgorithmSpec {
-    /// The paper's feedback-adaptive beeping algorithm.
-    Feedback,
-    /// Afek et al. DISC'11 uninformed sweep.
-    Sweep,
-    /// Afek et al. Science'11 informed ramp.
-    Science {
-        /// Steps-per-phase multiplier.
-        phase_factor: u32,
-    },
-    /// Constant-probability beeping schedule.
-    Constant {
-        /// The fixed beeping probability.
-        p: f64,
-    },
-    /// Luby's algorithm, random-priority variant (message baseline).
-    LubyPriority,
-    /// Luby's algorithm, marking variant (message baseline).
-    LubyMarking,
-    /// Métivier et al. exchange-based MIS (message baseline).
-    Metivier,
-    /// Greedy local id-priority MIS (message baseline).
-    GreedyLocal,
+/// Parses a request's `algorithm` object into a [`Family`].
+fn parse_family(j: &Json) -> Result<Family, RequestError> {
+    let entries = as_obj(j, "algorithm")?;
+    let name = j
+        .get("family")
+        .and_then(Json::as_str)
+        .ok_or_else(|| RequestError::bad("algorithm needs a \"family\" string"))?;
+    let (family, allowed): (Family, &[&str]) = match name {
+        "feedback" => (Family::Beeping(Algorithm::feedback()), &["family"]),
+        "sweep" => (Family::Beeping(Algorithm::sweep()), &["family"]),
+        "science" => {
+            let phase_factor = match opt_u64(j, "phase_factor")? {
+                None => 2,
+                Some(f @ 1..=64) => f as u32,
+                Some(other) => {
+                    return Err(RequestError::bad(format!(
+                        "phase_factor must be in 1..=64, got {other}"
+                    )))
+                }
+            };
+            (
+                Family::Beeping(Algorithm::Science { phase_factor }),
+                &["family", "phase_factor"],
+            )
+        }
+        "constant" => {
+            let p = req_probability(j, "p")?;
+            if p <= 0.0 {
+                return Err(RequestError::bad("constant family needs p > 0"));
+            }
+            (Family::Beeping(Algorithm::constant(p)), &["family", "p"])
+        }
+        "luby_priority" => (Family::LubyPriority, &["family"]),
+        "luby_marking" => (Family::LubyMarking, &["family"]),
+        "metivier" => (Family::Metivier, &["family"]),
+        "greedy_local" => (Family::GreedyLocal, &["family"]),
+        other => {
+            return Err(RequestError::new(
+                "unknown_algorithm",
+                format!("unknown algorithm family {other:?}"),
+            ))
+        }
+    };
+    check_keys(entries, allowed, "algorithm")?;
+    Ok(family)
 }
 
-impl AlgorithmSpec {
-    fn parse(j: &Json) -> Result<Self, RequestError> {
-        let entries = as_obj(j, "algorithm")?;
-        let family = j
-            .get("family")
-            .and_then(Json::as_str)
-            .ok_or_else(|| RequestError::bad("algorithm needs a \"family\" string"))?;
-        let spec = match family {
-            "feedback" => AlgorithmSpec::Feedback,
-            "sweep" => AlgorithmSpec::Sweep,
-            "science" => AlgorithmSpec::Science {
-                phase_factor: match opt_u64(j, "phase_factor")? {
-                    None => 2,
-                    Some(f @ 1..=64) => f as u32,
-                    Some(other) => {
-                        return Err(RequestError::bad(format!(
-                            "phase_factor must be in 1..=64, got {other}"
-                        )))
-                    }
-                },
-            },
-            "constant" => {
-                let p = req_probability(j, "p")?;
-                if p <= 0.0 {
-                    return Err(RequestError::bad("constant family needs p > 0"));
-                }
-                AlgorithmSpec::Constant { p }
-            }
-            "luby_priority" => AlgorithmSpec::LubyPriority,
-            "luby_marking" => AlgorithmSpec::LubyMarking,
-            "metivier" => AlgorithmSpec::Metivier,
-            "greedy_local" => AlgorithmSpec::GreedyLocal,
-            other => {
-                return Err(RequestError::new(
-                    "unknown_algorithm",
-                    format!("unknown algorithm family {other:?}"),
-                ))
-            }
-        };
-        let allowed: &[&str] = match spec {
-            AlgorithmSpec::Science { .. } => &["family", "phase_factor"],
-            AlgorithmSpec::Constant { .. } => &["family", "p"],
-            _ => &["family"],
-        };
-        check_keys(entries, allowed, "algorithm")?;
-        Ok(spec)
-    }
-
-    /// Short family name (the wire `family` value).
-    #[must_use]
-    pub fn family(&self) -> &'static str {
-        match self {
-            AlgorithmSpec::Feedback => "feedback",
-            AlgorithmSpec::Sweep => "sweep",
-            AlgorithmSpec::Science { .. } => "science",
-            AlgorithmSpec::Constant { .. } => "constant",
-            AlgorithmSpec::LubyPriority => "luby_priority",
-            AlgorithmSpec::LubyMarking => "luby_marking",
-            AlgorithmSpec::Metivier => "metivier",
-            AlgorithmSpec::GreedyLocal => "greedy_local",
+/// Canonical JSON of a family: its wire name, then its parameters with
+/// defaults materialised, in fixed key order.
+fn family_json(family: &Family) -> Json {
+    let mut entries = vec![("family".to_owned(), Json::Str(family.name().to_owned()))];
+    match family {
+        Family::Beeping(Algorithm::Science { phase_factor }) => entries.push((
+            "phase_factor".to_owned(),
+            Json::Num(f64::from(*phase_factor)),
+        )),
+        Family::Beeping(Algorithm::Constant { p }) => {
+            entries.push(("p".to_owned(), Json::Num(*p)));
         }
+        _ => {}
     }
-
-    /// Whether this family runs on the message-passing runtime (`true`)
-    /// rather than the beeping simulator.
-    #[must_use]
-    pub fn is_message(&self) -> bool {
-        matches!(
-            self,
-            AlgorithmSpec::LubyPriority
-                | AlgorithmSpec::LubyMarking
-                | AlgorithmSpec::Metivier
-                | AlgorithmSpec::GreedyLocal
-        )
-    }
-
-    /// The beeping [`Algorithm`] this family maps to, `None` for message
-    /// families.
-    #[must_use]
-    pub fn to_algorithm(&self) -> Option<Algorithm> {
-        match *self {
-            AlgorithmSpec::Feedback => Some(Algorithm::feedback()),
-            AlgorithmSpec::Sweep => Some(Algorithm::sweep()),
-            AlgorithmSpec::Science { phase_factor } => Some(Algorithm::Science { phase_factor }),
-            AlgorithmSpec::Constant { p } => Some(Algorithm::constant(p)),
-            _ => None,
-        }
-    }
-
-    /// Canonical JSON (fixed key order, parameters materialised).
-    #[must_use]
-    pub fn canonical_json(&self) -> Json {
-        let mut entries = vec![("family".to_owned(), Json::Str(self.family().to_owned()))];
-        match *self {
-            AlgorithmSpec::Science { phase_factor } => {
-                entries.push((
-                    "phase_factor".to_owned(),
-                    Json::Num(f64::from(phase_factor)),
-                ));
-            }
-            AlgorithmSpec::Constant { p } => entries.push(("p".to_owned(), Json::Num(p))),
-            _ => {}
-        }
-        Json::Obj(entries)
-    }
+    Json::Obj(entries)
 }
 
 /// A fully validated run request: the typed form every permutation of the
@@ -376,7 +309,7 @@ pub struct RunRequest {
     /// Graph to run on.
     pub graph: GraphSpec,
     /// Algorithm family.
-    pub algorithm: AlgorithmSpec,
+    pub algorithm: Family,
     /// Simulator configuration assembled from the `config` knobs.
     pub config: SimConfig,
     /// Adjacency backend serving the runs.
@@ -408,7 +341,7 @@ impl RunRequest {
             j.get("graph")
                 .ok_or_else(|| RequestError::bad("request needs a \"graph\" object"))?,
         )?;
-        let algorithm = AlgorithmSpec::parse(
+        let algorithm = parse_family(
             j.get("algorithm")
                 .ok_or_else(|| RequestError::bad("request needs an \"algorithm\" object"))?,
         )?;
@@ -464,7 +397,7 @@ impl RunRequest {
     #[must_use]
     pub fn canonical_json(&self, graph_digest: u64) -> Json {
         Json::Obj(vec![
-            ("algorithm".to_owned(), self.algorithm.canonical_json()),
+            ("algorithm".to_owned(), family_json(&self.algorithm)),
             (
                 "backend".to_owned(),
                 Json::Str(self.backend.name().to_owned()),
@@ -659,7 +592,7 @@ mod tests {
     fn minimal_request_parses_with_defaults() {
         let r = parse(MINIMAL).unwrap();
         assert_eq!(r.graph, GraphSpec::Cycle { n: 8 });
-        assert_eq!(r.algorithm, AlgorithmSpec::Feedback);
+        assert_eq!(r.algorithm, Family::Beeping(Algorithm::feedback()));
         assert_eq!(r.config, SimConfig::default());
         assert_eq!(r.backend, Backend::Csr);
         assert_eq!(r.seed, 3);
@@ -822,7 +755,8 @@ mod tests {
             );
             let r = parse(&text).unwrap();
             assert!(!r.algorithm.is_message(), "{family}");
-            assert!(r.algorithm.to_algorithm().is_some(), "{family}");
+            assert!(matches!(r.algorithm, Family::Beeping(_)), "{family}");
+            assert_eq!(r.algorithm.name(), family);
         }
         for family in message {
             let text = format!(
@@ -831,7 +765,8 @@ mod tests {
             );
             let r = parse(&text).unwrap();
             assert!(r.algorithm.is_message(), "{family}");
-            assert!(r.algorithm.to_algorithm().is_none(), "{family}");
+            assert!(!matches!(r.algorithm, Family::Beeping(_)), "{family}");
+            assert_eq!(r.algorithm.name(), family);
         }
     }
 

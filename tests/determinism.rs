@@ -7,7 +7,7 @@ use beeping_mis::beeping::{SimConfig, Simulator};
 use beeping_mis::core::{
     run_algorithm, run_batch, solve_mis, Algorithm, BatchPlan, FeedbackFactory, RunPlan,
 };
-use beeping_mis::experiments::{fig5, run_trials};
+use beeping_mis::experiments::{fig5, RunContext};
 use beeping_mis::graph::generators;
 use rand::{rngs::SmallRng, SeedableRng};
 
@@ -127,8 +127,9 @@ fn message_engine_plans_are_identical_for_any_job_count() {
 #[test]
 fn trial_runner_is_order_stable() {
     // Identical results regardless of how threads interleave.
-    let a = run_trials(20, 3, |seed, idx| seed.wrapping_mul(idx as u64 + 1));
-    let b = run_trials(20, 3, |seed, idx| seed.wrapping_mul(idx as u64 + 1));
+    let ctx = RunContext::default();
+    let a = ctx.run_trials(20, 3, |seed, idx| seed.wrapping_mul(idx as u64 + 1));
+    let b = ctx.run_trials(20, 3, |seed, idx| seed.wrapping_mul(idx as u64 + 1));
     assert_eq!(a, b);
 }
 
@@ -141,8 +142,8 @@ fn experiments_repeat_exactly() {
         include_science: false,
         seed: 77,
     };
-    let a = fig5::run(&config);
-    let b = fig5::run(&config);
+    let a = fig5::run(&config, &RunContext::default());
+    let b = fig5::run(&config, &RunContext::default());
     for (pa, pb) in a.feedback.iter().zip(&b.feedback) {
         assert_eq!(pa.mean(), pb.mean());
         assert_eq!(pa.std_dev(), pb.std_dev());

@@ -143,17 +143,18 @@ fn disconnected_graph_batch_covers_every_component() {
 fn race_tables_are_identical_for_any_job_count() {
     // The acceptance check behind `xp race --quick --jobs N`: the rendered
     // tables must be byte-identical whatever the worker count.
-    use beeping_mis::experiments::{race, set_default_jobs};
+    use beeping_mis::experiments::{race, RunContext};
     let config = race::RaceConfig {
         trials: 3,
         seed: 99,
         scale: 3,
         surface: race::RaceSurface::Base,
     };
-    set_default_jobs(1);
-    let one = race::run(&config).render();
-    set_default_jobs(4);
-    let four = race::run(&config).render();
-    set_default_jobs(0);
+    let jobs = |jobs| RunContext {
+        jobs,
+        ..RunContext::default()
+    };
+    let one = race::run(&config, &jobs(1)).render();
+    let four = race::run(&config, &jobs(4)).render();
     assert_eq!(one, four);
 }

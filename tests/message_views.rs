@@ -9,7 +9,7 @@ use beeping_mis::baselines::{
     MessageFactory, MessageSimulator, MetivierFactory, MsgRunOutcome,
 };
 use beeping_mis::core::RunPlan;
-use beeping_mis::experiments::{race, set_default_jobs};
+use beeping_mis::experiments::{race, RunContext};
 use beeping_mis::graph::{
     generators, ops, Graph, GraphView, InducedView, LineGraphView, NodeId, ProductView,
 };
@@ -193,11 +193,12 @@ fn derived_race_tables_are_identical_for_any_job_count() {
         scale: 3,
         surface: race::RaceSurface::Line,
     };
-    set_default_jobs(1);
-    let one = race::run(&config).render();
-    set_default_jobs(4);
-    let four = race::run(&config).render();
-    set_default_jobs(0);
+    let jobs = |jobs| RunContext {
+        jobs,
+        ..RunContext::default()
+    };
+    let one = race::run(&config, &jobs(1)).render();
+    let four = race::run(&config, &jobs(4)).render();
     assert_eq!(one, four);
     assert!(one.contains("L(G)"));
 }

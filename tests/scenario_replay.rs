@@ -194,7 +194,11 @@ fn committed_corpus_replays_byte_identically() {
         "/tests/corpus/worst_scenarios_seed.json"
     );
     let text = std::fs::read_to_string(path).expect("seed corpus must be committed");
-    let replay = beeping_mis::experiments::fuzz::replay_str(&text, 0).expect("well-formed corpus");
+    let replay = beeping_mis::experiments::fuzz::replay_str(
+        &text,
+        &beeping_mis::experiments::RunContext::default(),
+    )
+    .expect("well-formed corpus");
     assert!(
         replay.entries.len() >= 3,
         "seed corpus should hold at least the baseline plus two adversaries"
