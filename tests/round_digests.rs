@@ -9,8 +9,9 @@
 //! run. Each case folds every round's `RoundView` (round, `beeped`,
 //! `heard`, `status`, the bits of `probabilities`), `active_count()`, and
 //! the final `RunOutcome` into one FNV-1a 64 digest, compared with a
-//! committed value. A mismatch report prints the whole table of actual
-//! digests.
+//! committed value. The outcome part also folds a per-round summary and
+//! the active-count series, both rebuilt here from consecutive views. A
+//! mismatch report prints the whole table of actual digests.
 //!
 //! A second table pins the message-passing runtime the same way: for each
 //! message family, every `MessageSimulator` path (both inbox strategies,
@@ -30,7 +31,6 @@ use beeping_mis::beeping::scenario::{
 };
 use beeping_mis::beeping::{
     FaultPlan, NodeStatus, PropagationKernel, RngMode, RoundView, RunOutcome, SimConfig, Simulator,
-    TraceLevel,
 };
 use beeping_mis::core::{FeedbackConfig, FeedbackFactory};
 use beeping_mis::graph::{generators, ops, Graph, GraphView, LineGraphView};
@@ -41,6 +41,41 @@ const MASTER: u64 = 0x726f_756e_6473;
 
 /// Runs per case, each on its own `trial_seed`.
 const RUNS: u64 = 4;
+
+/// One round, summarised from its view and the statuses before it.
+struct RoundSummary {
+    round: u32,
+    /// Exchange-1 beepers that were not in the MIS before the round, so
+    /// heartbeats are left out.
+    candidates: u32,
+    /// Nodes whose status turned `InMis`, ascending.
+    joined: Vec<u32>,
+    /// Nodes whose status turned `Covered`.
+    covered: u32,
+    /// `Active` statuses after the round.
+    active_after: u32,
+}
+
+impl RoundSummary {
+    fn new(before: &[NodeStatus], view: &RoundView<'_>) -> Self {
+        let mut summary = Self {
+            round: view.round,
+            candidates: 0,
+            joined: Vec::new(),
+            covered: 0,
+            active_after: 0,
+        };
+        for (v, (&old, &new)) in before.iter().zip(view.status).enumerate() {
+            summary.candidates += u32::from(view.beeped[v] && old != NodeStatus::InMis);
+            if new != old && new == NodeStatus::InMis {
+                summary.joined.push(v as u32);
+            }
+            summary.covered += u32::from(new != old && new == NodeStatus::Covered);
+            summary.active_after += u32::from(new == NodeStatus::Active);
+        }
+        summary
+    }
+}
 
 /// FNV-1a 64 over little-endian encodings.
 struct Fnv(u64);
@@ -61,9 +96,9 @@ impl Fnv {
         self.bytes(&x.to_le_bytes());
     }
 
-    fn bools(&mut self, bits: &[bool]) {
-        self.u64(bits.len() as u64);
-        for &b in bits {
+    fn bools(&mut self, len: usize, bits: impl Iterator<Item = bool>) {
+        self.u64(len as u64);
+        for b in bits {
             self.bytes(&[u8::from(b)]);
         }
     }
@@ -90,8 +125,10 @@ impl Fnv {
 
     fn view(&mut self, view: &RoundView<'_>) {
         self.u64(u64::from(view.round));
-        self.bools(view.beeped);
-        self.bools(view.heard);
+        let n = view.beeped.len();
+        self.bools(n, (0..n).map(|v| view.beeped[v]));
+        let n = view.heard.len();
+        self.bools(n, (0..n).map(|v| view.heard[v]));
         self.statuses(view.status);
         self.u64(view.probabilities.len() as u64);
         for p in view.probabilities {
@@ -107,7 +144,9 @@ impl Fnv {
         self.u64(outcome.metrics().bits_total);
     }
 
-    fn outcome(&mut self, outcome: &RunOutcome) {
+    /// Folds the outcome, then `series` and `rounds` where the active-count
+    /// series and the per-round records sit in the outcome's encoding.
+    fn outcome(&mut self, outcome: &RunOutcome, series: &[usize], rounds: &[RoundSummary]) {
         self.statuses(outcome.statuses());
         self.u64(u64::from(outcome.rounds()));
         self.u64(u64::from(outcome.terminated()));
@@ -117,13 +156,12 @@ impl Fnv {
         self.u32s(&m.beeps);
         self.u32s(&m.signals);
         self.u64(m.heartbeat_signals);
-        self.u64(m.active_series.len() as u64);
-        for &a in &m.active_series {
+        self.u64(series.len() as u64);
+        for &a in series {
             self.u64(a as u64);
         }
-        let records = outcome.trace().records();
-        self.u64(records.len() as u64);
-        for r in records {
+        self.u64(rounds.len() as u64);
+        for r in rounds {
             self.u64(u64::from(r.round));
             self.u64(u64::from(r.candidates));
             self.u32s(&r.joined);
@@ -140,10 +178,7 @@ fn scrambled_wake(n: usize) -> Vec<u32> {
 }
 
 fn base() -> SimConfig {
-    SimConfig::default()
-        .with_max_rounds(5_000)
-        .with_trace(TraceLevel::Rounds)
-        .with_active_series(true)
+    SimConfig::default().with_max_rounds(5_000)
 }
 
 fn counter() -> SimConfig {
@@ -224,12 +259,20 @@ fn cases(n: usize) -> Vec<(&'static str, SimConfig, bool)> {
 fn digest_run(g: &Graph, factory: &FeedbackFactory, seed: u64, config: SimConfig, h: &mut Fnv) {
     let mut stepper = Simulator::new(g, factory, seed, config).into_stepper();
     h.u64(stepper.active_count() as u64);
+    let mut before = stepper.statuses().to_vec();
+    let mut series = Vec::new();
+    let mut rounds = Vec::new();
     while !stepper.is_done() {
         stepper.step();
-        h.view(&stepper.last_round_view());
+        let view = stepper.last_round_view();
+        h.view(&view);
         h.u64(stepper.active_count() as u64);
+        let summary = RoundSummary::new(&before, &view);
+        series.push(summary.active_after as usize);
+        rounds.push(summary);
+        before.copy_from_slice(view.status);
     }
-    h.outcome(&stepper.finish());
+    h.outcome(&stepper.finish(), &series, &rounds);
 }
 
 /// Digests every case on `g` and compares them with `expected`.

@@ -1,8 +1,8 @@
 //! Engine-level invariants that must hold for every algorithm, graph and
-//! seed: metric consistency, stepping/running equivalence, trace
-//! accounting.
+//! seed: metric consistency, stepping/running equivalence, per-round
+//! accounting seen through the round observer.
 
-use beeping_mis::beeping::{NodeStatus, SimConfig, Simulator, TraceLevel};
+use beeping_mis::beeping::{NodeStatus, SimConfig, Simulator};
 use beeping_mis::core::{run_algorithm, Algorithm, FeedbackFactory};
 use beeping_mis::graph::generators;
 use proptest::prelude::*;
@@ -46,8 +46,10 @@ proptest! {
         prop_assert_eq!(metrics.heartbeat_signals, 0); // repair off by default
     }
 
-    /// Trace accounting: join events equal the MIS size; the active-after
-    /// sequence is non-increasing and ends at zero.
+    /// Per-round accounting seen by an observer: join events equal the
+    /// MIS size; the active count is non-increasing and ends at zero; and
+    /// the candidates of a round (exchange-1 beepers not already in the
+    /// MIS) never exceed the previous round's active count.
     #[test]
     fn trace_accounting(
         n in 1usize..50,
@@ -55,24 +57,30 @@ proptest! {
         run_seed in any::<u64>(),
     ) {
         let g = generators::gnp(n, 0.3, &mut SmallRng::seed_from_u64(graph_seed));
-        let cfg = SimConfig::default().with_trace(TraceLevel::Rounds);
-        let outcome = run_algorithm(&g, &Algorithm::feedback(), run_seed, cfg);
+        let mut before = vec![NodeStatus::Active; n];
+        let mut joins = 0;
+        let mut actives = Vec::new();
+        let mut candidates_fit = true;
+        let outcome = Simulator::new(&g, &FeedbackFactory::new(), run_seed, SimConfig::default())
+            .run_with_observer(|view| {
+                let prev_active = before.iter().filter(|s| **s == NodeStatus::Active).count();
+                let candidates = (0..n)
+                    .filter(|&v| view.beeped[v] && before[v] != NodeStatus::InMis)
+                    .count();
+                candidates_fit &= candidates <= prev_active;
+                joins += before
+                    .iter()
+                    .zip(view.status)
+                    .filter(|(old, new)| **old != NodeStatus::InMis && **new == NodeStatus::InMis)
+                    .count();
+                actives.push(view.status.iter().filter(|s| **s == NodeStatus::Active).count());
+                before.copy_from_slice(view.status);
+            });
         prop_assert!(outcome.terminated());
-        prop_assert_eq!(outcome.trace().total_joins(), outcome.mis().len());
-        let actives: Vec<u32> = outcome
-            .trace()
-            .records()
-            .iter()
-            .map(|r| r.active_after)
-            .collect();
+        prop_assert_eq!(joins, outcome.mis().len());
         prop_assert!(actives.windows(2).all(|w| w[1] <= w[0]));
         prop_assert_eq!(actives.last().copied(), Some(0));
-        // Candidate counts never exceed the previous round's active count.
-        let mut prev_active = n as u32;
-        for r in outcome.trace().records() {
-            prop_assert!(r.candidates <= prev_active);
-            prev_active = r.active_after;
-        }
+        prop_assert!(candidates_fit, "more candidates than active nodes");
     }
 
     /// Stepping the engine one round at a time gives the identical outcome
@@ -109,17 +117,23 @@ proptest! {
 }
 
 /// Empty graph: the run is over before it starts — zero rounds, empty
-/// metrics and trace, terminated.
+/// metrics, no round observed, terminated.
 #[test]
 fn empty_graph_invariants() {
     use beeping_mis::graph::Graph;
-    let cfg = SimConfig::default().with_trace(TraceLevel::Rounds);
-    let outcome = run_algorithm(&Graph::empty(0), &Algorithm::feedback(), 3, cfg);
+    let mut observed = 0;
+    let outcome = Simulator::new(
+        &Graph::empty(0),
+        &FeedbackFactory::new(),
+        3,
+        SimConfig::default(),
+    )
+    .run_with_observer(|_| observed += 1);
     assert!(outcome.terminated());
     assert_eq!(outcome.rounds(), 0);
     assert!(outcome.mis().is_empty());
     assert!(outcome.statuses().is_empty());
-    assert_eq!(outcome.trace().len(), 0);
+    assert_eq!(observed, 0, "the observer saw a round of an empty graph");
     assert_eq!(outcome.metrics().total_beeps(), 0);
 }
 
