@@ -4,7 +4,6 @@ use std::sync::Arc;
 
 use crate::json::Json;
 use crate::scenario::{scenario_eq, Scenario};
-use crate::TraceLevel;
 
 /// Fault-injection plan for a simulation run.
 ///
@@ -195,12 +194,11 @@ impl RngMode {
 /// # Examples
 ///
 /// ```
-/// use mis_beeping::{PropagationKernel, SimConfig, TraceLevel};
+/// use mis_beeping::{PropagationKernel, SimConfig};
 ///
 /// let cfg = SimConfig::default()
 ///     .with_max_rounds(10_000)
-///     .with_trace(TraceLevel::Rounds)
-///     .with_active_series(true)
+///     .with_mis_keeps_beeping(true)
 ///     .with_kernel(PropagationKernel::Scalar);
 /// assert_eq!(cfg.max_rounds, 10_000);
 /// assert_eq!(cfg.kernel, PropagationKernel::Scalar);
@@ -220,11 +218,6 @@ pub struct SimConfig {
     /// repairs correctness under late wake-ups and mirrors the persistent
     /// lateral inhibition of SOP cells in the biological system.
     pub mis_keeps_beeping: bool,
-    /// Per-round event recording level.
-    pub trace: TraceLevel,
-    /// Record the number of active nodes after every round (time-series
-    /// used by experiments).
-    pub record_active_series: bool,
     /// Which beep-propagation implementation to use (defaults to the
     /// packed [`PropagationKernel::Bitset`] kernel).
     pub kernel: PropagationKernel,
@@ -255,8 +248,6 @@ impl Default for SimConfig {
             max_rounds: 1_000_000,
             faults: FaultPlan::none(),
             mis_keeps_beeping: false,
-            trace: TraceLevel::Off,
-            record_active_series: false,
             kernel: PropagationKernel::default(),
             rng: RngMode::default(),
             shards: 1,
@@ -272,8 +263,6 @@ impl PartialEq for SimConfig {
         self.max_rounds == other.max_rounds
             && self.faults == other.faults
             && self.mis_keeps_beeping == other.mis_keeps_beeping
-            && self.trace == other.trace
-            && self.record_active_series == other.record_active_series
             && self.kernel == other.kernel
             && self.rng == other.rng
             && self.shards == other.shards
@@ -321,20 +310,6 @@ impl SimConfig {
     #[must_use]
     pub fn with_mis_keeps_beeping(mut self, on: bool) -> Self {
         self.mis_keeps_beeping = on;
-        self
-    }
-
-    /// Sets the trace level.
-    #[must_use]
-    pub fn with_trace(mut self, level: TraceLevel) -> Self {
-        self.trace = level;
-        self
-    }
-
-    /// Enables recording the active-node time series.
-    #[must_use]
-    pub fn with_active_series(mut self, on: bool) -> Self {
-        self.record_active_series = on;
         self
     }
 
@@ -418,10 +393,6 @@ impl SimConfig {
                 "mis_keeps_beeping".to_owned(),
                 Json::Bool(self.mis_keeps_beeping),
             ),
-            (
-                "record_active_series".to_owned(),
-                Json::Bool(self.record_active_series),
-            ),
             ("rng".to_owned(), Json::Str(self.rng.name().to_owned())),
             (
                 "scenario".to_owned(),
@@ -432,16 +403,6 @@ impl SimConfig {
                 },
             ),
             ("shards".to_owned(), Json::Num(self.shards as f64)),
-            (
-                "trace".to_owned(),
-                Json::Str(
-                    match self.trace {
-                        TraceLevel::Off => "off",
-                        TraceLevel::Rounds => "rounds",
-                    }
-                    .to_owned(),
-                ),
-            ),
         ])
     }
 }
@@ -455,7 +416,6 @@ mod tests {
         let cfg = SimConfig::default();
         assert!(cfg.faults.is_none());
         assert!(!cfg.mis_keeps_beeping);
-        assert_eq!(cfg.trace, TraceLevel::Off);
         assert_eq!(cfg.kernel, PropagationKernel::Bitset);
         assert_eq!(cfg.rng, RngMode::Stream);
         assert_eq!(cfg.shards, 1);
@@ -511,14 +471,12 @@ mod tests {
         let cfg = SimConfig::default()
             .with_max_rounds(5)
             .with_mis_keeps_beeping(true)
-            .with_active_series(true)
             .with_faults(FaultPlan {
                 message_loss: 0.1,
                 wake_rounds: vec![],
             });
         assert_eq!(cfg.max_rounds, 5);
         assert!(cfg.mis_keeps_beeping);
-        assert!(cfg.record_active_series);
         assert_eq!(cfg.faults.message_loss, 0.1);
     }
 
@@ -612,11 +570,9 @@ mod tests {
             "kernel",
             "max_rounds",
             "mis_keeps_beeping",
-            "record_active_series",
             "rng",
             "scenario",
             "shards",
-            "trace",
         ] {
             assert!(
                 text.contains(&format!("\"{key}\"")),

@@ -17,7 +17,8 @@
 //! The per-node automaton is supplied via the [`BeepingProcess`] trait and
 //! constructed per node by a [`ProcessFactory`]; the [`Simulator`] drives
 //! rounds until every node is inactive, collecting [`Metrics`] (rounds,
-//! beeps per node, channel bits) and optionally a [`Trace`].
+//! beeps per node, channel bits). An observer passed to
+//! [`Simulator::run_with_observer`] sees every round as a [`RoundView`].
 //!
 //! Fault injection ([`FaultPlan`]) provides the robustness extensions the
 //! paper's §6 discusses: per-delivery message loss and late node wake-ups,
@@ -91,7 +92,6 @@ mod process;
 pub mod rng;
 pub mod scenario;
 mod simulator;
-mod trace;
 
 pub use batch::{parallel_indexed_map, run_batch, run_batch_map, BatchPlan};
 pub use config::{FaultPlan, FaultPlanError, PropagationKernel, RngMode, SimConfig};
@@ -99,5 +99,4 @@ pub use metrics::Metrics;
 pub use model::{NetworkInfo, NodeStatus, Verdict};
 pub use process::{BeepingProcess, FnFactory, ProcessFactory};
 pub use scenario::{Delivery, Scenario, ScenarioSpec};
-pub use simulator::{RoundView, RunOutcome, Simulator, Stepper};
-pub use trace::{RoundRecord, Trace, TraceLevel};
+pub use simulator::{NodeBits, RoundView, RunOutcome, Simulator, Stepper};

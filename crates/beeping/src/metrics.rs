@@ -23,8 +23,6 @@ pub struct Metrics {
     /// `mis_keeps_beeping` repair is enabled (kept out of `beeps`, which
     /// measures the algorithm itself).
     pub heartbeat_signals: u64,
-    /// Active-node count after each round, when recording was requested.
-    pub active_series: Vec<usize>,
 }
 
 impl Metrics {
@@ -34,7 +32,6 @@ impl Metrics {
             beeps: vec![0; node_count],
             signals: vec![0; node_count],
             heartbeat_signals: 0,
-            active_series: Vec::new(),
         }
     }
 

@@ -11,9 +11,10 @@
 //! candidate or decides again, so this holds in every kernel, RNG mode,
 //! fault plan and scenario, and a round costs O(active nodes) plus a few
 //! O(n / 64) word scans. Beeps and heard bits live natively in `u64`
-//! words, one bit per node.
+//! words, one bit per node, and observers read exchange 1's words in place
+//! through [`NodeBits`].
 
-use core::ops::ControlFlow;
+use core::ops::{ControlFlow, Index};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -24,7 +25,7 @@ use crate::rng::{fault_stream_seed, loss_dropped, node_rng, round_seed};
 use crate::scenario::{Delivery, Scenario};
 use crate::{
     BeepingProcess, Metrics, NetworkInfo, NodeStatus, ProcessFactory, PropagationKernel, RngMode,
-    RoundRecord, SimConfig, Trace, TraceLevel, Verdict,
+    SimConfig, Verdict,
 };
 
 /// Bits per packed word of the beep and heard bitsets.
@@ -35,22 +36,91 @@ const WORD_BITS: usize = 64;
 /// beeper. Both directions give identical results; this only tunes speed.
 const PULL_CROSSOVER: usize = 8;
 
-/// Read-only view of one completed round, passed to observers registered
-/// via [`Simulator::run_with_observer`].
+/// One bit per node, read in place from the stepper's packed `u64` words.
 ///
-/// Observers power the paper-analysis instrumentation (`µ_t` measures,
-/// event classification) without slowing down ordinary runs.
+/// [`RoundView`] lends exchange 1's beeps and heard bits this way, so a
+/// round builds no per-node copy for its observer. Index it like a
+/// `&[bool]`: `bits[v]` is node `v`'s bit, and an index at or past
+/// [`len`](Self::len) panics.
+#[derive(Clone, Copy)]
+pub struct NodeBits<'a> {
+    // `len.div_ceil(WORD_BITS)` words; the bits at and past `len` are zero.
+    words: &'a [u64],
+    len: usize,
+}
+
+impl<'a> NodeBits<'a> {
+    fn new(words: &'a [u64], len: usize) -> Self {
+        debug_assert_eq!(words.len(), len.div_ceil(WORD_BITS));
+        Self { words, len }
+    }
+
+    /// Number of nodes.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the network has no nodes.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+}
+
+impl Index<usize> for NodeBits<'_> {
+    type Output = bool;
+
+    fn index(&self, v: usize) -> &bool {
+        assert!(
+            v < self.len,
+            "index out of bounds: the len is {} but the index is {v}",
+            self.len
+        );
+        if test_bit(self.words, v) {
+            &true
+        } else {
+            &false
+        }
+    }
+}
+
+impl PartialEq for NodeBits<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        // Bits past `len` are zero, so equal bits mean equal words.
+        self.len == other.len && self.words == other.words
+    }
+}
+
+impl Eq for NodeBits<'_> {}
+
+impl core::fmt::Debug for NodeBits<'_> {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_list()
+            .entries((0..self.len).map(|v| self[v]))
+            .finish()
+    }
+}
+
+/// Read-only view of one completed round, passed to observers registered
+/// via [`Simulator::run_with_observer`] (or read from
+/// [`Stepper::last_round_view`]).
+///
+/// It is the one window into a round: the paper-analysis instrumentation
+/// (`µ_t` measures, event classification) and per-round series are built
+/// from it, and a run without an observer records nothing per round.
 #[derive(Debug)]
 pub struct RoundView<'a> {
     /// Round index (0-based).
     pub round: u32,
-    /// Which nodes emitted a candidate beep in exchange 1 this round.
-    pub beeped: &'a [bool],
-    /// Which nodes heard a candidate beep in exchange 1 this round. This
-    /// covers every awake listener, settled or not: a node that already
-    /// joined the MIS or was covered still reports what reached it. Asleep
-    /// and churned-out nodes hear nothing.
-    pub heard: &'a [bool],
+    /// Which nodes beeped in exchange 1 this round: the candidates, plus
+    /// the MIS members' heartbeats under the `mis_keeps_beeping` repair.
+    pub beeped: NodeBits<'a>,
+    /// Which nodes heard a beep in exchange 1 this round. This covers
+    /// every awake listener, settled or not: a node that already joined
+    /// the MIS or was covered still reports what reached it. Asleep and
+    /// churned-out nodes hear nothing.
+    pub heard: NodeBits<'a>,
     /// Node statuses *after* the round's decisions.
     pub status: &'a [NodeStatus],
     /// Beep probabilities of all nodes *at the start* of the round
@@ -65,7 +135,6 @@ pub struct RunOutcome {
     rounds: u32,
     terminated: bool,
     metrics: Metrics,
-    trace: Trace,
     kernel_used: PropagationKernel,
 }
 
@@ -78,7 +147,6 @@ impl PartialEq for RunOutcome {
             && self.rounds == other.rounds
             && self.terminated == other.terminated
             && self.metrics == other.metrics
-            && self.trace == other.trace
     }
 }
 
@@ -120,12 +188,6 @@ impl RunOutcome {
     #[must_use]
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
-    }
-
-    /// Recorded trace (empty unless tracing was enabled).
-    #[must_use]
-    pub fn trace(&self) -> &Trace {
-        &self.trace
     }
 
     /// The propagation kernel that actually executed the run.
@@ -243,7 +305,6 @@ pub struct Stepper<'g, F: ProcessFactory, G: GraphView + ?Sized = Graph> {
     rngs: Vec<SmallRng>,
     fault_rng: SmallRng,
     metrics: Metrics,
-    trace: Trace,
     // The frontier: ascending ids of the `Active` nodes, compacted by the
     // decision pass. Every per-node pass walks it.
     frontier: Vec<NodeId>,
@@ -257,13 +318,10 @@ pub struct Stepper<'g, F: ProcessFactory, G: GraphView + ?Sized = Graph> {
     next_sleeper: usize,
     // MIS members, one bit per node (heartbeat repair only, else empty).
     mis_words: Vec<u64>,
-    // Each exchange's beeps and heard bits, one bit per node.
+    // Each exchange's beeps and heard bits, one bit per node. Exchange 1's
+    // words hold the last round's bits until the next step clears them.
     beep_words: [Vec<u64>; 2],
     heard_words: [Vec<u64>; 2],
-    // Exchange 1's bits as bools for `RoundView`, kept in step with the
-    // words over their set bits only.
-    beep1: Vec<bool>,
-    heard1: Vec<bool>,
     probs: Vec<f64>,
     // Churn scratch: which nodes are absent this round (empty without
     // churn).
@@ -353,7 +411,6 @@ impl<'g, F: ProcessFactory, G: GraphView + ?Sized> Stepper<'g, F, G> {
             rngs,
             fault_rng,
             metrics: Metrics::new(n),
-            trace: Trace::default(),
             frontier,
             left: Vec::new(),
             sleepers,
@@ -361,8 +418,6 @@ impl<'g, F: ProcessFactory, G: GraphView + ?Sized> Stepper<'g, F, G> {
             mis_words,
             beep_words: [vec![0; words], vec![0; words]],
             heard_words: [vec![0; words], vec![0; words]],
-            beep1: vec![false; n],
-            heard1: vec![false; n],
             probs: vec![0.0; n],
             away: vec![false; if churn { n } else { 0 }],
             pending: [Vec::new(), Vec::new()],
@@ -431,8 +486,7 @@ impl<'g, F: ProcessFactory, G: GraphView + ?Sized> Stepper<'g, F, G> {
 
     /// Propagates exchange `x`'s beeps (0 or 1) into its heard bits
     /// through the kernel this run uses. `scenario` is `Some` only on the
-    /// scenario reference path (delivery perturbation or churn). Exchange
-    /// 1's heard bits are mirrored into the `RoundView` bools.
+    /// scenario reference path (delivery perturbation or churn).
     fn broadcast_exchange(&mut self, x: usize, scenario: Option<&dyn Scenario>, churn: bool) {
         let loss = self.config.faults.message_loss;
         let lossy = loss > 0.0;
@@ -453,11 +507,7 @@ impl<'g, F: ProcessFactory, G: GraphView + ?Sized> Stepper<'g, F, G> {
         };
         let beeps = &self.beep_words[x];
         let heard = &mut self.heard_words[x];
-        if x == 0 {
-            clear_mirrored(heard, &mut self.heard1);
-        } else {
-            heard.fill(0);
-        }
+        heard.fill(0);
         if let Some(scenario) = scenario {
             broadcast_scenario(
                 self.graph,
@@ -489,9 +539,6 @@ impl<'g, F: ProcessFactory, G: GraphView + ?Sized> Stepper<'g, F, G> {
             );
         } else {
             broadcast(self.graph, &self.status, &mut drop, beeps, heard);
-        }
-        if x == 0 {
-            mirror_set_bits(heard, &mut self.heard1);
         }
     }
 
@@ -543,8 +590,7 @@ impl<'g, F: ProcessFactory, G: GraphView + ?Sized> Stepper<'g, F, G> {
         for v in self.left.drain(..) {
             self.probs[v as usize] = 0.0;
         }
-        clear_mirrored(&mut self.beep_words[0], &mut self.beep1);
-        let mut candidates: u32 = 0;
+        self.beep_words[0].fill(0);
         for &v in &self.frontier {
             let vi = v as usize;
             if churn && self.away[vi] {
@@ -562,11 +608,9 @@ impl<'g, F: ProcessFactory, G: GraphView + ?Sized> Stepper<'g, F, G> {
             } else {
                 process.exchange1(&mut self.rngs[vi])
             };
-            candidates += u32::from(beeped);
             put_bit(&mut self.beep_words[0], vi, beeped);
         }
         self.add_heartbeats(0, churn);
-        mirror_set_bits(&self.beep_words[0], &mut self.beep1);
         self.broadcast_exchange(0, scenario_ref, churn);
 
         // Exchange 2: join announcements (plus optional MIS heartbeats).
@@ -583,10 +627,7 @@ impl<'g, F: ProcessFactory, G: GraphView + ?Sized> Stepper<'g, F, G> {
         self.broadcast_exchange(1, scenario_ref, churn);
 
         // Decisions and metric accounting. The frontier compacts in place,
-        // so it stays ascending and `joined` comes out sorted.
-        let tracing = self.config.trace == TraceLevel::Rounds;
-        let mut joined: Vec<NodeId> = Vec::new();
-        let mut covered: u32 = 0;
+        // so it stays ascending.
         let [beeps1, beeps2] = &self.beep_words;
         let heard2 = &self.heard_words[1];
         let heartbeat = self.config.mis_keeps_beeping;
@@ -602,34 +643,16 @@ impl<'g, F: ProcessFactory, G: GraphView + ?Sized> Stepper<'g, F, G> {
                 Verdict::Continue => return true,
                 Verdict::JoinMis => {
                     self.status[vi] = NodeStatus::InMis;
-                    if tracing {
-                        joined.push(v);
-                    }
                     if heartbeat {
                         set_bit(&mut self.mis_words, vi);
                     }
                 }
-                Verdict::Covered => {
-                    self.status[vi] = NodeStatus::Covered;
-                    covered += 1;
-                }
+                Verdict::Covered => self.status[vi] = NodeStatus::Covered,
             }
             self.left.push(v);
             false
         });
 
-        if self.config.record_active_series {
-            self.metrics.active_series.push(self.active_count());
-        }
-        if tracing {
-            self.trace.push(RoundRecord {
-                round,
-                candidates,
-                joined,
-                covered,
-                active_after: self.active_count() as u32,
-            });
-        }
         self.round += 1;
         self.metrics.rounds = self.round;
     }
@@ -642,10 +665,11 @@ impl<'g, F: ProcessFactory, G: GraphView + ?Sized> Stepper<'g, F, G> {
     #[must_use]
     pub fn last_round_view(&self) -> RoundView<'_> {
         assert!(self.round > 0, "no round has been executed yet");
+        let n = self.status.len();
         RoundView {
             round: self.round - 1,
-            beeped: &self.beep1,
-            heard: &self.heard1,
+            beeped: NodeBits::new(&self.beep_words[0], n),
+            heard: NodeBits::new(&self.heard_words[0], n),
             status: &self.status,
             probabilities: &self.probs,
         }
@@ -693,7 +717,6 @@ impl<'g, F: ProcessFactory, G: GraphView + ?Sized> Stepper<'g, F, G> {
             statuses: self.status,
             rounds: self.round,
             metrics: self.metrics,
-            trace: self.trace,
             kernel_used: self.kernel_used,
         }
     }
@@ -736,18 +759,6 @@ fn for_each_set_bit(words: &[u64], mut f: impl FnMut(usize)) {
             bits &= bits - 1;
         }
     }
-}
-
-/// Zeroes `words` and clears the matching entries of its bool `mirror`,
-/// visiting only the set bits.
-fn clear_mirrored(words: &mut [u64], mirror: &mut [bool]) {
-    for_each_set_bit(words, |v| mirror[v] = false);
-    words.fill(0);
-}
-
-/// Sets the entries of the bool `mirror` of `words` at its set bits.
-fn mirror_set_bits(words: &[u64], mirror: &mut [bool]) {
-    for_each_set_bit(words, |v| mirror[v] = true);
 }
 
 /// Per-delivery drop decision for one exchange, shared by the scalar and
@@ -1168,22 +1179,40 @@ mod tests {
     }
 
     #[test]
-    fn trace_and_series_record() {
-        let g = generators::cycle(10);
-        let cfg = SimConfig::default()
-            .with_trace(TraceLevel::Rounds)
-            .with_active_series(true);
-        let outcome = Simulator::new(&g, &Coin::factory(0.5), 5, cfg).run();
-        assert_eq!(outcome.trace().len() as u32, outcome.rounds());
-        assert_eq!(
-            outcome.metrics().active_series.len() as u32,
-            outcome.rounds()
-        );
-        assert_eq!(outcome.trace().total_joins(), outcome.mis().len());
-        // Active counts are non-increasing for a fault-free run.
-        let series = &outcome.metrics().active_series;
-        assert!(series.windows(2).all(|w| w[1] <= w[0]));
-        assert_eq!(*series.last().unwrap(), 0);
+    fn node_bits_index_like_a_bool_slice() {
+        // 70 nodes span two words; bits 0, 63, 64 and 69 are set.
+        let words = [1 | 1 << 63, 1 | 1 << 5];
+        let bits = NodeBits::new(&words, 70);
+        let expected: Vec<bool> = (0..70).map(|v| [0, 63, 64, 69].contains(&v)).collect();
+        assert_eq!(bits.len(), 70);
+        assert!(!bits.is_empty());
+        assert!((0..70).all(|v| bits[v] == expected[v]));
+        assert_eq!(format!("{bits:?}"), format!("{expected:?}"));
+        assert_eq!(bits, NodeBits::new(&[1 | 1 << 63, 1 | 1 << 5], 70));
+        assert_ne!(bits, NodeBits::new(&[1 << 63, 1 | 1 << 5], 70));
+        assert!(NodeBits::new(&[], 0).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "the len is 70 but the index is 70")]
+    fn node_bits_panic_past_the_end() {
+        let words = [0, 0];
+        let _ = NodeBits::new(&words, 70)[70];
+    }
+
+    #[test]
+    fn view_bits_are_the_first_exchange() {
+        // p = 1 on an edgeless graph: every node beeps in round 0, hears
+        // nothing, and joins.
+        let g = Graph::empty(67);
+        let mut seen = 0;
+        let outcome = Simulator::new(&g, &Coin::factory(1.0), 5, SimConfig::default())
+            .run_with_observer(|view| {
+                assert!((0..67).all(|v| view.beeped[v] && !view.heard[v]));
+                seen += 1;
+            });
+        assert_eq!(seen, 1);
+        assert_eq!(outcome.mis().len(), 67);
     }
 
     #[test]

@@ -292,12 +292,12 @@ mod tests {
     fn run_round(
         p: &mut FeedbackProcess,
         rng: &mut SmallRng,
-        heard1: bool,
-        heard2: bool,
+        heard_candidate: bool,
+        heard_join: bool,
     ) -> Verdict {
         let _ = p.exchange1(rng);
-        let _ = p.exchange2(heard1);
-        p.end_round(heard2)
+        let _ = p.exchange2(heard_candidate);
+        p.end_round(heard_join)
     }
 
     #[test]

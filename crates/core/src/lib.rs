@@ -64,7 +64,10 @@ pub use plan::{
     auto_jobs, parallel_indexed_map, run_batch, run_batch_map, BatchPlan, BatchReport, RunPlan,
     RunRecord,
 };
-pub use run::{run_algorithm, solve_mis, solve_mis_with_config, Algorithm, MisResult, SolveError};
+pub use run::{
+    run_algorithm, run_algorithm_with_observer, solve_mis, solve_mis_with_config, Algorithm,
+    MisResult, SolveError,
+};
 pub use scenario::{
     outcome_digest, AdversaryReport, AdversarySchedule, EvaluatedScenario, Fitness,
 };

@@ -3,7 +3,7 @@
 use core::fmt;
 use std::sync::Arc;
 
-use mis_beeping::{RunOutcome, SimConfig, Simulator};
+use mis_beeping::{RoundView, RunOutcome, SimConfig, Simulator};
 use mis_graph::{GraphView, NodeId};
 
 use crate::verify::{check_mis, MisViolation};
@@ -164,7 +164,7 @@ impl MisResult {
         self.outcome.metrics().mean_beeps_per_node()
     }
 
-    /// Full simulation outcome (metrics, trace, statuses).
+    /// Full simulation outcome (metrics, statuses).
     #[must_use]
     pub fn outcome(&self) -> &RunOutcome {
         &self.outcome
@@ -186,31 +186,61 @@ pub fn run_algorithm<G: GraphView + ?Sized>(
     seed: u64,
     config: SimConfig,
 ) -> RunOutcome {
+    run_algorithm_with_observer(graph, algorithm, seed, config, |_| {})
+}
+
+/// Like [`run_algorithm`], invoking `observer` after every round with a
+/// [`RoundView`], as [`Simulator::run_with_observer`] does. Per-round
+/// series, such as the active-node count, are recorded this way.
+///
+/// # Examples
+///
+/// ```
+/// use mis_beeping::{NodeStatus, SimConfig};
+/// use mis_core::{run_algorithm_with_observer, Algorithm};
+///
+/// let g = mis_graph::generators::cycle(12);
+/// let mut active = Vec::new();
+/// let config = SimConfig::default();
+/// let outcome = run_algorithm_with_observer(&g, &Algorithm::feedback(), 7, config, |view| {
+///     active.push(view.status.iter().filter(|s| **s == NodeStatus::Active).count());
+/// });
+/// assert_eq!(active.len() as u32, outcome.rounds());
+/// assert_eq!(active.last(), Some(&0));
+/// ```
+#[must_use]
+pub fn run_algorithm_with_observer<G: GraphView + ?Sized>(
+    graph: &G,
+    algorithm: &Algorithm,
+    seed: u64,
+    config: SimConfig,
+    observer: impl FnMut(&RoundView<'_>),
+) -> RunOutcome {
     match algorithm {
         Algorithm::Feedback(cfg) => {
             let factory = FeedbackFactory::with_config(*cfg);
-            Simulator::new(graph, &factory, seed, config).run()
+            Simulator::new(graph, &factory, seed, config).run_with_observer(observer)
         }
         Algorithm::Sweep => {
             let factory = GlobalScheduleFactory::new(|_| SweepSchedule::new());
-            Simulator::new(graph, &factory, seed, config).run()
+            Simulator::new(graph, &factory, seed, config).run_with_observer(observer)
         }
         Algorithm::Science { phase_factor } => {
             let pf = *phase_factor;
             let factory = GlobalScheduleFactory::new(move |info: &mis_beeping::NetworkInfo| {
                 ScienceSchedule::for_network(info.node_count, info.max_degree, pf)
             });
-            Simulator::new(graph, &factory, seed, config).run()
+            Simulator::new(graph, &factory, seed, config).run_with_observer(observer)
         }
         Algorithm::Constant { p } => {
             let p = *p;
             let factory = GlobalScheduleFactory::new(move |_| ConstantSchedule::new(p));
-            Simulator::new(graph, &factory, seed, config).run()
+            Simulator::new(graph, &factory, seed, config).run_with_observer(observer)
         }
         Algorithm::Custom(schedule) => {
             let shared = Arc::new(schedule.clone());
             let factory = GlobalScheduleFactory::new(move |_| Arc::clone(&shared));
-            Simulator::new(graph, &factory, seed, config).run()
+            Simulator::new(graph, &factory, seed, config).run_with_observer(observer)
         }
     }
 }

@@ -6,8 +6,8 @@
 //! a short warm-up; for the sweep it decays in bursts, once per phase
 //! visit to the “right” probability. This experiment records both curves.
 
-use mis_beeping::SimConfig;
-use mis_core::{run_algorithm, Algorithm};
+use mis_beeping::{NodeStatus, SimConfig};
+use mis_core::{run_algorithm_with_observer, Algorithm};
 use mis_graph::{generators, GraphView};
 use mis_stats::{AsciiPlot, Series, Table};
 use rand::{rngs::SmallRng, SeedableRng};
@@ -76,7 +76,7 @@ pub fn run(config: &DecayConfig, ctx: &RunContext) -> DecayResults {
     let curves = ctx.run_trials(config.trials, config.seed, |trial_seed, _| {
         let mut graph_rng = SmallRng::seed_from_u64(trial_seed);
         let g = generators::gnp(config.n, 0.5, &mut graph_rng);
-        let sim = ctx.sim_config().with_active_series(true);
+        let sim = ctx.sim_config();
         // Dispatch through the context's backend so `xp decay --backend X`
         // replays the identical simulation from compressed or paged
         // adjacency (active curves are pinned bit-identical across
@@ -108,25 +108,37 @@ impl BackendOp for DecayTrial<'_> {
     type Out = (Vec<usize>, Vec<usize>);
 
     fn run<G: GraphView + ?Sized>(self, g: &G) -> Self::Out {
-        let f = run_algorithm(
+        let feedback = active_series(
             g,
             &Algorithm::feedback(),
             alg_seed(self.trial_seed, alg::FEEDBACK),
-            self.sim.clone(),
+            self.sim,
         );
-        assert!(f.terminated());
-        let s = run_algorithm(
+        let sweep = active_series(
             g,
             &Algorithm::sweep(),
             alg_seed(self.trial_seed, alg::SWEEP),
-            self.sim.clone(),
+            self.sim,
         );
-        assert!(s.terminated());
-        (
-            f.metrics().active_series.clone(),
-            s.metrics().active_series.clone(),
-        )
+        (feedback, sweep)
     }
+}
+
+/// Runs `algorithm` to termination, recording the active-node count after
+/// every round.
+fn active_series<G: GraphView + ?Sized>(
+    g: &G,
+    algorithm: &Algorithm,
+    seed: u64,
+    sim: &SimConfig,
+) -> Vec<usize> {
+    let mut series = Vec::new();
+    let outcome = run_algorithm_with_observer(g, algorithm, seed, sim.clone(), |view| {
+        let active = view.status.iter().filter(|s| **s == NodeStatus::Active);
+        series.push(active.count());
+    });
+    assert!(outcome.terminated());
+    series
 }
 
 /// Averages variable-length series; finished runs contribute zeros beyond
