@@ -1,58 +1,34 @@
-//! Batched parallel simulation: many independent runs of one graph.
+//! Seed derivation and the work-stealing scheduler for batches of runs.
 //!
 //! The paper's headline claims (`O(log n)` rounds w.h.p., `O(1)` expected
 //! beeps per node) are statistical, so every figure and theory check needs
-//! hundreds of independent runs. This module fans a
-//! ([`GraphView`], seed range, [`SimConfig`]) plan across scoped worker
-//! threads. Each run draws its node RNG streams from its own derived seed
-//! (via [`trial_seed`], the same derivation the
-//! experiment harness uses), so the per-run [`RunOutcome`]s are
-//! **bit-identical regardless of the worker count** — `jobs = 1`,
-//! `jobs = 32` and a plain sequential [`Simulator::run`] per seed all
-//! produce exactly the same results, in seed order.
+//! hundreds of independent runs. A [`BatchPlan`] names such a batch: run
+//! `i` draws its node RNG streams from its own derived seed (via
+//! [`trial_seed`], the same derivation the experiment harness uses).
+//! [`parallel_indexed_map`] fans the runs across scoped worker threads and
+//! returns the results in index order, so a batch is **bit-identical
+//! regardless of the worker count** and matches a plain sequential
+//! [`Simulator::run`](crate::Simulator::run) per seed. `mis_core::RunPlan`
+//! runs a batch through both.
 //!
 //! # Examples
 //!
 //! ```
-//! use mis_beeping::batch::{run_batch, BatchPlan};
-//! use mis_beeping::{SimConfig, Simulator};
-//! # use mis_beeping::{BeepingProcess, FnFactory, NetworkInfo, Verdict};
-//! # use rand::{rngs::SmallRng, Rng};
-//! # struct Coin { beeped: bool, heard: bool }
-//! # impl BeepingProcess for Coin {
-//! #     fn exchange1(&mut self, rng: &mut SmallRng) -> bool {
-//! #         self.beeped = rng.random_bool(0.5); self.beeped
-//! #     }
-//! #     fn exchange2(&mut self, heard: bool) -> bool {
-//! #         self.heard = heard; self.beeped && !heard
-//! #     }
-//! #     fn end_round(&mut self, heard_join: bool) -> Verdict {
-//! #         if self.beeped && !self.heard { Verdict::JoinMis }
-//! #         else if heard_join { Verdict::Covered } else { Verdict::Continue }
-//! #     }
-//! #     fn beep_probability(&self) -> f64 { 0.5 }
-//! # }
+//! use mis_beeping::batch::{parallel_indexed_map, BatchPlan};
 //!
-//! let graph = mis_graph::generators::cycle(24);
-//! let factory = FnFactory(|_, _, _: &NetworkInfo| Coin { beeped: false, heard: false });
 //! let plan = BatchPlan::new(42, 8).with_jobs(4);
-//!
-//! let outcomes = run_batch(&graph, &factory, &plan);
-//! assert_eq!(outcomes.len(), 8);
-//! // Result i is exactly the single-run outcome for that run's seed.
-//! let solo = Simulator::new(&graph, &factory, plan.run_seed(3), SimConfig::default()).run();
-//! assert_eq!(outcomes[3], solo);
+//! let seeds = parallel_indexed_map(plan.runs, plan.effective_jobs(), |i| plan.run_seed(i));
+//! assert_eq!(seeds.len(), 8);
+//! // Run i's seed does not depend on the worker count.
+//! assert_eq!(seeds[3], BatchPlan::new(42, 8).run_seed(3));
 //! ```
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use mis_graph::GraphView;
-
 use crate::rng::trial_seed;
-use crate::{ProcessFactory, RunOutcome, SimConfig, Simulator};
 
-/// A batch of independent simulation runs: a master seed, a run count, a
-/// worker count and a shared [`SimConfig`].
+/// A batch of independent simulation runs: a master seed, a run count and
+/// a worker count.
 ///
 /// Run `i` uses the derived seed [`run_seed(i)`](Self::run_seed); the plan
 /// itself never touches wall-clock state, so re-executing it reproduces
@@ -66,20 +42,17 @@ pub struct BatchPlan {
     /// Worker thread count; `0` (the default) means one worker per
     /// available core. The outcomes do not depend on this value.
     pub jobs: usize,
-    /// Simulator configuration shared by every run.
-    pub config: SimConfig,
 }
 
 impl BatchPlan {
     /// A plan for `runs` runs derived from `master_seed`, with automatic
-    /// worker count and the default [`SimConfig`].
+    /// worker count.
     #[must_use]
     pub fn new(master_seed: u64, runs: usize) -> Self {
         Self {
             master_seed,
             runs,
             jobs: 0,
-            config: SimConfig::default(),
         }
     }
 
@@ -90,15 +63,9 @@ impl BatchPlan {
         self
     }
 
-    /// Replaces the shared simulator configuration.
-    #[must_use]
-    pub fn with_config(mut self, config: SimConfig) -> Self {
-        self.config = config;
-        self
-    }
-
     /// The master seed of run `run` — the value to pass to
-    /// [`Simulator::new`] to reproduce that run alone.
+    /// [`Simulator::new`](crate::Simulator::new) to reproduce that run
+    /// alone.
     #[must_use]
     pub fn run_seed(&self, run: usize) -> u64 {
         trial_seed(self.master_seed, run as u64)
@@ -131,7 +98,7 @@ pub fn auto_jobs() -> usize {
 /// imbalance never idles a thread) and results are merged back by index —
 /// scheduling can never affect the output. With `jobs <= 1` the map runs
 /// sequentially on the calling thread. This is the scheduler under
-/// [`run_batch_map`] and `mis-experiments`' trial runner.
+/// `mis_core::RunPlan` and `mis-experiments`' trial runner.
 #[must_use]
 pub fn parallel_indexed_map<T, F>(count: usize, jobs: usize, f: F) -> Vec<T>
 where
@@ -174,127 +141,9 @@ where
         .collect()
 }
 
-/// Runs the plan and returns every [`RunOutcome`] in seed order.
-///
-/// Results are bit-identical for any `jobs` value; see the
-/// [module docs](self) for the determinism contract.
-#[must_use]
-pub fn run_batch<G, F>(graph: &G, factory: &F, plan: &BatchPlan) -> Vec<RunOutcome>
-where
-    G: GraphView + ?Sized,
-    F: ProcessFactory + Sync,
-{
-    run_batch_map(graph, factory, plan, |_, outcome| outcome)
-}
-
-/// Runs the plan, reducing each [`RunOutcome`] to `map(run_index, outcome)`
-/// **inside the worker** that produced it.
-///
-/// Use this instead of [`run_batch`] for large batches where keeping every
-/// full outcome (per-node statuses and metrics) alive would dominate
-/// memory: the reduction runs before the next outcome is computed, so only
-/// the reduced values accumulate. The returned vector is in seed order.
-#[must_use]
-pub fn run_batch_map<T, G, F, M>(graph: &G, factory: &F, plan: &BatchPlan, map: M) -> Vec<T>
-where
-    T: Send,
-    G: GraphView + ?Sized,
-    F: ProcessFactory + Sync,
-    M: Fn(usize, RunOutcome) -> T + Sync,
-{
-    parallel_indexed_map(plan.runs, plan.effective_jobs(), |i| {
-        let outcome = Simulator::new(graph, factory, plan.run_seed(i), plan.config.clone()).run();
-        map(i, outcome)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BeepingProcess, FnFactory, NetworkInfo, Verdict};
-    use mis_graph::{generators, Graph};
-    use rand::rngs::SmallRng;
-    use rand::Rng;
-
-    struct Coin {
-        beeped: bool,
-        heard: bool,
-    }
-
-    fn factory() -> FnFactory<impl Fn(u32, usize, &NetworkInfo) -> Coin> {
-        FnFactory(|_, _, _: &NetworkInfo| Coin {
-            beeped: false,
-            heard: false,
-        })
-    }
-
-    impl BeepingProcess for Coin {
-        fn exchange1(&mut self, rng: &mut SmallRng) -> bool {
-            self.beeped = rng.random_bool(0.5);
-            self.beeped
-        }
-        fn exchange2(&mut self, heard: bool) -> bool {
-            self.heard = heard;
-            self.beeped && !heard
-        }
-        fn end_round(&mut self, heard_join: bool) -> Verdict {
-            if self.beeped && !self.heard {
-                Verdict::JoinMis
-            } else if heard_join {
-                Verdict::Covered
-            } else {
-                Verdict::Continue
-            }
-        }
-        fn beep_probability(&self) -> f64 {
-            0.5
-        }
-    }
-
-    #[test]
-    fn batch_matches_single_runs_for_every_job_count() {
-        let g = generators::gnp(
-            40,
-            0.2,
-            &mut <SmallRng as rand::SeedableRng>::seed_from_u64(3),
-        );
-        let f = factory();
-        let reference: Vec<RunOutcome> = (0..10)
-            .map(|i| {
-                let plan = BatchPlan::new(5, 10);
-                Simulator::new(&g, &f, plan.run_seed(i), SimConfig::default()).run()
-            })
-            .collect();
-        for jobs in [1, 2, 4, 7] {
-            let batch = run_batch(&g, &f, &BatchPlan::new(5, 10).with_jobs(jobs));
-            assert_eq!(batch, reference, "jobs = {jobs}");
-        }
-    }
-
-    #[test]
-    fn map_reduces_in_seed_order() {
-        let g = generators::cycle(30);
-        let f = factory();
-        let plan = BatchPlan::new(8, 12).with_jobs(4);
-        let rounds = run_batch_map(&g, &f, &plan, |i, o| (i, o.rounds()));
-        let full = run_batch(&g, &f, &plan);
-        assert_eq!(rounds.len(), 12);
-        for (i, (idx, r)) in rounds.iter().enumerate() {
-            assert_eq!(*idx, i);
-            assert_eq!(*r, full[i].rounds());
-        }
-    }
-
-    #[test]
-    fn empty_plan_and_zero_node_graph() {
-        let g = generators::cycle(6);
-        let f = factory();
-        assert!(run_batch(&g, &f, &BatchPlan::new(1, 0)).is_empty());
-        let empty = Graph::empty(0);
-        let outcomes = run_batch(&empty, &f, &BatchPlan::new(1, 3).with_jobs(2));
-        assert_eq!(outcomes.len(), 3);
-        assert!(outcomes.iter().all(|o| o.terminated() && o.rounds() == 0));
-    }
 
     #[test]
     fn distinct_seeds_per_run() {

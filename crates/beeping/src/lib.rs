@@ -27,9 +27,9 @@
 //! Two execution-engine features serve statistical workloads at scale: the
 //! default [`PropagationKernel::Bitset`] computes beep propagation on
 //! packed `u64` words (the scalar reference stays selectable via
-//! [`SimConfig::with_kernel`]), and the [`batch`] module fans many
-//! independent runs across worker threads with bit-identical, seed-ordered
-//! results.
+//! [`SimConfig::with_kernel`]), and the [`batch`] module derives the seeds
+//! of many independent runs and fans them across worker threads with
+//! bit-identical, seed-ordered results.
 //!
 //! # Examples
 //!
@@ -93,7 +93,7 @@ pub mod rng;
 pub mod scenario;
 mod simulator;
 
-pub use batch::{parallel_indexed_map, run_batch, run_batch_map, BatchPlan};
+pub use batch::{parallel_indexed_map, BatchPlan};
 pub use config::{FaultPlan, FaultPlanError, PropagationKernel, RngMode, SimConfig};
 pub use metrics::Metrics;
 pub use model::{NetworkInfo, NodeStatus, Verdict};

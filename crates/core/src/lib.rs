@@ -60,10 +60,7 @@ pub mod verify;
 pub use engine::{AlgorithmEngine, Engine, EngineRecord, RunView};
 pub use feedback::{FeedbackConfig, FeedbackFactory, FeedbackProcess};
 pub use global::{GlobalScheduleFactory, GlobalScheduleProcess};
-pub use plan::{
-    auto_jobs, parallel_indexed_map, run_batch, run_batch_map, BatchPlan, BatchReport, RunPlan,
-    RunRecord,
-};
+pub use plan::{auto_jobs, parallel_indexed_map, BatchPlan, BatchReport, RunPlan, RunRecord};
 pub use run::{
     run_algorithm, run_algorithm_with_observer, solve_mis, solve_mis_with_config, Algorithm,
     MisResult, SolveError,

@@ -1,10 +1,10 @@
 //! Run plans: batched multi-seed execution with streaming statistics.
 //!
 //! This module is the workspace's **plan façade**: it re-exports the batch
-//! primitives that used to live only in `mis_beeping::batch`
-//! ([`BatchPlan`], [`parallel_indexed_map`], [`auto_jobs`], [`run_batch`],
-//! [`run_batch_map`]) next to the engine-generic plan types, so downstream
-//! code imports everything batching-related from one place.
+//! primitives of `mis_beeping::batch` ([`BatchPlan`],
+//! [`parallel_indexed_map`], [`auto_jobs`]) next to the engine-generic plan
+//! types, so downstream code imports everything batching-related from one
+//! place. [`RunPlan`] is the one batch runner.
 //!
 //! A [`RunPlan`] pairs an [`Engine`] with a seed range and a worker count,
 //! and executes the whole batch through the work-stealing
@@ -51,9 +51,7 @@
 //! );
 //! ```
 
-pub use mis_beeping::batch::{
-    auto_jobs, parallel_indexed_map, run_batch, run_batch_map, BatchPlan,
-};
+pub use mis_beeping::batch::{auto_jobs, parallel_indexed_map, BatchPlan};
 
 use mis_beeping::SimConfig;
 use mis_graph::GraphView;
@@ -176,9 +174,8 @@ impl<E> RunPlan<E> {
         self
     }
 
-    /// The seed-derivation view of this plan (the same [`BatchPlan`] the
-    /// beeping batch runner uses, so every execution path derives
-    /// identical per-run seeds).
+    /// The seed-derivation view of this plan: every execution path derives
+    /// its per-run seeds from this [`BatchPlan`].
     #[must_use]
     pub fn batch_plan(&self) -> BatchPlan {
         BatchPlan::new(self.master_seed, self.runs).with_jobs(self.jobs)
@@ -443,6 +440,17 @@ mod tests {
             assert_eq!(outcome.rounds(), record.rounds);
             assert_eq!(outcome.mis().len(), record.mis_size);
         }
+    }
+
+    #[test]
+    fn empty_plan_and_zero_node_graph() {
+        let none = RunPlan::new(Algorithm::feedback(), 0).execute_outcomes(&generators::cycle(6));
+        assert!(none.is_empty());
+        let outcomes = RunPlan::new(Algorithm::feedback(), 3)
+            .with_jobs(2)
+            .execute_outcomes(&mis_graph::Graph::empty(0));
+        assert_eq!(outcomes.len(), 3);
+        assert!(outcomes.iter().all(|o| o.terminated() && o.rounds() == 0));
     }
 
     #[test]

@@ -2,11 +2,7 @@
 
 use beeping_mis::baselines::{LubyPriorityFactory, MessageEngine, MessageSimulator};
 use beeping_mis::beeping::{SimConfig, Simulator};
-// The batch primitives come from the `mis_core` plan façade, which
-// re-exports `mis_beeping::batch` so one import path serves both engines.
-use beeping_mis::core::{
-    run_algorithm, run_batch, solve_mis, Algorithm, BatchPlan, FeedbackFactory, RunPlan,
-};
+use beeping_mis::core::{run_algorithm, solve_mis, Algorithm, FeedbackFactory, RunPlan};
 use beeping_mis::experiments::{fig5, RunContext};
 use beeping_mis::graph::generators;
 use rand::{rngs::SmallRng, SeedableRng};
@@ -75,11 +71,11 @@ fn batch_runs_are_identical_for_any_job_count() {
     // membership) as --jobs 1 and as the existing single-run path.
     let g = generators::gnp(60, 0.25, &mut SmallRng::seed_from_u64(14));
     let factory = FeedbackFactory::new();
-    let sequential = run_batch(&g, &factory, &BatchPlan::new(21, 12).with_jobs(1));
-    let parallel = run_batch(&g, &factory, &BatchPlan::new(21, 12).with_jobs(4));
+    let plan = RunPlan::new(Algorithm::feedback(), 12).with_master_seed(21);
+    let sequential = plan.clone().with_jobs(1).execute_outcomes(&g);
+    let parallel = plan.clone().with_jobs(4).execute_outcomes(&g);
     assert_eq!(sequential, parallel);
     for (i, outcome) in sequential.iter().enumerate() {
-        let plan = BatchPlan::new(21, 12);
         let solo = Simulator::new(&g, &factory, plan.run_seed(i), SimConfig::default()).run();
         assert_eq!(*outcome, solo, "run {i} differs from the single-run path");
         assert_eq!(outcome.mis(), solo.mis());
