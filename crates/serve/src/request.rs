@@ -25,6 +25,10 @@ use rand::{rngs::SmallRng, SeedableRng};
 /// Largest accepted node count for generated and uploaded graphs.
 pub const MAX_NODES: usize = 2_000_000;
 
+/// Largest accepted edge count for generated graphs: exact for `complete`,
+/// expected for `gnp`. The other generators are linear in the node count.
+pub const MAX_EDGES: usize = 1 << 25;
+
 /// Largest accepted seed range (`runs`).
 pub const MAX_RUNS: usize = 10_000;
 
@@ -192,12 +196,31 @@ impl GraphSpec {
         Ok(spec)
     }
 
-    /// Builds the concrete CSR graph, enforcing the [`MAX_NODES`] cap.
+    /// Rejects a generator spec whose edge count exceeds [`MAX_EDGES`]
+    /// without building anything.
+    fn check_edges(&self) -> Result<(), RequestError> {
+        let pairs = |n: usize| (n as u64).saturating_mul(n.saturating_sub(1) as u64) / 2;
+        let (what, edges) = match self {
+            GraphSpec::Complete { n } => ("has", pairs(*n) as f64),
+            GraphSpec::Gnp { n, p, .. } => ("expects", p * pairs(*n) as f64),
+            _ => return Ok(()),
+        };
+        if edges > MAX_EDGES as f64 {
+            return Err(RequestError::new(
+                "bad_graph",
+                format!("graph {what} {edges:.0} edges, over the {MAX_EDGES}-edge cap"),
+            ));
+        }
+        Ok(())
+    }
+
+    /// Builds the concrete CSR graph, enforcing the [`MAX_NODES`] and
+    /// [`MAX_EDGES`] caps before any generator runs.
     ///
     /// # Errors
     ///
-    /// `bad_graph` for node counts over the cap or malformed DIMACS text
-    /// (including self-loop edges, which the parser rejects).
+    /// `bad_graph` for node or edge counts over the caps or malformed
+    /// DIMACS text (including self-loop edges, which the parser rejects).
     pub fn build(&self) -> Result<Graph, RequestError> {
         let cap = |n: usize| {
             if n > MAX_NODES {
@@ -209,6 +232,7 @@ impl GraphSpec {
                 Ok(n)
             }
         };
+        self.check_edges()?;
         Ok(match self {
             GraphSpec::Gnp { n, p, graph_seed } => {
                 generators::gnp(cap(*n)?, *p, &mut SmallRng::seed_from_u64(*graph_seed))
@@ -737,6 +761,25 @@ mod tests {
         .unwrap_err();
         assert_eq!(err.code, "bad_graph");
         assert!(err.message.contains("self-loop") || err.message.contains("loop"));
+    }
+
+    #[test]
+    fn over_dense_generators_are_rejected_before_building() {
+        for graph in [
+            r#"{"generator": "complete", "n": 2000000}"#,
+            r#"{"generator": "gnp", "n": 2000000, "p": 0.5}"#,
+        ] {
+            let text = format!(
+                r#"{{"graph": {graph}, "algorithm": {{"family": "feedback"}}, "runs": 1}}"#
+            );
+            let err = parse(&text).unwrap().graph.build().unwrap_err();
+            assert_eq!(err.code, "bad_graph", "{graph}");
+            assert!(err.message.contains("33554432-edge cap"), "{}", err.message);
+        }
+        // The cap is exact for `complete`: K_8192 has 33,550,336 edges and
+        // K_8193 has 33,558,528. Neither is built here.
+        assert!(GraphSpec::Complete { n: 8192 }.check_edges().is_ok());
+        assert!(GraphSpec::Complete { n: 8193 }.check_edges().is_err());
     }
 
     #[test]
