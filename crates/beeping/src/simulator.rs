@@ -1201,21 +1201,6 @@ mod tests {
     }
 
     #[test]
-    fn view_bits_are_the_first_exchange() {
-        // p = 1 on an edgeless graph: every node beeps in round 0, hears
-        // nothing, and joins.
-        let g = Graph::empty(67);
-        let mut seen = 0;
-        let outcome = Simulator::new(&g, &Coin::factory(1.0), 5, SimConfig::default())
-            .run_with_observer(|view| {
-                assert!((0..67).all(|v| view.beeped[v] && !view.heard[v]));
-                seen += 1;
-            });
-        assert_eq!(seen, 1);
-        assert_eq!(outcome.mis().len(), 67);
-    }
-
-    #[test]
     fn observer_sees_every_round() {
         let g = generators::path(6);
         let mut seen = 0u32;

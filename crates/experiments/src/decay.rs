@@ -108,13 +108,13 @@ impl BackendOp for DecayTrial<'_> {
     type Out = (Vec<usize>, Vec<usize>);
 
     fn run<G: GraphView + ?Sized>(self, g: &G) -> Self::Out {
-        let feedback = active_series(
+        let feedback = active_counts(
             g,
             &Algorithm::feedback(),
             alg_seed(self.trial_seed, alg::FEEDBACK),
             self.sim,
         );
-        let sweep = active_series(
+        let sweep = active_counts(
             g,
             &Algorithm::sweep(),
             alg_seed(self.trial_seed, alg::SWEEP),
@@ -126,7 +126,7 @@ impl BackendOp for DecayTrial<'_> {
 
 /// Runs `algorithm` to termination, recording the active-node count after
 /// every round.
-fn active_series<G: GraphView + ?Sized>(
+fn active_counts<G: GraphView + ?Sized>(
     g: &G,
     algorithm: &Algorithm,
     seed: u64,
