@@ -271,6 +271,16 @@ mod tests {
         let b = MessageEngine::new(LubyPriorityFactory::new()).with_shards(4);
         assert_ne!(a, b);
         assert_eq!(a, MessageEngine::new(LubyPriorityFactory::new()));
+        // Scenarios compare by value: equal specs in distinct `Arc`s are
+        // equal engines, and a different seed or no scenario is not.
+        use mis_beeping::scenario::ScenarioSpec;
+        let with = |seed| {
+            a.clone()
+                .with_scenario(Arc::new(ScenarioSpec::uniform_loss(seed, 0.1)))
+        };
+        assert_eq!(with(1), with(1));
+        assert_ne!(with(1), with(2));
+        assert_ne!(with(1), a);
     }
 
     #[test]

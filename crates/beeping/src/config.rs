@@ -586,6 +586,12 @@ mod tests {
     #[test]
     fn canonical_json_separates_distinct_configs() {
         let base = SimConfig::default();
+        // A scenario is keyed by its own canonical tree, verbatim.
+        let spec = crate::scenario::ScenarioSpec::uniform_loss(1, 0.1);
+        let keyed = base.clone().with_scenario(Arc::new(spec.clone()));
+        let entry = keyed.canonical_json().get("scenario").cloned();
+        assert_eq!(entry, Some(spec.to_json()));
+        assert_eq!(entry.map(|e| e.render()), Some(spec.to_json_string()));
         let texts = [
             base.canonical_json().render(),
             base.clone().with_max_rounds(5).canonical_json().render(),

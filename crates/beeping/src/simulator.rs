@@ -1495,30 +1495,52 @@ mod tests {
 
     #[test]
     fn scenario_reference_path_records_scalar_kernel() {
-        use crate::scenario::{ScenarioSpec, WakePattern};
+        use crate::scenario::{ChurnModel, ChurnWindow, DelayModel, ScenarioSpec, WakePattern};
         use std::sync::Arc;
 
         let g = generators::grid2d(6, 6);
-        // A delivery-perturbing scenario forces (and records) the scalar
-        // reference path even when the bitset kernel was requested, in
-        // either RNG mode.
+        // A delivery-perturbing or churning scenario forces (and records)
+        // the scalar reference path even when the bitset kernel was
+        // requested, in either RNG mode.
+        let churn = ScenarioSpec::new(3).with_churn(ChurnModel::Explicit {
+            windows: vec![ChurnWindow {
+                node: 4,
+                from: 1,
+                until: 3,
+            }],
+        });
+        let delay = ScenarioSpec::new(3).with_delay(DelayModel::Random { p: 0.2, max: 2 });
+        for mode in [RngMode::Stream, RngMode::Counter] {
+            for spec in [
+                ScenarioSpec::uniform_loss(3, 0.2),
+                churn.clone(),
+                delay.clone(),
+            ] {
+                let cfg = SimConfig::default()
+                    .with_max_rounds(5_000)
+                    .with_rng_mode(mode)
+                    .with_scenario(Arc::new(spec.clone()));
+                let outcome = Simulator::new(&g, &Coin::factory(0.5), 7, cfg).run();
+                assert_eq!(
+                    outcome.kernel_used(),
+                    PropagationKernel::Scalar,
+                    "{mode:?} {spec:?}"
+                );
+            }
+        }
+        // A wake-only scenario keeps the configured kernel, in either RNG
+        // mode.
+        let wake_only = Arc::new(ScenarioSpec::new(3).with_wake(WakePattern::Wavefront {
+            stride: 2,
+            latest: 8,
+        }));
         for mode in [RngMode::Stream, RngMode::Counter] {
             let cfg = SimConfig::default()
-                .with_max_rounds(5_000)
                 .with_rng_mode(mode)
-                .with_scenario(Arc::new(ScenarioSpec::uniform_loss(3, 0.2)));
+                .with_scenario(wake_only.clone());
             let outcome = Simulator::new(&g, &Coin::factory(0.5), 7, cfg).run();
-            assert_eq!(outcome.kernel_used(), PropagationKernel::Scalar, "{mode:?}");
+            assert_eq!(outcome.kernel_used(), PropagationKernel::Bitset, "{mode:?}");
         }
-        // A wake-only scenario keeps the configured kernel.
-        let cfg = SimConfig::default().with_scenario(Arc::new(ScenarioSpec::new(3).with_wake(
-            WakePattern::Wavefront {
-                stride: 2,
-                latest: 8,
-            },
-        )));
-        let outcome = Simulator::new(&g, &Coin::factory(0.5), 7, cfg).run();
-        assert_eq!(outcome.kernel_used(), PropagationKernel::Bitset);
     }
 
     #[test]
