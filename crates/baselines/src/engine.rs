@@ -30,7 +30,7 @@
 
 use std::sync::Arc;
 
-use mis_beeping::scenario::{scenario_eq, Scenario};
+use mis_beeping::scenario::ScenarioSpec;
 use mis_core::engine::{Engine, EngineRecord, RunView};
 use mis_graph::{GraphView, NodeId};
 
@@ -43,7 +43,7 @@ pub const DEFAULT_MESSAGE_ROUND_CAP: u32 = 1_000_000;
 
 /// A message-passing execution engine: a [`MessageFactory`] plus a round
 /// cap, an [`InboxStrategy`], and an optional adversarial scenario.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MessageEngine<F> {
     /// Builds the per-node processes of every run.
     pub factory: F,
@@ -53,26 +53,12 @@ pub struct MessageEngine<F> {
     pub inbox_strategy: InboxStrategy,
     /// Optional composable adversary every run of this engine faces
     /// (see `mis_beeping::scenario`).
-    pub scenario: Option<Arc<dyn Scenario>>,
+    pub scenario: Option<Arc<ScenarioSpec>>,
     /// Intra-run worker threads per run (1 = sequential, 0 = auto; see
     /// [`MessageSimulator::run_sharded`]). Never affects results, only
     /// the wall clock.
     pub shards: usize,
 }
-
-impl<F: PartialEq> PartialEq for MessageEngine<F> {
-    fn eq(&self, other: &Self) -> bool {
-        // Scenarios compare by canonical spec (equal specs imply
-        // identical behaviour), keeping this an equivalence relation.
-        self.factory == other.factory
-            && self.max_rounds == other.max_rounds
-            && self.inbox_strategy == other.inbox_strategy
-            && scenario_eq(self.scenario.as_ref(), other.scenario.as_ref())
-            && self.shards == other.shards
-    }
-}
-
-impl<F: Eq> Eq for MessageEngine<F> {}
 
 impl<F> MessageEngine<F> {
     /// An engine running `factory`'s processes with the default round cap
@@ -110,7 +96,7 @@ impl<F> MessageEngine<F> {
     /// Attaches a composable adversary that every run of this engine
     /// faces (see `mis_beeping::scenario`).
     #[must_use]
-    pub fn with_scenario(mut self, scenario: Arc<dyn Scenario>) -> Self {
+    pub fn with_scenario(mut self, scenario: Arc<ScenarioSpec>) -> Self {
         self.scenario = Some(scenario);
         self
     }

@@ -16,7 +16,7 @@
 //!   one scoped thread per range for
 //!   [`run_sharded`](MessageSimulator::run_sharded);
 //! * the **reference loop** ([`InboxStrategy::FreshVecs`], and every run
-//!   with a [`Scenario`]) collects a fresh `Vec` inbox per receiver, each
+//!   with a [`ScenarioSpec`]) collects a fresh `Vec` inbox per receiver, each
 //!   delivery gated by the scenario, with sleepers, churn and delayed
 //!   messages. A reliable run is the scenario in which every delivery is
 //!   on time; the equivalence suites compare the arena loop against it.
@@ -52,7 +52,7 @@ use std::sync::Arc;
 use rand::rngs::SmallRng;
 
 use mis_beeping::rng::node_rng;
-use mis_beeping::scenario::{Delivery, Scenario};
+use mis_beeping::scenario::{Delivery, ScenarioSpec};
 use mis_beeping::{NetworkInfo, NodeStatus, Verdict};
 use mis_graph::{Graph, GraphView, NodeId};
 
@@ -224,7 +224,7 @@ pub struct MessageSimulator<'g, F: MessageFactory, G: GraphView + ?Sized = Graph
     status: Vec<NodeStatus>,
     rngs: Vec<SmallRng>,
     strategy: InboxStrategy,
-    scenario: Option<Arc<dyn Scenario>>,
+    scenario: Option<Arc<ScenarioSpec>>,
     max_degree: usize,
 }
 
@@ -269,7 +269,7 @@ impl<'g, F: MessageFactory, G: GraphView + ?Sized> MessageSimulator<'g, F, G> {
     /// sequential reference loop (see [`InboxStrategy::FreshVecs`]),
     /// regardless of the inbox strategy and the shard count.
     #[must_use]
-    pub fn with_scenario(mut self, scenario: Arc<dyn Scenario>) -> Self {
+    pub fn with_scenario(mut self, scenario: Arc<ScenarioSpec>) -> Self {
         self.scenario = Some(scenario);
         self
     }
@@ -460,7 +460,7 @@ impl<'g, F: MessageFactory, G: GraphView + ?Sized> MessageSimulator<'g, F, G> {
     /// order; a delayed message whose receiver is not listening on arrival
     /// is lost. With a do-nothing scenario this loop is bit-identical to
     /// the arena loop.
-    fn run_reference(mut self, max_rounds: u32, scenario: Option<&dyn Scenario>) -> MsgRunOutcome {
+    fn run_reference(mut self, max_rounds: u32, scenario: Option<&ScenarioSpec>) -> MsgRunOutcome {
         let graph = self.graph;
         let n = graph.node_count();
         let wake: Vec<u32> = match scenario {
@@ -731,7 +731,7 @@ fn collect_inbox<F: MessageFactory, G: GraphView + ?Sized>(
     graph: &G,
     v: NodeId,
     outbox: &[Option<MsgOf<F>>],
-    scenario: Option<&dyn Scenario>,
+    scenario: Option<&ScenarioSpec>,
     (round, sub): (u32, u8),
     pending: &mut Vec<PendingMsg<MsgOf<F>>>,
     metrics: &mut MessageMetrics,

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use crate::json::Json;
-use crate::scenario::{scenario_eq, Scenario};
+use crate::scenario::ScenarioSpec;
 
 /// Fault-injection plan for a simulation run.
 ///
@@ -203,7 +203,7 @@ impl RngMode {
 /// assert_eq!(cfg.max_rounds, 10_000);
 /// assert_eq!(cfg.kernel, PropagationKernel::Scalar);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Hard cap on simulated rounds; the run reports
     /// non-termination if the cap is reached. The default (1 million) is
@@ -233,13 +233,14 @@ pub struct SimConfig {
     /// order-coupled), and the outcomes are bit-identical for every shard
     /// count — `tests/sharding_equivalence.rs` pins this.
     pub shards: usize,
-    /// Optional composable adversary (defaults to none). A scenario
-    /// layers on top of `faults`: wake rounds merge by taking the later
-    /// of the two, and scenario loss/delay/churn apply in addition to
-    /// the plan's uniform loss. Runs with a delivery-perturbing or
-    /// churning scenario use the scalar reference kernel, like lossy
-    /// [`FaultPlan`] runs.
-    pub scenario: Option<Arc<dyn Scenario>>,
+    /// Optional composable adversary (defaults to none), shared so that
+    /// cloning a per-run config stays O(1). A scenario layers on top of
+    /// `faults`: wake rounds merge by taking the later of the two, and
+    /// scenario loss/delay/churn apply in addition to the plan's uniform
+    /// loss. Runs with a delivery-perturbing or churning scenario use the
+    /// scalar reference kernel in either RNG mode; lossy [`FaultPlan`]
+    /// runs do so only under [`RngMode::Stream`].
+    pub scenario: Option<Arc<ScenarioSpec>>,
 }
 
 impl Default for SimConfig {
@@ -253,20 +254,6 @@ impl Default for SimConfig {
             shards: 1,
             scenario: None,
         }
-    }
-}
-
-impl PartialEq for SimConfig {
-    fn eq(&self, other: &Self) -> bool {
-        // Scenarios compare by canonical spec (equal specs imply
-        // identical behaviour), which keeps this an equivalence relation.
-        self.max_rounds == other.max_rounds
-            && self.faults == other.faults
-            && self.mis_keeps_beeping == other.mis_keeps_beeping
-            && self.kernel == other.kernel
-            && self.rng == other.rng
-            && self.shards == other.shards
-            && scenario_eq(self.scenario.as_ref(), other.scenario.as_ref())
     }
 }
 
@@ -301,7 +288,7 @@ impl SimConfig {
     /// Attaches a composable adversary (see
     /// [`scenario`](crate::scenario)).
     #[must_use]
-    pub fn with_scenario(mut self, scenario: Arc<dyn Scenario>) -> Self {
+    pub fn with_scenario(mut self, scenario: Arc<ScenarioSpec>) -> Self {
         self.scenario = Some(scenario);
         self
     }
@@ -396,11 +383,7 @@ impl SimConfig {
             ("rng".to_owned(), Json::Str(self.rng.name().to_owned())),
             (
                 "scenario".to_owned(),
-                match &self.scenario {
-                    // Scenario specs are already canonical compact JSON.
-                    Some(s) => Json::parse(&s.spec_json()).unwrap_or(Json::Null),
-                    None => Json::Null,
-                },
+                self.scenario.as_ref().map_or(Json::Null, |s| s.to_json()),
             ),
             ("shards".to_owned(), Json::Num(self.shards as f64)),
         ])

@@ -98,5 +98,5 @@ pub use config::{FaultPlan, FaultPlanError, PropagationKernel, RngMode, SimConfi
 pub use metrics::Metrics;
 pub use model::{NetworkInfo, NodeStatus, Verdict};
 pub use process::{BeepingProcess, FnFactory, ProcessFactory};
-pub use scenario::{Delivery, Scenario, ScenarioSpec};
+pub use scenario::{Delivery, ScenarioSpec};
 pub use simulator::{NodeBits, RoundView, RunOutcome, Simulator, Stepper};

@@ -2,23 +2,21 @@
 //! primitives.
 //!
 //! [`FaultPlan`](crate::FaultPlan) injects two *uniform* perturbations
-//! (i.i.d. message loss and fixed wake rounds). The [`Scenario`] trait
+//! (i.i.d. message loss and fixed wake rounds). [`ScenarioSpec`]
 //! generalises it into a composable adversary that can shape **where** and
 //! **when** faults strike: per-edge loss rate distributions, message
 //! delays, wake-up staggering patterns (wavefront, bipartite-alternating,
 //! degree-targeted), and node churn (leave/re-join mid-run). The
 //! worst-case *search* over scenarios lives upstream in
-//! `mis_core::scenario`; this module owns the trait and the concrete
-//! [`ScenarioSpec`] implementation because the simulator in this crate
-//! must honour scenarios and `mis_core` depends on `mis_beeping`, not the
-//! other way round.
+//! `mis_core::scenario`; this module owns [`ScenarioSpec`] because the
+//! simulator in this crate must honour scenarios and `mis_core` depends on
+//! `mis_beeping`, not the other way round.
 //!
 //! # Determinism contract
 //!
-//! Every [`Scenario`] decision is a **pure function** of the scenario spec
-//! and the query coordinates — there is no hidden stream to consume in
-//! order. [`ScenarioSpec`] implements this with counter-style draws: each
-//! delivery fate is [`mix`]`(seed, from, to, round,
+//! Every [`ScenarioSpec`] decision is a **pure function** of the spec and
+//! the query coordinates — there is no hidden stream to consume in order.
+//! Each delivery fate is a counter draw, [`mix`]`(seed, from, to, round,
 //! exchange)`, so the answer for one edge never depends on how many
 //! other edges were queried first. That is what lets the bitset and scalar
 //! kernels and any `--jobs` count agree bit-for-bit under the same
@@ -30,8 +28,9 @@
 //! [`ScenarioSpec`] serialises to a canonical JSON object (see
 //! [`ScenarioSpec::to_json_string`]); `ScenarioSpec::from_json_str` parses
 //! it back to an equal spec. Two scenarios behave identically iff their
-//! canonical JSON is equal, which is exactly how
-//! [`SimConfig`](crate::SimConfig) compares them.
+//! canonical JSON is equal. [`SimConfig`](crate::SimConfig) embeds that
+//! JSON in its own canonical form, and configs and engines compare their
+//! scenarios by value ([`PartialEq`]).
 //!
 //! # Examples
 //!
@@ -46,15 +45,13 @@
 //! assert_eq!(spec, back);
 //! ```
 
-use std::sync::Arc;
-
 use mis_graph::NodeId;
 
 use crate::json::Json;
 use crate::rng::{mix, unit};
 
-/// Fate of one beep/message delivery over one directed edge, decided by a
-/// [`Scenario`].
+/// Fate of one beep/message delivery over one directed edge, decided by
+/// [`ScenarioSpec::delivery`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Delivery {
     /// Delivered within the exchange it was sent in (the reliable case).
@@ -65,70 +62,6 @@ pub enum Delivery {
     /// `round + d`. A delayed signal whose receiver is asleep, absent, or
     /// already decided at arrival is lost.
     Delayed(u32),
-}
-
-/// A composable deterministic adversary.
-///
-/// Implementations must be **pure**: the same query must always return the
-/// same answer, independent of query order or interleaving (the
-/// determinism contract in the [module docs](self)). All engines honour
-/// the same four entry points:
-///
-/// * [`wake_schedule`](Self::wake_schedule) — when each node wakes
-///   (merged with any [`FaultPlan`](crate::FaultPlan) wake rounds by
-///   taking the later of the two);
-/// * [`absent`](Self::absent) — churn: a node absent during a round is
-///   frozen (no sends, no receipt, no RNG draws, no decisions);
-/// * [`delivery`](Self::delivery) — the fate of each directed delivery;
-/// * [`perturbs_deliveries`](Self::perturbs_deliveries) /
-///   [`has_churn`](Self::has_churn) — capability flags that let the
-///   beeping [`Stepper`](crate::Stepper) keep its fast paths when a
-///   scenario only staggers wake-ups. `MessageSimulator` (in
-///   `mis_baselines`) runs every scenario, wake-only ones included, on its
-///   sequential reference loop.
-pub trait Scenario: Send + Sync + core::fmt::Debug {
-    /// The canonical JSON spec of this scenario. Equal spec strings must
-    /// imply identical behaviour; engines compare and persist scenarios
-    /// through this string (the replay format).
-    fn spec_json(&self) -> String;
-
-    /// Per-node wake rounds, given every node's degree (so degree-targeted
-    /// patterns can be computed). `0` means awake from round 0. Must
-    /// return one entry per node.
-    fn wake_schedule(&self, degrees: &[usize]) -> Vec<u32>;
-
-    /// Whether `node` is churned out (absent) during `round`.
-    fn absent(&self, node: NodeId, round: u32) -> bool {
-        let _ = (node, round);
-        false
-    }
-
-    /// Whether [`absent`](Self::absent) can ever return `true`. Engines
-    /// skip per-round churn bookkeeping when this is `false`.
-    fn has_churn(&self) -> bool {
-        false
-    }
-
-    /// The fate of the delivery `from → to` in `exchange` (0 or 1) of
-    /// `round`.
-    fn delivery(&self, from: NodeId, to: NodeId, round: u32, exchange: u32) -> Delivery;
-
-    /// Whether [`delivery`](Self::delivery) can ever return anything but
-    /// [`Delivery::OnTime`]. When `false` (and there is no churn), the
-    /// beeping [`Stepper`](crate::Stepper) keeps its fast propagation
-    /// kernels — a wake-only scenario costs it nothing per delivery.
-    fn perturbs_deliveries(&self) -> bool;
-}
-
-/// Scenario equality as the engines define it: both absent, or equal
-/// canonical JSON specs (pointer-equal `Arc`s short-circuit).
-#[must_use]
-pub fn scenario_eq(a: Option<&Arc<dyn Scenario>>, b: Option<&Arc<dyn Scenario>>) -> bool {
-    match (a, b) {
-        (None, None) => true,
-        (Some(a), Some(b)) => Arc::ptr_eq(a, b) || a.spec_json() == b.spec_json(),
-        _ => false,
-    }
 }
 
 /// How deliveries are dropped.
@@ -331,9 +264,27 @@ impl core::fmt::Display for ScenarioError {
 
 impl std::error::Error for ScenarioError {}
 
-/// The concrete, serialisable [`Scenario`]: a seed plus one model per
-/// adversary axis. This is the type the worst-case search mutates and the
-/// replay files record.
+/// A composable deterministic adversary: a seed plus one model per
+/// adversary axis. This is the type both simulator families honour, the
+/// worst-case search mutates and the replay files record.
+///
+/// Every answer is **pure**: the same query always returns the same
+/// answer, independent of query order or interleaving (the determinism
+/// contract in the [module docs](self)). All engines honour the same
+/// entry points:
+///
+/// * [`wake_schedule`](Self::wake_schedule) — when each node wakes
+///   (merged with any [`FaultPlan`](crate::FaultPlan) wake rounds by
+///   taking the later of the two);
+/// * [`absent`](Self::absent) — churn: a node absent during a round is
+///   frozen (no sends, no receipt, no RNG draws, no decisions);
+/// * [`delivery`](Self::delivery) — the fate of each directed delivery;
+/// * [`perturbs_deliveries`](Self::perturbs_deliveries) /
+///   [`has_churn`](Self::has_churn) — capability flags that let the
+///   beeping [`Stepper`](crate::Stepper) keep its fast paths when a
+///   scenario only staggers wake-ups. `MessageSimulator` (in
+///   `mis_baselines`) runs every scenario, wake-only ones included, on its
+///   sequential reference loop.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
     /// Master seed of every counter draw in this scenario. Independent of
@@ -575,7 +526,7 @@ impl ScenarioSpec {
     }
 
     /// [`to_json`](Self::to_json) rendered to text — the canonical spec
-    /// string ([`Scenario::spec_json`]) and the replay file payload.
+    /// string and the replay file payload.
     #[must_use]
     pub fn to_json_string(&self) -> String {
         self.to_json().render()
@@ -720,44 +671,11 @@ impl ScenarioSpec {
         Self::from_json(&doc)
     }
 
-    /// The per-node churn window of the `Random` model, if any — the pure
-    /// function behind [`absent`](Scenario::absent).
-    fn random_churn_window(&self, node: NodeId) -> Option<(u32, u32)> {
-        let ChurnModel::Random {
-            p,
-            max_len,
-            earliest,
-            latest,
-        } = &self.churn
-        else {
-            return None;
-        };
-        let pick = mix(self.seed, DOM_CHURN, u64::from(node), 0, 0);
-        if unit(pick) >= *p {
-            return None;
-        }
-        let span = u64::from(*latest - *earliest) + 1;
-        let start = earliest + (mix(self.seed, DOM_CHURN, u64::from(node), 1, 0) % span) as u32;
-        let len =
-            1 + (mix(self.seed, DOM_CHURN, u64::from(node), 2, 0) % u64::from(*max_len)) as u32;
-        Some((start, start + len))
-    }
-}
-
-fn kind(k: &str) -> (String, Json) {
-    ("kind".to_owned(), Json::Str(k.to_owned()))
-}
-
-fn num(name: &str, value: f64) -> (String, Json) {
-    (name.to_owned(), Json::Num(value))
-}
-
-impl Scenario for ScenarioSpec {
-    fn spec_json(&self) -> String {
-        self.to_json_string()
-    }
-
-    fn wake_schedule(&self, degrees: &[usize]) -> Vec<u32> {
+    /// Per-node wake rounds, given every node's degree (so degree-targeted
+    /// patterns can be computed). `0` means awake from round 0. Returns
+    /// one entry per node.
+    #[must_use]
+    pub fn wake_schedule(&self, degrees: &[usize]) -> Vec<u32> {
         let n = degrees.len();
         match &self.wake {
             WakePattern::None => vec![0; n],
@@ -795,7 +713,9 @@ impl Scenario for ScenarioSpec {
         }
     }
 
-    fn absent(&self, node: NodeId, round: u32) -> bool {
+    /// Whether `node` is churned out (absent) during `round`.
+    #[must_use]
+    pub fn absent(&self, node: NodeId, round: u32) -> bool {
         match &self.churn {
             ChurnModel::None => false,
             ChurnModel::Explicit { windows } => windows
@@ -807,7 +727,10 @@ impl Scenario for ScenarioSpec {
         }
     }
 
-    fn has_churn(&self) -> bool {
+    /// Whether [`absent`](Self::absent) can ever return `true`. Engines
+    /// skip per-round churn bookkeeping when this is `false`.
+    #[must_use]
+    pub fn has_churn(&self) -> bool {
         match &self.churn {
             ChurnModel::None => false,
             ChurnModel::Explicit { windows } => !windows.is_empty(),
@@ -815,7 +738,10 @@ impl Scenario for ScenarioSpec {
         }
     }
 
-    fn delivery(&self, from: NodeId, to: NodeId, round: u32, exchange: u32) -> Delivery {
+    /// The fate of the delivery `from → to` in `exchange` (0 or 1) of
+    /// `round`.
+    #[must_use]
+    pub fn delivery(&self, from: NodeId, to: NodeId, round: u32, exchange: u32) -> Delivery {
         // One counter per (edge, round, exchange); the loss and delay
         // draws live in distinct domains of the same counter.
         let slot = u64::from(round) * 2 + u64::from(exchange);
@@ -851,9 +777,45 @@ impl Scenario for ScenarioSpec {
         Delivery::OnTime
     }
 
-    fn perturbs_deliveries(&self) -> bool {
+    /// Whether [`delivery`](Self::delivery) can ever return anything but
+    /// [`Delivery::OnTime`]. When `false` (and there is no churn), the
+    /// beeping [`Stepper`](crate::Stepper) keeps its fast propagation
+    /// kernels — a wake-only scenario costs it nothing per delivery.
+    #[must_use]
+    pub fn perturbs_deliveries(&self) -> bool {
         self.loss.is_active() || self.delay.is_active()
     }
+
+    /// The per-node churn window of the `Random` model, if any — the pure
+    /// function behind [`absent`](Self::absent).
+    fn random_churn_window(&self, node: NodeId) -> Option<(u32, u32)> {
+        let ChurnModel::Random {
+            p,
+            max_len,
+            earliest,
+            latest,
+        } = &self.churn
+        else {
+            return None;
+        };
+        let pick = mix(self.seed, DOM_CHURN, u64::from(node), 0, 0);
+        if unit(pick) >= *p {
+            return None;
+        }
+        let span = u64::from(*latest - *earliest) + 1;
+        let start = earliest + (mix(self.seed, DOM_CHURN, u64::from(node), 1, 0) % span) as u32;
+        let len =
+            1 + (mix(self.seed, DOM_CHURN, u64::from(node), 2, 0) % u64::from(*max_len)) as u32;
+        Some((start, start + len))
+    }
+}
+
+fn kind(k: &str) -> (String, Json) {
+    ("kind".to_owned(), Json::Str(k.to_owned()))
+}
+
+fn num(name: &str, value: f64) -> (String, Json) {
+    (name.to_owned(), Json::Num(value))
 }
 
 #[cfg(test)]
@@ -1120,17 +1082,5 @@ mod tests {
         assert!(err.to_string().contains("quantum"));
         assert!(ScenarioSpec::from_json_str("[]").is_err());
         assert!(ScenarioSpec::from_json_str("{").is_err());
-    }
-
-    #[test]
-    fn scenario_eq_compares_specs() {
-        let a: Arc<dyn Scenario> = Arc::new(ScenarioSpec::uniform_loss(1, 0.1));
-        let b: Arc<dyn Scenario> = Arc::new(ScenarioSpec::uniform_loss(1, 0.1));
-        let c: Arc<dyn Scenario> = Arc::new(ScenarioSpec::uniform_loss(2, 0.1));
-        assert!(scenario_eq(Some(&a), Some(&a)));
-        assert!(scenario_eq(Some(&a), Some(&b)));
-        assert!(!scenario_eq(Some(&a), Some(&c)));
-        assert!(!scenario_eq(Some(&a), None));
-        assert!(scenario_eq(None, None));
     }
 }

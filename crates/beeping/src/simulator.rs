@@ -15,6 +15,7 @@
 //! through [`NodeBits`].
 
 use core::ops::{ControlFlow, Index};
+use std::sync::Arc;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -22,7 +23,7 @@ use rand::{Rng, SeedableRng};
 use mis_graph::{Graph, GraphView, NodeId};
 
 use crate::rng::{fault_stream_seed, loss_dropped, node_rng, round_seed};
-use crate::scenario::{Delivery, Scenario};
+use crate::scenario::{Delivery, ScenarioSpec};
 use crate::{
     BeepingProcess, Metrics, NetworkInfo, NodeStatus, ProcessFactory, PropagationKernel, RngMode,
     SimConfig, Verdict,
@@ -294,11 +295,7 @@ pub struct Stepper<'g, F: ProcessFactory, G: GraphView + ?Sized = Graph> {
     graph: &'g G,
     config: SimConfig,
     master_seed: u64,
-    // Which kernel actually runs (resolved once from the configuration;
-    // see `RunOutcome::kernel_used`), and the effective intra-run shard
-    // count for the bitset pull direction (1 = sequential).
-    kernel_used: PropagationKernel,
-    shards: usize,
+    propagation: Propagation,
     processes: Vec<F::Process>,
     status: Vec<NodeStatus>,
     // Per-node streams (stream mode only; empty under counter draws).
@@ -372,40 +369,36 @@ impl<'g, F: ProcessFactory, G: GraphView + ?Sized> Stepper<'g, F, G> {
             (0..n as NodeId).map(|v| node_rng(master_seed, v)).collect()
         };
         let fault_rng = SmallRng::seed_from_u64(fault_stream_seed(master_seed));
-        // Resolve which kernel actually runs. The scenario reference path
-        // (delivery perturbation or churn) is scalar by definition, and
-        // stream-mode loss draws must consume the fault RNG in the scalar
+        // Resolve the propagation path once. A scenario that perturbs
+        // deliveries or churns takes the scenario reference path; a
+        // wake-only one has acted above and keeps the fast kernels.
+        // Stream-mode loss draws must consume the fault RNG in the scalar
         // reference order; counter-mode loss draws are order-free, so a
-        // lossy bitset request is honoured.
+        // lossy bitset request is honoured. Sharding splits the bitset pull
+        // direction only, and only under counter draws.
+        let churn = config.scenario.as_ref().is_some_and(|s| s.has_churn());
         let lossy = config.faults.message_loss > 0.0;
-        let churn = config.scenario.as_deref().is_some_and(Scenario::has_churn);
-        let scenario_path = churn
-            || config
-                .scenario
-                .as_deref()
-                .is_some_and(Scenario::perturbs_deliveries);
-        let kernel_used = if scenario_path || (lossy && config.rng == RngMode::Stream) {
-            PropagationKernel::Scalar
-        } else {
-            config.kernel
-        };
-        // Sharding splits the bitset pull direction only; the scalar and
-        // scenario reference paths stay sequential regardless.
-        let shards = if config.rng == RngMode::Counter && kernel_used == PropagationKernel::Bitset {
-            match config.shards {
-                0 => crate::batch::auto_jobs(),
-                s => s,
+        let propagation = match &config.scenario {
+            Some(s) if churn || s.perturbs_deliveries() => Propagation::Scenario(Arc::clone(s)),
+            _ if config.kernel == PropagationKernel::Scalar
+                || (lossy && config.rng == RngMode::Stream) =>
+            {
+                Propagation::Scalar
             }
-        } else {
-            1
+            _ => Propagation::Bitset {
+                shards: match (config.rng, config.shards) {
+                    (RngMode::Stream, _) => 1,
+                    (RngMode::Counter, 0) => crate::batch::auto_jobs(),
+                    (RngMode::Counter, s) => s,
+                },
+            },
         };
         let mis_words = vec![0; if config.mis_keeps_beeping { words } else { 0 }];
         Self {
             graph,
             config,
             master_seed,
-            kernel_used,
-            shards,
+            propagation,
             processes,
             status,
             rngs,
@@ -485,9 +478,8 @@ impl<'g, F: ProcessFactory, G: GraphView + ?Sized> Stepper<'g, F, G> {
     }
 
     /// Propagates exchange `x`'s beeps (0 or 1) into its heard bits
-    /// through the kernel this run uses. `scenario` is `Some` only on the
-    /// scenario reference path (delivery perturbation or churn).
-    fn broadcast_exchange(&mut self, x: usize, scenario: Option<&dyn Scenario>, churn: bool) {
+    /// along the propagation path this run resolved at construction.
+    fn broadcast_exchange(&mut self, x: usize) {
         let loss = self.config.faults.message_loss;
         let lossy = loss > 0.0;
         let slot = u64::from(self.round) * 2 + x as u64;
@@ -508,37 +500,38 @@ impl<'g, F: ProcessFactory, G: GraphView + ?Sized> Stepper<'g, F, G> {
         let beeps = &self.beep_words[x];
         let heard = &mut self.heard_words[x];
         heard.fill(0);
-        if let Some(scenario) = scenario {
-            broadcast_scenario(
-                self.graph,
-                &self.status,
-                &self.away,
-                churn,
-                &mut drop,
-                scenario,
-                self.round,
-                x as u32,
-                beeps,
-                heard,
-                &mut self.pending[x],
-            );
-        } else if self.kernel_used == PropagationKernel::Bitset {
-            let counter_loss = match drop {
-                LossDraw::Counter(cl) => Some(cl),
-                _ => None,
-            };
-            let sleeping = self.next_sleeper < self.sleepers.len();
-            broadcast_bitset(
-                self.graph,
-                &self.status,
-                sleeping,
-                beeps,
-                heard,
-                counter_loss,
-                self.shards,
-            );
-        } else {
-            broadcast(self.graph, &self.status, &mut drop, beeps, heard);
+        match &self.propagation {
+            Propagation::Bitset { shards } => {
+                let counter_loss = match drop {
+                    LossDraw::Counter(cl) => Some(cl),
+                    _ => None,
+                };
+                let sleeping = self.next_sleeper < self.sleepers.len();
+                broadcast_bitset(
+                    self.graph,
+                    &self.status,
+                    sleeping,
+                    beeps,
+                    heard,
+                    counter_loss,
+                    *shards,
+                );
+            }
+            Propagation::Scalar => broadcast(self.graph, &self.status, &mut drop, beeps, heard),
+            Propagation::Scenario(spec) => {
+                let round = self.round;
+                broadcast_scenario(
+                    self.graph,
+                    &self.status,
+                    &self.away,
+                    &mut drop,
+                    |from, to| spec.delivery(from, to, round, x as u32),
+                    round,
+                    beeps,
+                    heard,
+                    &mut self.pending[x],
+                );
+            }
         }
     }
 
@@ -549,24 +542,8 @@ impl<'g, F: ProcessFactory, G: GraphView + ?Sized> Stepper<'g, F, G> {
             return;
         }
         let round = self.round;
-        // Scenario capability flags: a wake-only scenario costs nothing
-        // here and keeps the fast kernels; delivery perturbation or churn
-        // switches to the scalar scenario reference path.
-        let scenario = self.config.scenario.clone();
-        let churn = scenario.as_deref().is_some_and(Scenario::has_churn);
-        let scenario_path = churn
-            || scenario
-                .as_deref()
-                .is_some_and(Scenario::perturbs_deliveries);
-        let scenario_ref = if scenario_path {
-            scenario.as_deref()
-        } else {
-            None
-        };
-        // Which kernel runs was resolved at construction (scenario paths
-        // are scalar; stream-mode lossy runs are scalar; counter-mode
-        // lossy bitset is legal because the loss draws are pure).
-        debug_assert!(!scenario_path || self.kernel_used == PropagationKernel::Scalar);
+        // Only a churning scenario allocates the absence scratch.
+        let churn = !self.away.is_empty();
         let counter = self.config.rng == RngMode::Counter;
 
         self.wake_sleepers();
@@ -574,10 +551,9 @@ impl<'g, F: ProcessFactory, G: GraphView + ?Sized> Stepper<'g, F, G> {
         // Churn: mark who is absent this round. An absent node is frozen —
         // it neither beeps nor hears, draws no randomness, and makes no
         // decisions until its window ends.
-        if churn {
-            let s = scenario.as_deref().expect("churn implies a scenario");
+        if let Propagation::Scenario(spec) = &self.propagation {
             for (v, away) in self.away.iter_mut().enumerate() {
-                *away = s.absent(v as NodeId, round);
+                *away = spec.absent(v as NodeId, round);
             }
         }
 
@@ -611,7 +587,7 @@ impl<'g, F: ProcessFactory, G: GraphView + ?Sized> Stepper<'g, F, G> {
             put_bit(&mut self.beep_words[0], vi, beeped);
         }
         self.add_heartbeats(0, churn);
-        self.broadcast_exchange(0, scenario_ref, churn);
+        self.broadcast_exchange(0);
 
         // Exchange 2: join announcements (plus optional MIS heartbeats).
         self.beep_words[1].fill(0);
@@ -624,7 +600,7 @@ impl<'g, F: ProcessFactory, G: GraphView + ?Sized> Stepper<'g, F, G> {
             put_bit(&mut self.beep_words[1], vi, announced);
         }
         self.add_heartbeats(1, churn);
-        self.broadcast_exchange(1, scenario_ref, churn);
+        self.broadcast_exchange(1);
 
         // Decisions and metric accounting. The frontier compacts in place,
         // so it stays ascending.
@@ -714,10 +690,10 @@ impl<'g, F: ProcessFactory, G: GraphView + ?Sized> Stepper<'g, F, G> {
     pub fn finish(self) -> RunOutcome {
         RunOutcome {
             terminated: self.remaining() == 0,
+            kernel_used: self.kernel_used(),
             statuses: self.status,
             rounds: self.round,
             metrics: self.metrics,
-            kernel_used: self.kernel_used,
         }
     }
 
@@ -725,7 +701,10 @@ impl<'g, F: ProcessFactory, G: GraphView + ?Sized> Stepper<'g, F, G> {
     /// [`RunOutcome::kernel_used`]).
     #[must_use]
     pub fn kernel_used(&self) -> PropagationKernel {
-        self.kernel_used
+        match self.propagation {
+            Propagation::Bitset { .. } => PropagationKernel::Bitset,
+            Propagation::Scalar | Propagation::Scenario(_) => PropagationKernel::Scalar,
+        }
     }
 }
 
@@ -759,6 +738,19 @@ fn for_each_set_bit(words: &[u64], mut f: impl FnMut(usize)) {
             bits &= bits - 1;
         }
     }
+}
+
+/// How a run propagates beeps, resolved once when its [`Stepper`] is
+/// built (see [`Stepper::kernel_used`]).
+enum Propagation {
+    /// The packed bitset kernel, its pull direction split across `shards`
+    /// scoped workers (1 = sequential).
+    Bitset { shards: usize },
+    /// The scalar reference kernel.
+    Scalar,
+    /// The scalar scenario reference path, for a spec that perturbs
+    /// deliveries or churns.
+    Scenario(Arc<ScenarioSpec>),
 }
 
 /// Per-delivery drop decision for one exchange, shared by the scalar and
@@ -821,9 +813,11 @@ fn broadcast<G: GraphView + ?Sized>(
     });
 }
 
-/// The scenario reference path: like [`broadcast`], but each delivery's
-/// fate is additionally decided by the [`Scenario`] — dropped, delayed, or
-/// on time — and absent (churned-out) nodes neither send nor hear.
+/// The scenario reference path: like [`broadcast`], but `fate(from, to)`
+/// (the scenario's [`ScenarioSpec::delivery`] in this exchange) also
+/// decides each delivery — on time, dropped or delayed — and absent
+/// (churned-out) nodes neither send nor hear. `away` is empty when the
+/// scenario does not churn.
 ///
 /// Delayed deliveries are parked in `pending` as `(arrival round,
 /// receiver)` and drained at the top of the same exchange slot of their
@@ -836,15 +830,14 @@ fn broadcast_scenario<G: GraphView + ?Sized>(
     graph: &G,
     status: &[NodeStatus],
     away: &[bool],
-    churn: bool,
     drop: &mut LossDraw<'_>,
-    scenario: &dyn Scenario,
+    fate: impl Fn(NodeId, NodeId) -> Delivery,
     round: u32,
-    exchange: u32,
     beeps: &[u64],
     heard: &mut [u64],
     pending: &mut Vec<(u32, NodeId)>,
 ) {
+    let churn = !away.is_empty();
     for_each_set_bit(beeps, |v| {
         graph.for_each_neighbor(v as NodeId, |u| {
             let ui = u as usize;
@@ -855,7 +848,7 @@ fn broadcast_scenario<G: GraphView + ?Sized>(
             if drop.dropped(v as NodeId, u) {
                 return;
             }
-            match scenario.delivery(v as NodeId, u, round, exchange) {
+            match fate(v as NodeId, u) {
                 Delivery::OnTime => set_bit(heard, ui),
                 Delivery::Dropped => {}
                 Delivery::Delayed(d) => pending.push((round + d.max(1), u)),

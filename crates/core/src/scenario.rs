@@ -1,14 +1,13 @@
 //! Worst-case adversary search over the scenario engine.
 //!
-//! The primitives — the [`Scenario`] trait, the concrete serialisable
-//! [`ScenarioSpec`], and its loss/delay/wake/churn models — live in
-//! [`mis_beeping::scenario`] (the simulator must honour them, and this
-//! crate sits above the simulator); this module re-exports them and adds
-//! the *search*: [`AdversarySchedule`] mutates scenario specs across
-//! generations, evaluates each candidate over a batch of runs through the
-//! ordinary [`RunPlan`] work-stealing path, and keeps the fittest —
-//! maximising either rounds-to-MIS or MIS-safety violations at a fixed
-//! loss budget.
+//! The primitives — the serialisable [`ScenarioSpec`] and its
+//! loss/delay/wake/churn models — live in [`mis_beeping::scenario`] (the
+//! simulator must honour them, and this crate sits above the simulator);
+//! this module re-exports them and adds the *search*:
+//! [`AdversarySchedule`] mutates scenario specs across generations,
+//! evaluates each candidate over a batch of runs through the ordinary
+//! [`RunPlan`] work-stealing path, and keeps the fittest — maximising
+//! either rounds-to-MIS or MIS-safety violations at a fixed loss budget.
 //!
 //! Everything is deterministic: candidate generation draws from
 //! [`SmallRng`]s seeded per generation from the search seed, every
@@ -45,8 +44,8 @@ use mis_beeping::{NodeStatus, RunOutcome, SimConfig};
 use mis_graph::GraphView;
 
 pub use mis_beeping::scenario::{
-    scenario_eq, ChurnModel, ChurnWindow, DelayModel, Delivery, LossModel, Scenario, ScenarioError,
-    ScenarioSpec, WakePattern,
+    ChurnModel, ChurnWindow, DelayModel, Delivery, LossModel, ScenarioError, ScenarioSpec,
+    WakePattern,
 };
 
 use crate::verify::check_mis;
@@ -317,10 +316,7 @@ impl AdversarySchedule {
         graph: &G,
         spec: ScenarioSpec,
     ) -> EvaluatedScenario {
-        let config = self
-            .config
-            .clone()
-            .with_scenario(Arc::new(spec.clone()) as Arc<dyn Scenario>);
+        let config = self.config.clone().with_scenario(Arc::new(spec.clone()));
         let outcomes = RunPlan::new(self.algorithm.clone(), self.eval_runs)
             .with_config(config)
             .with_master_seed(self.eval_seed)

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use beeping_mis::baselines::{LubyPriorityFactory, MessageSimulator};
 use beeping_mis::beeping::rng::trial_seed;
 use beeping_mis::beeping::scenario::{
-    ChurnModel, ChurnWindow, DelayModel, LossModel, Scenario, ScenarioSpec, WakePattern,
+    ChurnModel, ChurnWindow, DelayModel, LossModel, ScenarioSpec, WakePattern,
 };
 use beeping_mis::beeping::{FaultPlan, NodeStatus, SimConfig};
 use beeping_mis::core::{
@@ -164,7 +164,7 @@ fn scenario_config(spec: ScenarioSpec) -> SimConfig {
     SimConfig::default()
         .with_max_rounds(10_000)
         .with_mis_keeps_beeping(true)
-        .with_scenario(Arc::new(spec) as Arc<dyn Scenario>)
+        .with_scenario(Arc::new(spec))
 }
 
 /// A node that churns out *while in the MIS* is frozen, not removed: its
@@ -322,7 +322,7 @@ fn degenerate_graphs_survive_every_scenario_kind() {
             });
 
             let msg = MessageSimulator::new(g, &LubyPriorityFactory::new(), 1)
-                .with_scenario(Arc::new(spec.clone()) as Arc<dyn Scenario>)
+                .with_scenario(Arc::new(spec.clone()))
                 .run(100_000);
             assert!(
                 msg.terminated(),

@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use beeping_mis::baselines::{LubyPriorityFactory, MessageEngine};
 use beeping_mis::beeping::scenario::{
-    ChurnModel, DelayModel, LossModel, Scenario, ScenarioSpec, WakePattern,
+    ChurnModel, DelayModel, LossModel, ScenarioSpec, WakePattern,
 };
 use beeping_mis::beeping::SimConfig;
 use beeping_mis::core::{Algorithm, RunPlan};
@@ -77,7 +77,7 @@ fn beeping_config(spec: ScenarioSpec) -> SimConfig {
     SimConfig::default()
         .with_max_rounds(20_000)
         .with_mis_keeps_beeping(true)
-        .with_scenario(Arc::new(spec) as Arc<dyn Scenario>)
+        .with_scenario(Arc::new(spec))
 }
 
 proptest! {
@@ -159,7 +159,7 @@ proptest! {
         let engine = |s: ScenarioSpec| {
             MessageEngine::new(LubyPriorityFactory::new())
                 .with_max_rounds(100_000)
-                .with_scenario(Arc::new(s) as Arc<dyn Scenario>)
+                .with_scenario(Arc::new(s))
         };
         let original = RunPlan::for_engine(engine(spec.clone()), 3)
             .with_master_seed(master)

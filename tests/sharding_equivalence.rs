@@ -15,7 +15,7 @@ use std::sync::Arc;
 use beeping_mis::baselines::{LubyPriorityFactory, MessageEngine, MessageSimulator};
 use beeping_mis::beeping::scenario::LossModel;
 use beeping_mis::beeping::{
-    FaultPlan, PropagationKernel, RngMode, RunOutcome, Scenario, ScenarioSpec, SimConfig, Simulator,
+    FaultPlan, PropagationKernel, RngMode, RunOutcome, ScenarioSpec, SimConfig, Simulator,
 };
 use beeping_mis::core::{FeedbackFactory, RunPlan};
 use beeping_mis::graph::{generators, GraphView, LineGraphView};
@@ -146,7 +146,7 @@ fn sharded_runs_agree_on_derived_views() {
 fn sharded_scenario_runs_match_sequential_scenario_runs() {
     let g = generators::gnp(60, 0.15, &mut SmallRng::seed_from_u64(5));
     let spec = ScenarioSpec::new(13).with_loss(LossModel::Uniform { p: 0.2 });
-    let scenario: Arc<dyn Scenario> = Arc::new(spec);
+    let scenario: Arc<ScenarioSpec> = Arc::new(spec);
 
     let base = SimConfig::default()
         .with_rng_mode(RngMode::Counter)
