@@ -95,8 +95,16 @@ impl<F> MessageEngine<F> {
 
     /// Attaches a composable adversary that every run of this engine
     /// faces (see `mis_beeping::scenario`).
+    ///
+    /// # Panics
+    ///
+    /// Panics with the validator's message if
+    /// [`ScenarioSpec::validate`] rejects the spec.
     #[must_use]
     pub fn with_scenario(mut self, scenario: Arc<ScenarioSpec>) -> Self {
+        if let Err(e) = scenario.validate() {
+            panic!("{e}");
+        }
         self.scenario = Some(scenario);
         self
     }
@@ -267,6 +275,20 @@ mod tests {
         assert_eq!(with(1), with(1));
         assert_ne!(with(1), with(2));
         assert_ne!(with(1), a);
+    }
+
+    #[test]
+    #[should_panic(expected = "churn bounds are inverted")]
+    fn inverted_churn_window_is_rejected_on_attach() {
+        use mis_beeping::scenario::ChurnModel;
+
+        let spec = ScenarioSpec::new(0).with_churn(ChurnModel::Random {
+            p: 0.5,
+            max_len: 3,
+            earliest: 5,
+            latest: 1,
+        });
+        let _ = MessageEngine::new(LubyPriorityFactory::new()).with_scenario(Arc::new(spec));
     }
 
     #[test]

@@ -268,8 +268,16 @@ impl<'g, F: MessageFactory, G: GraphView + ?Sized> MessageSimulator<'g, F, G> {
     /// as the beeping algorithms. A run with a scenario always takes the
     /// sequential reference loop (see [`InboxStrategy::FreshVecs`]),
     /// regardless of the inbox strategy and the shard count.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the validator's message if
+    /// [`ScenarioSpec::validate`] rejects the spec.
     #[must_use]
     pub fn with_scenario(mut self, scenario: Arc<ScenarioSpec>) -> Self {
+        if let Err(e) = scenario.validate() {
+            panic!("{e}");
+        }
         self.scenario = Some(scenario);
         self
     }
@@ -1265,6 +1273,22 @@ mod tests {
             .with_scenario(Arc::new(spec))
             .run_sharded(10_000, 4);
         assert_eq!(sequential, sharded);
+    }
+
+    #[test]
+    #[should_panic(expected = "churn bounds are inverted")]
+    fn inverted_churn_window_is_rejected_on_attach() {
+        use mis_beeping::scenario::{ChurnModel, ScenarioSpec};
+
+        let g = generators::cycle(32);
+        let spec = ScenarioSpec::new(0).with_churn(ChurnModel::Random {
+            p: 0.5,
+            max_len: 3,
+            earliest: 5,
+            latest: 1,
+        });
+        let _ = MessageSimulator::new(&g, &crate::LubyPriorityFactory::new(), 0)
+            .with_scenario(Arc::new(spec));
     }
 
     #[test]

@@ -287,8 +287,17 @@ impl SimConfig {
 
     /// Attaches a composable adversary (see
     /// [`scenario`](crate::scenario)).
+    ///
+    /// # Panics
+    ///
+    /// Panics with the validator's message if
+    /// [`ScenarioSpec::validate`] rejects the spec (a probability NaN or
+    /// outside `[0, 1]`, an inverted range, or a zero count).
     #[must_use]
     pub fn with_scenario(mut self, scenario: Arc<ScenarioSpec>) -> Self {
+        if let Err(e) = scenario.validate() {
+            panic!("{e}");
+        }
         self.scenario = Some(scenario);
         self
     }
@@ -519,6 +528,26 @@ mod tests {
     #[should_panic(expected = "NaN")]
     fn nan_loss_probability_panics() {
         let _ = SimConfig::default().with_faults(loss_plan(f64::NAN));
+    }
+
+    #[test]
+    #[should_panic(expected = "churn.max_len must be at least 1")]
+    fn zero_length_scenario_churn_panics() {
+        use crate::scenario::ChurnModel;
+        let spec = ScenarioSpec::new(0).with_churn(ChurnModel::Random {
+            p: 0.5,
+            max_len: 0,
+            earliest: 0,
+            latest: 4,
+        });
+        let _ = SimConfig::default().with_scenario(Arc::new(spec));
+    }
+
+    #[test]
+    #[should_panic(expected = "loss.p must be a probability in [0, 1], got NaN")]
+    fn nan_scenario_loss_panics() {
+        let spec = ScenarioSpec::uniform_loss(0, f64::NAN);
+        let _ = SimConfig::default().with_scenario(Arc::new(spec));
     }
 
     #[test]

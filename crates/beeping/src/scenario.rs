@@ -285,6 +285,11 @@ impl std::error::Error for ScenarioError {}
 ///   scenario only staggers wake-ups. `MessageSimulator` (in
 ///   `mis_baselines`) runs every scenario, wake-only ones included, on its
 ///   sequential reference loop.
+///
+/// The `with_*` builders do not validate. Every attach point —
+/// [`SimConfig::with_scenario`](crate::SimConfig::with_scenario) and the
+/// `with_scenario` builders of `MessageSimulator` and `MessageEngine` —
+/// calls [`validate`](Self::validate) and panics on a bad spec.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
     /// Master seed of every counter draw in this scenario. Independent of
