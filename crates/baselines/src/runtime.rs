@@ -16,10 +16,11 @@
 //!   one scoped thread per range for
 //!   [`run_sharded`](MessageSimulator::run_sharded);
 //! * the **reference loop** ([`InboxStrategy::FreshVecs`], and every run
-//!   with a [`ScenarioSpec`]) collects a fresh `Vec` inbox per receiver, each
-//!   delivery gated by the scenario, with sleepers, churn and delayed
-//!   messages. A reliable run is the scenario in which every delivery is
-//!   on time; the equivalence suites compare the arena loop against it.
+//!   with a [`ScenarioSpec`]) collects a fresh `Vec` inbox per receiver,
+//!   each delivery gated by the scenario, with sleepers, churn and
+//!   delayed messages. A reliable run is the scenario in which every
+//!   delivery is on time; the equivalence suites compare the arena loop
+//!   against it.
 //!
 //! # Delivery order
 //!

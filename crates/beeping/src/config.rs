@@ -534,6 +534,7 @@ mod tests {
     #[should_panic(expected = "churn.max_len must be at least 1")]
     fn zero_length_scenario_churn_panics() {
         use crate::scenario::ChurnModel;
+
         let spec = ScenarioSpec::new(0).with_churn(ChurnModel::Random {
             p: 0.5,
             max_len: 0,
