@@ -1,12 +1,16 @@
 //! Intra-run sharding is invisible in the results.
 //!
-//! Counter-mode draws are pure functions of `(master seed, node, round)`
-//! — or `(sender, receiver, slot)` for loss — so splitting a run across
-//! worker threads cannot change what any node sees. This suite pins that
-//! contract end to end: sharded runs must be bit-identical to sequential
-//! runs for every shard count, on both simulator families (beeping and
-//! message-passing), under both propagation kernels, on base graphs and
-//! lazy derived views, with and without an adversarial scenario — and the
+//! Sharding splits only the bitset kernel's pull direction, which draws
+//! no randomness: every listener ORs the beeps that reach it. Process
+//! draws come from per-node streams in stream mode and are pure functions
+//! of `(master seed, node, round)` in counter mode, and counter loss draws
+//! are pure in `(sender, receiver, slot)`, so splitting a run across
+//! worker threads cannot change what any node sees in either RNG mode.
+//! This suite pins that contract end to end: sharded runs must be
+//! bit-identical to sequential runs for every shard count, on both
+//! simulator families (beeping and message-passing), under both
+//! propagation kernels and both RNG modes, on base graphs and lazy
+//! derived views, with and without an adversarial scenario — and the
 //! counter-mode bitset kernel must agree with the scalar reference on
 //! lossy runs (the configuration that used to fall back silently).
 
@@ -208,6 +212,44 @@ fn sharded_plans_match_sequential_plans() {
     for shards in [2, 4, 7, 0] {
         assert_eq!(beeping(shards).records(), beeping_reference.records());
         assert_eq!(message(shards).records(), message_reference.records());
+    }
+}
+
+/// Stream-mode bitset runs shard too: the pull draws nothing, so every
+/// shard count reproduces the unsharded stream run, with and without
+/// sleeping listeners in the pull.
+#[test]
+fn stream_mode_sharded_runs_match_sequential() {
+    let gnp = generators::gnp(300, 0.05, &mut SmallRng::seed_from_u64(17));
+    let grid = generators::grid2d(20, 20);
+    for (name, g) in [("gnp", &gnp), ("grid", &grid)] {
+        let n = g.node_count() as u32;
+        for wake_rounds in [Vec::new(), (0..n).map(|v| v % 5).collect()] {
+            let base = SimConfig::default().with_faults(FaultPlan {
+                message_loss: 0.0,
+                wake_rounds,
+            });
+            assert_eq!(base.rng, RngMode::Stream);
+            let reference = feedback_run(g, 5, base.clone());
+            for shards in SHARD_SWEEP {
+                // Struct update, so no builder can switch the RNG mode.
+                let sharded = feedback_run(
+                    g,
+                    5,
+                    SimConfig {
+                        shards,
+                        ..base.clone()
+                    },
+                );
+                assert_eq!(sharded.kernel_used(), PropagationKernel::Bitset);
+                assert_eq!(
+                    sharded,
+                    reference,
+                    "{name} (sleepers: {}) changed at {shards} shard(s)",
+                    !base.faults.wake_rounds.is_empty()
+                );
+            }
+        }
     }
 }
 
