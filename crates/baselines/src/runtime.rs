@@ -41,17 +41,20 @@
 //! # Intra-run sharding
 //!
 //! [`MessageSimulator::run_sharded`] splits each per-node pass of the
-//! arena loop across worker threads by receiver range. A sparse sub-round
-//! is pushed into the arena sequentially first; in a dense one each worker
-//! pulls its receivers' inboxes from the shared outbox of the previous
-//! sub-round. Because per-node draws come from per-node streams and a
-//! receiver's pass never touches another's state, the sharded run is
+//! arena loop across worker threads by receiver range, through
+//! [`mis_beeping::batch::over_ranges`] (the helper the beeping `Stepper`
+//! also shards its bitset pull with). A sparse sub-round is pushed into
+//! the arena sequentially first; in a dense one each worker pulls its
+//! receivers' inboxes from the shared outbox of the previous sub-round.
+//! Because per-node draws come from per-node streams and a receiver's
+//! pass never touches another's state, the sharded run is
 //! **bit-identical** to the sequential run for every shard count.
 
 use std::sync::Arc;
 
 use rand::rngs::SmallRng;
 
+use mis_beeping::batch::over_ranges;
 use mis_beeping::rng::node_rng;
 use mis_beeping::scenario::{Delivery, ScenarioSpec};
 use mis_beeping::{NetworkInfo, NodeStatus, Verdict};
@@ -380,7 +383,6 @@ impl<'g, F: MessageFactory, G: GraphView + ?Sized> MessageSimulator<'g, F, G> {
                             None
                         };
                     }
-                    Tally::default()
                 },
             );
 
@@ -412,7 +414,9 @@ impl<'g, F: MessageFactory, G: GraphView + ?Sized> MessageSimulator<'g, F, G> {
                     }
                     tally
                 },
-            );
+            )
+            .into_iter()
+            .sum();
 
             // Decisions from the second inboxes.
             let inboxes = deliver::<F, G>(
@@ -423,7 +427,7 @@ impl<'g, F: MessageFactory, G: GraphView + ?Sized> MessageSimulator<'g, F, G> {
                 (&mut arena, &mut spans, &mut cursors),
                 &mut total,
             );
-            let decided = over_ranges(
+            let decided: Tally = over_ranges(
                 self.processes
                     .chunks_mut(chunk)
                     .zip(self.status.chunks_mut(chunk))
@@ -440,7 +444,9 @@ impl<'g, F: MessageFactory, G: GraphView + ?Sized> MessageSimulator<'g, F, G> {
                     }
                     tally
                 },
-            );
+            )
+            .into_iter()
+            .sum();
             remaining -= decided.decided;
             total += decided;
             rounds += 1;
@@ -614,42 +620,20 @@ impl std::ops::AddAssign for Tally {
     }
 }
 
+impl std::iter::Sum for Tally {
+    fn sum<I: Iterator<Item = Self>>(tallies: I) -> Self {
+        tallies.fold(Self::default(), |mut total, t| {
+            total += t;
+            total
+        })
+    }
+}
+
 /// A receiver range's reused pull inbox, aligned to a cache-line pair of
 /// its own: every push writes the `Vec`'s length, and ranges on different
 /// threads sharing a line would contend for it on every delivery.
 #[repr(align(128))]
 struct Scratch<M>(Vec<M>);
-
-/// Runs `pass(range index, range)` over every receiver range and sums the
-/// tallies: a single range inline on the calling thread, more ranges on
-/// one scoped thread each. A worker's panic resumes on the caller.
-fn over_ranges<I>(ranges: I, pass: impl Fn(usize, I::Item) -> Tally + Sync) -> Tally
-where
-    I: Iterator,
-    I::Item: Send,
-{
-    let mut ranges = ranges.enumerate().peekable();
-    let Some((c, first)) = ranges.next() else {
-        return Tally::default();
-    };
-    if ranges.peek().is_none() {
-        return pass(c, first);
-    }
-    std::thread::scope(|scope| {
-        let pass = &pass;
-        let handles: Vec<_> = std::iter::once((c, first))
-            .chain(ranges)
-            .map(|(c, range)| scope.spawn(move || pass(c, range)))
-            .collect();
-        let mut total = Tally::default();
-        for handle in handles {
-            total += handle
-                .join()
-                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-        }
-        total
-    })
-}
 
 /// Sender-density threshold for the arena delivery direction: with fewer
 /// than `active / PUSH_CROSSOVER` senders, push from each sender instead

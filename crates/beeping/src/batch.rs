@@ -1,4 +1,5 @@
-//! Seed derivation and the work-stealing scheduler for batches of runs.
+//! Seed derivation, the work-stealing scheduler for batches of runs, and
+//! the range helper that shards a single run.
 //!
 //! The paper's headline claims (`O(log n)` rounds w.h.p., `O(1)` expected
 //! beeps per node) are statistical, so every figure and theory check needs
@@ -9,7 +10,9 @@
 //! returns the results in index order, so a batch is **bit-identical
 //! regardless of the worker count** and matches a plain sequential
 //! [`Simulator::run`](crate::Simulator::run) per seed. `mis_core::RunPlan`
-//! runs a batch through both.
+//! runs a batch through both. Within one run, [`over_ranges`] gives each
+//! range of a per-node pass its own scoped thread; both simulators shard
+//! through it.
 //!
 //! # Examples
 //!
@@ -139,6 +142,45 @@ where
         .into_iter()
         .map(|slot| slot.expect("every index was claimed by a worker"))
         .collect()
+}
+
+/// Runs `pass(range index, range)` over every range and returns the
+/// results in range order: a single range inline on the calling thread,
+/// more ranges on one scoped thread each. A worker's panic resumes on the
+/// caller.
+///
+/// This is the intra-run sharding helper: the beeping
+/// [`Stepper`](crate::Stepper) splits its bitset pull across word ranges
+/// of its heard bits with it, and the message runtime splits each per-node
+/// pass across receiver ranges.
+pub fn over_ranges<I, T>(ranges: I, pass: impl Fn(usize, I::Item) -> T + Sync) -> Vec<T>
+where
+    I: Iterator,
+    I::Item: Send,
+    T: Send,
+{
+    let mut ranges = ranges.enumerate().peekable();
+    let Some((c, first)) = ranges.next() else {
+        return Vec::new();
+    };
+    if ranges.peek().is_none() {
+        return vec![pass(c, first)];
+    }
+    std::thread::scope(|scope| {
+        let pass = &pass;
+        let handles: Vec<_> = std::iter::once((c, first))
+            .chain(ranges)
+            .map(|(c, range)| scope.spawn(move || pass(c, range)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|handle| {
+                handle
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
+    })
 }
 
 #[cfg(test)]

@@ -102,13 +102,15 @@ impl FaultPlan {
 /// tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PropagationKernel {
-    /// Reference implementation: push from each beeping node, in
-    /// ascending id order, to its neighbours, one delivery at a time.
+    /// Reference implementation: the push direction on every exchange —
+    /// each beeping node, in ascending id order, delivers to its
+    /// neighbours one at a time.
     Scalar,
     /// Packed `u64` bitset kernel (the default): beeps live one bit per
     /// node, and each exchange picks push or pull direction from the beep
-    /// density — pulling walks the CSR adjacency word-at-a-time with an
-    /// early exit on the first beeping word.
+    /// density — pushing is the scalar kernel's loop, pulling walks the
+    /// CSR adjacency word-at-a-time with an early exit on the first
+    /// beeping word, split across [`SimConfig::shards`] workers.
     ///
     /// With [`RngMode::Counter`], the bitset kernel also runs lossy
     /// (`message_loss > 0`) configurations: counter-keyed loss draws are
@@ -163,8 +165,8 @@ pub enum RngMode {
     /// [`mix`](crate::rng::mix)`(master, domain, …)` keyed by its
     /// coordinates — `(node, round)` for process draws,
     /// `(sender, receiver, round, exchange)` for loss draws. Draw order is
-    /// irrelevant by construction, which legalises intra-run sharding
-    /// ([`SimConfig::shards`]) and the bitset kernel on lossy runs.
+    /// irrelevant by construction, which legalises the bitset kernel on
+    /// lossy runs.
     Counter,
 }
 
@@ -228,10 +230,10 @@ pub struct SimConfig {
     /// Intra-run shard count for the propagation phase: the bitset
     /// kernel's pull direction splits its listener range across this many
     /// scoped worker threads. `1` (the default) runs sequentially; `0`
-    /// means one shard per available core. Requires
-    /// [`RngMode::Counter`] to take effect (stream draws are
-    /// order-coupled), and the outcomes are bit-identical for every shard
-    /// count — `tests/sharding_equivalence.rs` pins this.
+    /// means one shard per available core. The pull consumes no RNG
+    /// stream, so this takes effect in either [`RngMode`], and the
+    /// outcomes are bit-identical for every shard count —
+    /// `tests/sharding_equivalence.rs` pins this.
     pub shards: usize,
     /// Optional composable adversary (defaults to none), shared so that
     /// cloning a per-run config stays O(1). A scenario layers on top of
@@ -323,15 +325,11 @@ impl SimConfig {
         self
     }
 
-    /// Sets the intra-run shard count (`0` = one shard per core) and,
-    /// for any value other than `1`, switches to [`RngMode::Counter`] —
-    /// sharding is only legal when draws are order-independent.
+    /// Sets the intra-run shard count (`0` = one shard per core). The
+    /// RNG mode is left alone: sharding never changes an outcome.
     #[must_use]
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards;
-        if shards != 1 {
-            self.rng = RngMode::Counter;
-        }
         self
     }
 
@@ -418,16 +416,14 @@ mod tests {
         let cfg = SimConfig::default().with_rng_mode(RngMode::Counter);
         assert_eq!(cfg.rng, RngMode::Counter);
         assert_eq!(cfg.shards, 1);
-        // Any shard count other than 1 implies counter draws.
-        let sharded = SimConfig::default().with_shards(4);
-        assert_eq!(sharded.shards, 4);
-        assert_eq!(sharded.rng, RngMode::Counter);
-        let auto = SimConfig::default().with_shards(0);
-        assert_eq!(auto.shards, 0);
-        assert_eq!(auto.rng, RngMode::Counter);
-        // shards = 1 is the sequential no-op and leaves the mode alone.
-        let seq = SimConfig::default().with_shards(1);
-        assert_eq!(seq.rng, RngMode::Stream);
+        // A shard count keeps whichever RNG mode the config has.
+        for mode in [RngMode::Stream, RngMode::Counter] {
+            for shards in [0, 1, 4] {
+                let cfg = SimConfig::default().with_rng_mode(mode).with_shards(shards);
+                assert_eq!(cfg.shards, shards);
+                assert_eq!(cfg.rng, mode);
+            }
+        }
     }
 
     #[test]
@@ -569,6 +565,7 @@ mod tests {
             .with_max_rounds(123)
             .with_mis_keeps_beeping(true)
             .with_kernel(PropagationKernel::Scalar)
+            .with_rng_mode(RngMode::Counter)
             .with_shards(3)
             .with_faults(FaultPlan {
                 message_loss: 0.25,

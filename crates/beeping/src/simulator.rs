@@ -22,6 +22,7 @@ use rand::{Rng, SeedableRng};
 
 use mis_graph::{Graph, GraphView, NodeId};
 
+use crate::batch::{auto_jobs, over_ranges};
 use crate::rng::{fault_stream_seed, loss_dropped, node_rng, round_seed};
 use crate::scenario::{Delivery, ScenarioSpec};
 use crate::{
@@ -374,8 +375,9 @@ impl<'g, F: ProcessFactory, G: GraphView + ?Sized> Stepper<'g, F, G> {
         // wake-only one has acted above and keeps the fast kernels.
         // Stream-mode loss draws must consume the fault RNG in the scalar
         // reference order; counter-mode loss draws are order-free, so a
-        // lossy bitset request is honoured. Sharding splits the bitset pull
-        // direction only, and only under counter draws.
+        // lossy bitset request is honoured. Sharding splits only the
+        // bitset pull direction, which consumes no RNG stream (its only
+        // draws are counter-keyed loss), so it holds in either RNG mode.
         let churn = config.scenario.as_ref().is_some_and(|s| s.has_churn());
         let lossy = config.faults.message_loss > 0.0;
         let propagation = match &config.scenario {
@@ -386,10 +388,9 @@ impl<'g, F: ProcessFactory, G: GraphView + ?Sized> Stepper<'g, F, G> {
                 Propagation::Scalar
             }
             _ => Propagation::Bitset {
-                shards: match (config.rng, config.shards) {
-                    (RngMode::Stream, _) => 1,
-                    (RngMode::Counter, 0) => crate::batch::auto_jobs(),
-                    (RngMode::Counter, s) => s,
+                shards: match config.shards {
+                    0 => auto_jobs(),
+                    s => s,
                 },
             },
         };
@@ -497,40 +498,64 @@ impl<'g, F: ProcessFactory, G: GraphView + ?Sized> Stepper<'g, F, G> {
                 loss,
             }
         };
+        let (graph, status) = (self.graph, &self.status[..]);
+        let sleeping = self.next_sleeper < self.sleepers.len();
         let beeps = &self.beep_words[x];
         let heard = &mut self.heard_words[x];
         heard.fill(0);
         match &self.propagation {
             Propagation::Bitset { shards } => {
-                let counter_loss = match drop {
-                    LossDraw::Counter(cl) => Some(cl),
-                    _ => None,
-                };
-                let sleeping = self.next_sleeper < self.sleepers.len();
-                broadcast_bitset(
-                    self.graph,
-                    &self.status,
-                    sleeping,
-                    beeps,
-                    heard,
-                    counter_loss,
-                    *shards,
-                );
+                let beepers: usize = beeps.iter().map(|w| w.count_ones() as usize).sum();
+                // A sparse exchange is pushed even when sharded: that is
+                // cheaper than any parallel pull over it.
+                if beepers == 0 {
+                    // Nothing beeped; nothing can be heard.
+                } else if beepers * PULL_CROSSOVER < status.len() {
+                    push(graph, status, sleeping, beeps, heard, drop);
+                } else {
+                    let loss = match drop {
+                        LossDraw::Counter(cl) => Some(cl),
+                        _ => None,
+                    };
+                    pull(graph, status, sleeping, beeps, heard, loss, *shards);
+                }
             }
-            Propagation::Scalar => broadcast(self.graph, &self.status, &mut drop, beeps, heard),
+            Propagation::Scalar => push(graph, status, sleeping, beeps, heard, drop),
             Propagation::Scenario(spec) => {
-                let round = self.round;
-                broadcast_scenario(
-                    self.graph,
-                    &self.status,
-                    &self.away,
-                    &mut drop,
-                    |from, to| spec.delivery(from, to, round, x as u32),
-                    round,
-                    beeps,
-                    heard,
-                    &mut self.pending[x],
-                );
+                // Sleepers are skipped by the push itself; absent nodes,
+                // the legacy loss draw and the scenario's verdict decide
+                // the rest, in that order. A delayed beep is parked as
+                // (arrival round, receiver) and not heard now.
+                let (round, away) = (self.round, &self.away[..]);
+                let churn = !away.is_empty();
+                let pending = &mut self.pending[x];
+                push_with(graph, status, sleeping, beeps, heard, |v, u| {
+                    if (churn && away[u as usize]) || drop.dropped(v, u) {
+                        return true;
+                    }
+                    match spec.delivery(v, u, round, x as u32) {
+                        Delivery::OnTime => false,
+                        Delivery::Dropped => true,
+                        Delivery::Delayed(d) => {
+                            pending.push((round + d.max(1), u));
+                            true
+                        }
+                    }
+                });
+                // Deliver the delayed beeps whose round has come (entries
+                // pushed above always arrive strictly later, so they
+                // survive); a receiver asleep or absent on arrival loses
+                // its beep.
+                pending.retain(|&(due, u)| {
+                    if due > round {
+                        return true;
+                    }
+                    let ui = u as usize;
+                    if status[ui] != NodeStatus::Asleep && !(churn && away[ui]) {
+                        set_bit(heard, ui);
+                    }
+                    false
+                });
             }
         }
     }
@@ -753,13 +778,16 @@ enum Propagation {
     Scenario(Arc<ScenarioSpec>),
 }
 
-/// Per-delivery drop decision for one exchange, shared by the scalar and
-/// scenario broadcast paths.
+/// How one exchange drops deliveries under the [`FaultPlan`] loss.
+/// [`push`] matches it once per exchange, outside the delivery loop; the
+/// scenario path asks [`dropped`](Self::dropped) per delivery.
+///
+/// [`FaultPlan`]: crate::FaultPlan
 enum LossDraw<'a> {
     /// Reliable network: nothing is dropped.
     None,
-    /// Stream mode: consume the shared fault stream in the scalar
-    /// reference order (one draw per non-asleep delivery).
+    /// Stream mode: consume the shared fault stream in the push order
+    /// (one draw per delivery to an awake listener).
     Stream { rng: &'a mut SmallRng, loss: f64 },
     /// Counter mode: a pure draw keyed by `(sender, receiver, slot)`.
     Counter(CounterLoss),
@@ -785,87 +813,57 @@ struct CounterLoss {
     loss: f64,
 }
 
-/// The scalar reference kernel: sets each node's `heard` bit (all zero on
-/// entry) to the OR of the beeps delivered to it from its neighbours,
-/// applying the per-delivery loss decision of `drop`.
-fn broadcast<G: GraphView + ?Sized>(
+/// Pushes each beep to the beeper's awake neighbours (`heard` all zero on
+/// entry), dropping deliveries as `drop` decides. The loss discipline is
+/// matched here, once, so each arm runs [`push_with`] with its own draw
+/// inlined.
+fn push<G: GraphView + ?Sized>(
     graph: &G,
     status: &[NodeStatus],
-    drop: &mut LossDraw<'_>,
+    sleeping: bool,
     beeps: &[u64],
     heard: &mut [u64],
+    drop: LossDraw<'_>,
 ) {
-    // Beepers ascending, then each beeper's neighbours ascending (the
-    // GraphView contract): a stream-mode loss draw consumes the fault RNG
-    // in exactly the CSR reference order (counter-mode draws are
-    // order-free anyway).
+    match drop {
+        LossDraw::None => push_with(graph, status, sleeping, beeps, heard, |_, _| false),
+        LossDraw::Stream { rng, loss } => {
+            push_with(graph, status, sleeping, beeps, heard, |_, _| {
+                rng.random_bool(loss)
+            });
+        }
+        LossDraw::Counter(cl) => push_with(graph, status, sleeping, beeps, heard, |v, u| {
+            loss_dropped(cl.master, v, u, cl.slot, cl.loss)
+        }),
+    }
+}
+
+/// The one push loop, shared by the scalar kernel, the bitset kernel's
+/// sparse direction and the scenario path: for each beeper ascending, and
+/// each of its neighbours ascending (the [`GraphView`] contract), sets the
+/// neighbour's `heard` bit unless it is asleep or `dropped(from, to)` says
+/// the beep does not arrive now. `sleeping` says whether any node is
+/// still asleep. The fixed order is what lets a stream-mode loss draw
+/// consume the fault RNG reproducibly.
+#[inline]
+fn push_with<G: GraphView + ?Sized>(
+    graph: &G,
+    status: &[NodeStatus],
+    sleeping: bool,
+    beeps: &[u64],
+    heard: &mut [u64],
+    mut dropped: impl FnMut(NodeId, NodeId) -> bool,
+) {
     for_each_set_bit(beeps, |v| {
         graph.for_each_neighbor(v as NodeId, |u| {
             // Sleeping nodes hear nothing.
-            if status[u as usize] == NodeStatus::Asleep {
+            if sleeping && status[u as usize] == NodeStatus::Asleep {
                 return;
             }
-            if drop.dropped(v as NodeId, u) {
-                return;
-            }
-            set_bit(heard, u as usize);
-        });
-    });
-}
-
-/// The scenario reference path: like [`broadcast`], but `fate(from, to)`
-/// (the scenario's [`ScenarioSpec::delivery`] in this exchange) also
-/// decides each delivery — on time, dropped or delayed — and absent
-/// (churned-out) nodes neither send nor hear. `away` is empty when the
-/// scenario does not churn.
-///
-/// Delayed deliveries are parked in `pending` as `(arrival round,
-/// receiver)` and drained at the top of the same exchange slot of their
-/// arrival round; a delayed beep whose receiver is asleep or absent on
-/// arrival is lost. Legacy `FaultPlan` loss draws are decided first (in
-/// reference order for a stream-mode `drop`), so a scenario composes with
-/// `message_loss` exactly as the scalar kernel defines it.
-#[allow(clippy::too_many_arguments)]
-fn broadcast_scenario<G: GraphView + ?Sized>(
-    graph: &G,
-    status: &[NodeStatus],
-    away: &[bool],
-    drop: &mut LossDraw<'_>,
-    fate: impl Fn(NodeId, NodeId) -> Delivery,
-    round: u32,
-    beeps: &[u64],
-    heard: &mut [u64],
-    pending: &mut Vec<(u32, NodeId)>,
-) {
-    let churn = !away.is_empty();
-    for_each_set_bit(beeps, |v| {
-        graph.for_each_neighbor(v as NodeId, |u| {
-            let ui = u as usize;
-            // Sleeping and absent nodes hear nothing.
-            if status[ui] == NodeStatus::Asleep || (churn && away[ui]) {
-                return;
-            }
-            if drop.dropped(v as NodeId, u) {
-                return;
-            }
-            match fate(v as NodeId, u) {
-                Delivery::OnTime => set_bit(heard, ui),
-                Delivery::Dropped => {}
-                Delivery::Delayed(d) => pending.push((round + d.max(1), u)),
+            if !dropped(v as NodeId, u) {
+                set_bit(heard, u as usize);
             }
         });
-    });
-    // Deliver the delayed beeps whose round has come (entries pushed above
-    // always have a strictly later arrival round, so they survive).
-    pending.retain(|&(due, u)| {
-        if due > round {
-            return true;
-        }
-        let ui = u as usize;
-        if status[ui] != NodeStatus::Asleep && !(churn && away[ui]) {
-            set_bit(heard, ui);
-        }
-        false
     });
 }
 
@@ -949,83 +947,30 @@ fn pull_heard_words<G: GraphView + ?Sized>(
     }
 }
 
-/// The bitset propagation kernel: computes the same heard bits as
-/// [`broadcast`] (`heard_words` all zero on entry), on packed `u64`
-/// words, optionally applying counter-keyed per-delivery loss (`loss`) and
-/// splitting the work across `shards` scoped worker threads. `sleeping`
-/// says whether any node is still asleep.
-///
-/// The direction is chosen per exchange from the beep density:
-///
-/// * **pull** (dense beeps) — every awake node walks its sorted CSR
-///   neighbour list word-at-a-time, folding the neighbours that share a
-///   `u64` word into one mask, and stops at the first word that intersects
-///   the beep bitset. When half the network beeps, the expected scan is a
-///   couple of words regardless of degree.
-/// * **push** (sparse beeps) — scan the beep words, skip zero words whole,
-///   and OR each beeper's neighbour bits into the heard bitset, skipping
-///   asleep listeners.
-///
-/// The density heuristic picks the direction first; sharding then only
-/// applies to the pull direction, whose per-listener gather writes only
-/// the listener's own bit (so word-aligned listener ranges shard without
-/// synchronisation). Counter loss draws are pure in `(sender, receiver,
-/// slot)`, so the early exit, the evaluation order, and the direction are
-/// all free: both directions produce identical results, and mixing them
-/// across configurations never changes an outcome.
-fn broadcast_bitset<G: GraphView + ?Sized>(
+/// The bitset kernel's pull direction (dense beeps): computes the same
+/// heard bits as [`push`] by letting every awake listener scan its own
+/// neighbours word-at-a-time ([`pull_heard_words`]); when half the network
+/// beeps, the expected scan is a couple of words regardless of degree.
+/// Each listener writes only its own bit, so with `shards > 1` every
+/// scoped worker fills its own word range of `heard` in place. Counter
+/// loss draws are pure in `(sender, receiver, slot)`, so the direction and
+/// the split never change a bit.
+fn pull<G: GraphView + ?Sized>(
     graph: &G,
     status: &[NodeStatus],
     sleeping: bool,
-    beep_words: &[u64],
-    heard_words: &mut [u64],
+    beeps: &[u64],
+    heard: &mut [u64],
     loss: Option<CounterLoss>,
     shards: usize,
 ) {
-    let n = graph.node_count();
-    let beepers: usize = beep_words.iter().map(|w| w.count_ones() as usize).sum();
-    let words = heard_words.len();
-    let shards = shards.min(words);
-    if beepers == 0 {
-        // Nothing beeped; nothing can be heard.
-    } else if beepers * PULL_CROSSOVER < n {
-        // Push: walk set bits of the beep words, OR neighbour bits in.
-        // Counter loss draws are direction-free (pure in (sender,
-        // receiver, slot)), so pushing stays bit-identical to pulling —
-        // sharded configurations take this branch too, because pushing a
-        // sparse exchange is cheaper than any parallel pull over it.
-        for_each_set_bit(beep_words, |v| {
-            graph.for_each_neighbor(v as NodeId, |u| {
-                // Sleeping nodes hear nothing.
-                if sleeping && status[u as usize] == NodeStatus::Asleep {
-                    return;
-                }
-                if let Some(cl) = loss {
-                    if loss_dropped(cl.master, v as NodeId, u, cl.slot, cl.loss) {
-                        return;
-                    }
-                }
-                set_bit(heard_words, u as usize);
-            });
-        });
-    } else if shards > 1 {
-        // Sharded pull over word-aligned listener chunks: each worker
-        // computes its own output words, merged back by index.
-        let chunk_words = words.div_ceil(shards);
-        let chunks = words.div_ceil(chunk_words);
-        let parts: Vec<Vec<u64>> = crate::batch::parallel_indexed_map(chunks, shards, |c| {
-            let lo = c * chunk_words;
-            let hi = ((c + 1) * chunk_words).min(words);
-            let mut out = vec![0u64; hi - lo];
-            pull_heard_words(graph, status, sleeping, beep_words, loss, lo, &mut out);
-            out
-        });
-        for (c, part) in parts.into_iter().enumerate() {
-            let lo = c * chunk_words;
-            heard_words[lo..lo + part.len()].copy_from_slice(&part);
-        }
+    if shards <= 1 {
+        pull_heard_words(graph, status, sleeping, beeps, loss, 0, heard);
     } else {
-        pull_heard_words(graph, status, sleeping, beep_words, loss, 0, heard_words);
+        let chunk_words = heard.len().div_ceil(shards);
+        over_ranges(heard.chunks_mut(chunk_words), |c, out| {
+            pull_heard_words(graph, status, sleeping, beeps, loss, c * chunk_words, out);
+        });
     }
 }
 

@@ -477,9 +477,12 @@ fn parse_config(j: Option<&Json>) -> Result<SimConfig, RequestError> {
                 "shards must be in 1..={MAX_SHARDS}"
             )));
         }
-        // with_shards(≠1) also forces counter-mode draws, the only
-        // discipline under which sharding is legal.
-        config = config.with_shards(shards as usize);
+        config.shards = shards as usize;
+        // A sharded request without an explicit rng has always run on
+        // counter draws; keep that, so its key and payload hold.
+        if shards != 1 && j.get("rng").is_none() {
+            config.rng = RngMode::Counter;
+        }
     }
     if let Some(keep) = j.get("mis_keeps_beeping") {
         config.mis_keeps_beeping = keep
@@ -662,6 +665,9 @@ mod tests {
             r#"{"graph": {"generator": "cycle", "n": 8},
                 "algorithm": {"family": "feedback"}, "seed": "3", "runs": 4,
                 "config": {"shards": 2}}"#,
+            r#"{"graph": {"generator": "cycle", "n": 8},
+                "algorithm": {"family": "feedback"}, "seed": "3", "runs": 4,
+                "config": {"rng": "stream", "shards": 2}}"#,
             r#"{"graph": {"generator": "cycle", "n": 8},
                 "algorithm": {"family": "feedback"}, "seed": "3", "runs": 4,
                 "config": {"max_rounds": 99}}"#,

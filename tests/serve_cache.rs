@@ -201,6 +201,16 @@ fn beeping_shard_counts_get_distinct_keys_but_identical_payloads() {
     assert_ne!(ack1.get("key"), ack4.get("key"));
     assert_eq!(ack4.get("cached"), Some(&Json::Bool(false)));
     assert_eq!(result_bytes(&line1), result_bytes(&line4));
+    // An explicit stream rng survives a shard count: the sharded stream
+    // run reproduces the unsharded default run under its own key.
+    let stream_two = BASE.replace(
+        "\"runs\": 4",
+        "\"runs\": 4, \"config\": {\"rng\": \"stream\", \"shards\": 2}",
+    );
+    let (ack_base, line_base) = run_raw(&mut c, &base_request());
+    let (ack2, line2) = run_raw(&mut c, &Json::parse(&stream_two).unwrap());
+    assert_ne!(ack_base.get("key"), ack2.get("key"));
+    assert_eq!(result_bytes(&line_base), result_bytes(&line2));
     handle.stop();
 }
 
