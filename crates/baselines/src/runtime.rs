@@ -1277,6 +1277,26 @@ mod tests {
     }
 
     #[test]
+    fn churn_window_ending_past_the_last_round_saturates() {
+        use mis_beeping::scenario::{ChurnModel, ScenarioSpec};
+
+        // Every node's absence would end past `u32::MAX`; it starts long
+        // after a 50-round run ends, so the run matches the reliable one.
+        let g = generators::cycle(32);
+        let spec = ScenarioSpec::new(0).with_churn(ChurnModel::Random {
+            p: 1.0,
+            max_len: 10,
+            earliest: u32::MAX - 2,
+            latest: u32::MAX,
+        });
+        let factory = crate::LubyPriorityFactory::new();
+        let churned = MessageSimulator::new(&g, &factory, 0)
+            .with_scenario(Arc::new(spec))
+            .run(50);
+        assert_eq!(churned, MessageSimulator::new(&g, &factory, 0).run(50));
+    }
+
+    #[test]
     fn inbox_order_is_pinned_to_ascending_neighbour_id() {
         // Regression for the delivery-order contract: both strategies must
         // deliver ascending inboxes on every family, every round.

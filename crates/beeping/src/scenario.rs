@@ -811,7 +811,9 @@ impl ScenarioSpec {
         let start = earliest + (mix(self.seed, DOM_CHURN, u64::from(node), 1, 0) % span) as u32;
         let len =
             1 + (mix(self.seed, DOM_CHURN, u64::from(node), 2, 0) % u64::from(*max_len)) as u32;
-        Some((start, start + len))
+        // An absence that would end past the last representable round
+        // lasts to the end of any run.
+        Some((start, start.saturating_add(len)))
     }
 }
 

@@ -1656,6 +1656,29 @@ mod tests {
     }
 
     #[test]
+    fn churn_window_ending_past_the_last_round_saturates() {
+        use crate::scenario::{ChurnModel, ScenarioSpec};
+
+        // Every node's absence would end past `u32::MAX`; it starts long
+        // after a 50-round run ends, so the run matches the reliable one.
+        let g = generators::cycle(32);
+        let spec = ScenarioSpec::new(0).with_churn(ChurnModel::Random {
+            p: 1.0,
+            max_len: 10,
+            earliest: u32::MAX - 2,
+            latest: u32::MAX,
+        });
+        let cfg = SimConfig::default().with_max_rounds(50);
+        let churned = cfg.clone().with_scenario(Arc::new(spec));
+        let churned = Simulator::new(&g, &Coin::factory(0.5), 1, churned).run();
+        assert_eq!(churned.kernel_used(), PropagationKernel::Scalar);
+        assert_eq!(
+            churned,
+            Simulator::new(&g, &Coin::factory(0.5), 1, cfg).run()
+        );
+    }
+
+    #[test]
     fn debug_format() {
         let g = generators::path(3);
         let sim = Simulator::new(&g, &Coin::factory(0.5), 0, SimConfig::default());
