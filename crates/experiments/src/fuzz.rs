@@ -470,6 +470,15 @@ pub fn replay_str(text: &str, ctx: &RunContext) -> Result<ReplayResults, String>
             .ok_or("corpus: master_seed is not a u64 string")?,
         ..FuzzConfig::quick()
     };
+    if config.max_rounds == 0 {
+        return Err("corpus: max_rounds must be positive".to_owned());
+    }
+    if !(config.mean_degree.is_finite() && config.mean_degree >= 0.0) {
+        return Err(format!(
+            "corpus: mean_degree must be a finite non-negative number, got {}",
+            config.mean_degree
+        ));
+    }
     let graph = config.graph();
     let schedule = config.schedule(ctx);
     let mut entries = Vec::new();
@@ -573,6 +582,20 @@ mod tests {
         assert!(replay_str(missing, &jobs(1))
             .unwrap_err()
             .contains("workload"));
+        // Well-formed values no run can use are rejected, not panicked on.
+        let seed = include_str!("../../../tests/corpus/worst_scenarios_seed.json");
+        for (from, to, name) in [
+            ("\"max_rounds\":10000.0", "\"max_rounds\":0", "max_rounds"),
+            (
+                "\"mean_degree\":12.0",
+                "\"mean_degree\":-5.0",
+                "mean_degree",
+            ),
+        ] {
+            assert!(seed.contains(from), "{from}");
+            let err = replay_str(&seed.replacen(from, to, 1), &jobs(1)).unwrap_err();
+            assert!(err.starts_with("corpus: ") && err.contains(name), "{err}");
+        }
     }
 
     #[test]
