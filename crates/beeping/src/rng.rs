@@ -14,7 +14,8 @@
 //!   [`mix`]`(seed, domain, a, b, c)`: the answer for one `(node, round)`
 //!   or `(edge, round, exchange)` query never depends on which other
 //!   queries were made, or in what order, or on which thread. This is what
-//!   makes intra-run sharding and the bitset kernel on lossy runs legal.
+//!   makes the bitset kernel, and with it intra-run sharding, legal on
+//!   lossy runs.
 //!
 //! The domain constants below keep the counter streams disjoint; the
 //! `pinned_*` regression tests at the bottom freeze every derivation that

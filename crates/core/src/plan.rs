@@ -25,7 +25,7 @@
 //! Parallelism has two orthogonal levers, both result-neutral: `jobs`
 //! fans independent *runs* across workers (this module), while
 //! *intra-run sharding* splits one run's propagation across workers —
-//! [`SimConfig::with_shards`] for the beeping engine (counter-mode RNG),
+//! [`SimConfig::with_shards`] for the beeping engine (either RNG mode),
 //! `MessageEngine::with_shards` for the message engine. Use `jobs` for
 //! statistical batches of many seeds; use shards when a single huge-graph
 //! run is the bottleneck. They compose.
