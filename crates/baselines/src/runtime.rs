@@ -1173,6 +1173,61 @@ mod tests {
     }
 
     #[test]
+    fn delayed_message_due_while_its_receiver_is_churned_out_is_lost() {
+        use mis_beeping::scenario::{ChurnModel, ChurnWindow, DelayModel, ScenarioSpec};
+
+        /// Broadcasts in sub-round 1 every round and never decides.
+        struct Chatter;
+        impl MessageProcess for Chatter {
+            type Msg = ();
+            fn broadcast1(&mut self, _rng: &mut SmallRng) -> Option<()> {
+                Some(())
+            }
+            fn broadcast2(&mut self, _inbox: &[()]) -> Option<()> {
+                None
+            }
+            fn decide(&mut self, _inbox: &[()]) -> Verdict {
+                Verdict::Continue
+            }
+            fn message_bits(_msg: &()) -> u64 {
+                1
+            }
+        }
+        struct ChatterFactory;
+        impl MessageFactory for ChatterFactory {
+            type Process = Chatter;
+            fn create(&self, _: NodeId, _: usize, _: &NetworkInfo) -> Chatter {
+                Chatter
+            }
+        }
+
+        // Every message arrives exactly one round late: over 4 rounds on
+        // P₂ each node receives the broadcasts of rounds 0, 1 and 2.
+        let g = generators::path(2);
+        let delayed = ScenarioSpec::new(0).with_delay(DelayModel::Random { p: 1.0, max: 1 });
+        let run = |spec: ScenarioSpec| {
+            MessageSimulator::new(&g, &ChatterFactory, 0)
+                .with_scenario(Arc::new(spec))
+                .run(4)
+                .metrics()
+                .messages_delivered
+        };
+        assert_eq!(run(delayed.clone()), 6);
+        // Node 1 is away in round 1: node 0's round-0 message, due then,
+        // is lost rather than delivered late in round 2; node 1 neither
+        // sends nor parks node 0's round-1 message. Node 0 still receives
+        // node 1's round-0 message, and both receive round 2's.
+        let churned = delayed.with_churn(ChurnModel::Explicit {
+            windows: vec![ChurnWindow {
+                node: 1,
+                from: 1,
+                until: 2,
+            }],
+        });
+        assert_eq!(run(churned), 3);
+    }
+
+    #[test]
     fn churned_message_node_freezes_and_resumes() {
         use mis_beeping::scenario::{ChurnModel, ChurnWindow, ScenarioSpec};
 

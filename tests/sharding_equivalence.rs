@@ -16,13 +16,17 @@
 
 use std::sync::Arc;
 
-use beeping_mis::baselines::{LubyPriorityFactory, MessageEngine, MessageSimulator};
-use beeping_mis::beeping::scenario::LossModel;
+use beeping_mis::baselines::{
+    InboxStrategy, LubyPriorityFactory, MessageEngine, MessageFactory, MessageSimulator,
+    MetivierFactory,
+};
+use beeping_mis::beeping::rng::trial_seed;
+use beeping_mis::beeping::scenario::{ChurnModel, DelayModel, LossModel, WakePattern};
 use beeping_mis::beeping::{
     FaultPlan, PropagationKernel, RngMode, RunOutcome, ScenarioSpec, SimConfig, Simulator,
 };
 use beeping_mis::core::{FeedbackFactory, RunPlan};
-use beeping_mis::graph::{generators, GraphView, LineGraphView};
+use beeping_mis::graph::{generators, Graph, GraphView, LineGraphView};
 use proptest::prelude::*;
 use rand::{rngs::SmallRng, SeedableRng};
 
@@ -178,6 +182,80 @@ fn sharded_scenario_runs_match_sequential_scenario_runs() {
             sharded, sequential,
             "message scenario outcome changed at {shards} shard(s)"
         );
+    }
+}
+
+/// The message scenarios of the `round_digests` suite: none, then one per
+/// adversary axis (wake-only, loss with delay, churn) and all four at once.
+fn message_scenarios() -> Vec<Option<Arc<ScenarioSpec>>> {
+    let spec = || ScenarioSpec::new(trial_seed(0x726f_756e_6473, 98));
+    let wake = WakePattern::Wavefront {
+        stride: 24,
+        latest: 6,
+    };
+    let loss = LossModel::PerEdge { lo: 0.0, hi: 0.3 };
+    let delay = DelayModel::Random { p: 0.2, max: 3 };
+    let churn = ChurnModel::Random {
+        p: 0.15,
+        max_len: 4,
+        earliest: 1,
+        latest: 12,
+    };
+    [
+        None,
+        Some(spec().with_wake(wake.clone())),
+        Some(spec().with_loss(loss.clone()).with_delay(delay.clone())),
+        Some(spec().with_churn(churn.clone())),
+        Some(
+            spec()
+                .with_wake(wake)
+                .with_loss(loss)
+                .with_delay(delay)
+                .with_churn(churn),
+        ),
+    ]
+    .into_iter()
+    .map(|spec| spec.map(Arc::new))
+    .collect()
+}
+
+/// Runs `factory` on `g` under every message scenario and both inbox
+/// strategies, once per shard count, and asserts every outcome matches the
+/// 1-shard run exactly.
+fn assert_message_scenario_shards_agree<F: MessageFactory>(g: &Graph, factory: &F, seed: u64) {
+    for scenario in message_scenarios() {
+        for strategy in [InboxStrategy::Arena, InboxStrategy::FreshVecs] {
+            let run = |shards: usize| {
+                let mut sim = MessageSimulator::new(g, factory, seed).with_inbox_strategy(strategy);
+                if let Some(spec) = &scenario {
+                    sim = sim.with_scenario(Arc::clone(spec));
+                }
+                sim.run_sharded(MSG_CAP, shards)
+            };
+            let reference = run(1);
+            for shards in SHARD_SWEEP {
+                assert_eq!(
+                    run(shards),
+                    reference,
+                    "{strategy:?} under {scenario:?} changed at {shards} shard(s)"
+                );
+            }
+        }
+    }
+}
+
+/// Message runs shard under every scenario and inbox strategy: each shard
+/// count reproduces the 1-shard run, for a randomised family (Luby) and
+/// one that simulates bit duels (Métivier), on a random graph and a grid.
+#[test]
+fn sharded_message_scenarios_match_sequential() {
+    let gnp = generators::gnp(200, 0.05, &mut SmallRng::seed_from_u64(23));
+    let grid = generators::grid2d(12, 16);
+    for g in [&gnp, &grid] {
+        for seed in 0..3 {
+            assert_message_scenario_shards_agree(g, &LubyPriorityFactory::new(), seed);
+            assert_message_scenario_shards_agree(g, &MetivierFactory::new(), seed);
+        }
     }
 }
 
