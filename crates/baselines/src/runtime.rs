@@ -5,30 +5,33 @@
 //! neighbour). Each round has two broadcast sub-rounds mirroring the
 //! beeping simulator's two exchanges, so round counts are comparable.
 //!
-//! # Two run loops
+//! # One run loop
 //!
-//! [`MessageSimulator`] runs every round through one of two loops:
-//!
-//! * the **arena loop** ([`InboxStrategy::Arena`], the default, for
-//!   reliable runs) materialises inboxes out of reused buffers and
-//!   accounts deliveries as it fills them. Every per-node pass walks
-//!   receiver ranges: one range inline for [`run`](MessageSimulator::run),
-//!   one scoped thread per range for
-//!   [`run_sharded`](MessageSimulator::run_sharded);
-//! * the **reference loop** ([`InboxStrategy::FreshVecs`], and every run
-//!   with a [`ScenarioSpec`]) collects a fresh `Vec` inbox per receiver,
-//!   each delivery gated by the scenario, with sleepers, churn and
-//!   delayed messages. A reliable run is the scenario in which every
-//!   delivery is on time; the equivalence suites compare the arena loop
-//!   against it.
+//! [`MessageSimulator`] runs every configuration — both inbox strategies,
+//! with or without a [`ScenarioSpec`] — through one loop. Each round
+//! wakes the sleepers that are due and marks the churned-out nodes, then
+//! walks three per-node passes over receiver ranges: one range inline for
+//! [`run`](MessageSimulator::run), one scoped thread per range for
+//! [`run_sharded`](MessageSimulator::run_sharded). A sub-round's inboxes
+//! are either **pushed** into one arena of fixed per-node slices (a
+//! sparse sub-round whose deliveries are all on time) or **pulled** by
+//! each receiver from the previous sub-round's outbox into its range's
+//! reused scratch inbox, and deliveries are accounted as they arrive.
+//! When a scenario perturbs deliveries or churns, every sub-round pulls,
+//! and each pulled message meets its per-delivery fate: on time, dropped,
+//! or parked with its receiver until it comes due.
+//! [`InboxStrategy::FreshVecs`] pulls every inbox into a newly allocated
+//! `Vec` and never pushes; the equivalence suites compare the push
+//! direction and buffer reuse against it.
 //!
 //! # Delivery order
 //!
 //! Inboxes are delivered in **ascending neighbour id order** — a pinned
 //! part of the runtime contract (see [`InboxStrategy`]), so algorithms
 //! whose decisions scan their inbox left to right are deterministic by
-//! construction. Both loops inherit the order from the graph's ascending
-//! neighbour iteration (the [`GraphView`] contract).
+//! construction. Both directions inherit the order from the graph's
+//! ascending neighbour iteration (the [`GraphView`] contract); delayed
+//! messages follow the on-time ones.
 //!
 //! # Graph representation
 //!
@@ -40,15 +43,16 @@
 //!
 //! # Intra-run sharding
 //!
-//! [`MessageSimulator::run_sharded`] splits each per-node pass of the
-//! arena loop across worker threads by receiver range, through
+//! [`MessageSimulator::run_sharded`] splits each per-node pass across
+//! worker threads by receiver range, through
 //! [`mis_beeping::batch::over_ranges`] (the helper the beeping `Stepper`
-//! also shards its bitset pull with). A sparse sub-round is pushed into
-//! the arena sequentially first; in a dense one each worker pulls its
+//! also shards its bitset pull with). A pushed sub-round is laid out in
+//! the arena sequentially first; in a pulled one each worker pulls its
 //! receivers' inboxes from the shared outbox of the previous sub-round.
-//! Because per-node draws come from per-node streams and a receiver's
-//! pass never touches another's state, the sharded run is
-//! **bit-identical** to the sequential run for every shard count.
+//! Because per-node draws come from per-node streams, scenario answers
+//! are pure, and a receiver's pass never touches another's state (its
+//! parked messages included), the sharded run is **bit-identical** to
+//! the sequential run for every shard count and every scenario.
 
 use std::sync::Arc;
 
@@ -173,27 +177,25 @@ impl MsgRunOutcome {
     }
 }
 
-/// How [`MessageSimulator`] materialises per-node inboxes, which picks the
-/// run loop a reliable run takes.
+/// How [`MessageSimulator`] materialises per-node inboxes.
 ///
-/// Both strategies deliver the same messages in the same (ascending
-/// neighbour id) order, so run outcomes are **bit-identical** — only
-/// allocation behaviour and speed differ. `simbench --suite baselines`
-/// times the two against each other.
+/// Both strategies run on the same loop and deliver the same messages in
+/// the same (ascending neighbour id) order, so run outcomes are
+/// **bit-identical** for every scenario and shard count — only allocation
+/// behaviour and speed differ. `simbench --suite baselines` times the two
+/// against each other.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum InboxStrategy {
-    /// The arena loop (the default): in the dense (pull) direction one
-    /// scratch inbox per receiver range, reused by every receiver in it;
-    /// in the sparse (push) direction one arena buffer holding every
-    /// node's inbox as a fixed slice in ascending node order. Zero
-    /// steady-state allocations, accounting fused with delivery, and the
-    /// only loop that shards.
+    /// Reused buffers (the default): in the pull direction one scratch
+    /// inbox per receiver range, reused by every receiver in it; in the
+    /// push direction one arena buffer holding every node's inbox as a
+    /// fixed slice in ascending node order. No steady-state allocations
+    /// on a reliable run, and accounting fused with delivery.
     #[default]
     Arena,
-    /// The reference loop: a fresh `Vec` inbox per node per sub-round,
-    /// accounted on arrival. Every scenario run takes this loop too (a
-    /// reliable run is the scenario in which every delivery is on time);
-    /// the equivalence tests compare the arena loop against it.
+    /// The reference: every inbox pulled into a newly allocated `Vec`,
+    /// never pushed. The equivalence tests compare the push direction and
+    /// buffer reuse of [`Arena`](Self::Arena) against it.
     FreshVecs,
 }
 
@@ -269,9 +271,9 @@ impl<'g, F: MessageFactory, G: GraphView + ?Sized> MessageSimulator<'g, F, G> {
 
     /// Attaches a composable adversary (see `mis_beeping::scenario`) so
     /// the message families face the same loss/delay/wake/churn schedules
-    /// as the beeping algorithms. A run with a scenario always takes the
-    /// sequential reference loop (see [`InboxStrategy::FreshVecs`]),
-    /// regardless of the inbox strategy and the shard count.
+    /// as the beeping algorithms. A scenario run honours the inbox
+    /// strategy and shards like a reliable one; a wake-only scenario keeps
+    /// the push direction too.
     ///
     /// # Panics
     ///
@@ -296,66 +298,72 @@ impl<'g, F: MessageFactory, G: GraphView + ?Sized> MessageSimulator<'g, F, G> {
         self.run_sharded(max_rounds, 1)
     }
 
-    /// Runs like [`run`](Self::run), but splits every per-node pass of the
-    /// arena loop across `shards` worker threads by receiver range —
-    /// **bit-identical** to the sequential run for every shard count,
+    /// Runs like [`run`](Self::run), but splits every per-node pass across
+    /// `shards` worker threads by receiver range — **bit-identical** to the
+    /// sequential run for every shard count, inbox strategy and scenario,
     /// only faster.
     ///
-    /// Three properties make this sound without any locking:
+    /// Four properties make this sound without any locking:
     ///
     /// * sub-round 1 draws come from per-node streams ([`node_rng`]), so
     ///   a node's broadcast never depends on when other nodes draw;
     /// * each worker writes only its own receiver range and reads the
     ///   outbox of the *previous* sub-round, complete once its pass has
-    ///   joined. A sparse sub-round is pushed into the arena sequentially
-    ///   before the pass, a dense one is pulled by each worker, and both
+    ///   joined. A pushed sub-round is laid out in the arena sequentially
+    ///   before the pass, a pulled one is pulled by each worker, and both
     ///   directions build the same ascending-sender inboxes;
+    /// * a scenario's churn and delivery answers are pure, and a delayed
+    ///   message is parked with its receiver, inside that receiver's range;
     /// * the delivery counters are plain integer sums, which reassociate
     ///   freely across shard boundaries.
     ///
     /// `shards == 0` auto-detects the worker count. One range (one shard,
     /// or a single-node graph) runs inline on the calling thread, which is
-    /// exactly [`run`](Self::run). The reference loop
-    /// ([`InboxStrategy::FreshVecs`] or an attached scenario) is pinned
-    /// sequential and ignores `shards`.
+    /// exactly [`run`](Self::run).
     ///
     /// # Panics
     ///
     /// Panics if `max_rounds` is zero.
     #[must_use]
-    pub fn run_sharded(self, max_rounds: u32, shards: usize) -> MsgRunOutcome {
+    pub fn run_sharded(mut self, max_rounds: u32, shards: usize) -> MsgRunOutcome {
         assert!(max_rounds > 0, "round cap must be positive");
-        match (self.scenario.clone(), self.strategy) {
-            (None, InboxStrategy::Arena) => {
-                let shards = match shards {
-                    0 => mis_beeping::batch::auto_jobs(),
-                    s => s,
-                };
-                self.run_arena(max_rounds, shards)
-            }
-            (scenario, _) => self.run_reference(max_rounds, scenario.as_deref()),
-        }
-    }
-
-    /// The arena loop: inboxes are materialised out of reused buffers —
-    /// one cache-hot scratch inbox per receiver range in the dense (pull)
-    /// direction, fixed per-node arena slices in the sparse (push)
-    /// direction — so steady-state delivery allocates nothing and the
-    /// accounting rides the same pass. Each per-node pass walks the
-    /// `shards` receiver ranges through `over_ranges`.
-    fn run_arena(mut self, max_rounds: u32, shards: usize) -> MsgRunOutcome {
+        let shards = match shards {
+            0 => mis_beeping::batch::auto_jobs(),
+            s => s,
+        };
         let graph = self.graph;
         let n = graph.node_count();
         let chunk = n.div_ceil(shards).max(1);
+        let scenario = self.scenario.take();
+        let spec = scenario.as_deref();
+        let churn = spec.filter(|s| s.has_churn());
+        let fates = spec.filter(|s| s.perturbs_deliveries());
+        let fresh = self.strategy == InboxStrategy::FreshVecs;
+        let push = !fresh && fates.is_none() && churn.is_none();
+        let exchange = |slot| Exchange {
+            slot,
+            push,
+            fresh,
+            fates,
+        };
+        let mut sleepers = self.sleepers(spec);
         let mut outbox1: Vec<Option<MsgOf<F>>> = vec![None; n];
         let mut outbox2: Vec<Option<MsgOf<F>>> = vec![None; n];
-        // Pull direction: one inbox buffer per receiver range, reused by
-        // its receivers for the whole run, so each delivery + consumption
+        // Pull direction: one inbox per receiver range, reused by its
+        // receivers for the whole run, so each delivery + consumption
         // happens in cache. Sized up front from the view's maximum degree
-        // (an inbox can never be larger), so it never reallocates — views
-        // have no CSR offsets to size from.
-        let mut scratch: Vec<Scratch<MsgOf<F>>> = (0..n.div_ceil(chunk))
-            .map(|_| Scratch(Vec::with_capacity(self.max_degree)))
+        // (views have no CSR offsets to size from), which only the delayed
+        // messages appended after the on-time ones can outgrow. Churn marks
+        // and parked messages are kept only for scenarios that use them.
+        let mut ranges: Vec<RangeState<MsgOf<F>>> = (0..n.div_ceil(chunk))
+            .map(|c| {
+                let len = chunk.min(n - c * chunk);
+                RangeState {
+                    inbox: Vec::with_capacity(self.max_degree),
+                    away: vec![false; if churn.is_some() { len } else { 0 }],
+                    pending: vec![Vec::new(); if fates.is_some() { len } else { 0 }],
+                }
+            })
             .collect();
         // Push direction: all inboxes laid out as fixed per-node slices
         // (`spans[v]..spans[v + 1]` indexes `arena` for node v).
@@ -363,10 +371,14 @@ impl<'g, F: MessageFactory, G: GraphView + ?Sized> MessageSimulator<'g, F, G> {
         let mut spans: Vec<usize> = vec![0; n + 1];
         let mut cursors: Vec<usize> = vec![0; n];
         let mut total = Tally::default();
+        // Sleepers count as remaining: they have yet to decide.
         let mut remaining = n;
         let mut rounds = 0u32;
 
         while remaining > 0 && rounds < max_rounds {
+            while let Some((_, v)) = sleepers.pop_if(|&mut (wake, _)| wake <= rounds) {
+                self.status[v as usize] = NodeStatus::Active;
+            }
             // Sub-round 1 broadcasts: per-node streams are consumed
             // node-locally, so ranges cannot perturb each other's draws.
             over_ranges(
@@ -374,10 +386,14 @@ impl<'g, F: MessageFactory, G: GraphView + ?Sized> MessageSimulator<'g, F, G> {
                     .chunks_mut(chunk)
                     .zip(self.rngs.chunks_mut(chunk))
                     .zip(outbox1.chunks_mut(chunk))
-                    .zip(self.status.chunks(chunk)),
-                |_, (((procs, rngs), outs), status)| {
+                    .zip(self.status.chunks(chunk))
+                    .zip(ranges.iter_mut()),
+                |c, ((((procs, rngs), outs), status), range)| {
                     for (i, out) in outs.iter_mut().enumerate() {
-                        *out = if status[i] == NodeStatus::Active {
+                        if let Some(spec) = churn {
+                            range.away[i] = spec.absent((c * chunk + i) as NodeId, rounds);
+                        }
+                        *out = if range.present(status[i], i) {
                             procs[i].broadcast1(&mut rngs[i])
                         } else {
                             None
@@ -393,6 +409,7 @@ impl<'g, F: MessageFactory, G: GraphView + ?Sized> MessageSimulator<'g, F, G> {
                 &self.status,
                 &outbox1,
                 remaining,
+                exchange((rounds, 0)),
                 (&mut arena, &mut spans, &mut cursors),
                 &mut total,
             );
@@ -401,13 +418,13 @@ impl<'g, F: MessageFactory, G: GraphView + ?Sized> MessageSimulator<'g, F, G> {
                     .chunks_mut(chunk)
                     .zip(outbox2.chunks_mut(chunk))
                     .zip(self.status.chunks(chunk))
-                    .zip(scratch.iter_mut()),
-                |c, (((procs, outs), status), scratch)| {
+                    .zip(ranges.iter_mut()),
+                |c, (((procs, outs), status), range)| {
                     let mut tally = Tally::default();
                     for (i, out) in outs.iter_mut().enumerate() {
-                        *out = if status[i] == NodeStatus::Active {
+                        *out = if range.present(status[i], i) {
                             let v = (c * chunk + i) as NodeId;
-                            procs[i].broadcast2(inboxes.get(graph, v, &mut scratch.0, &mut tally))
+                            procs[i].broadcast2(inboxes.get(graph, v, range, i, &mut tally))
                         } else {
                             None
                         };
@@ -424,6 +441,7 @@ impl<'g, F: MessageFactory, G: GraphView + ?Sized> MessageSimulator<'g, F, G> {
                 &self.status,
                 &outbox2,
                 remaining,
+                exchange((rounds, 1)),
                 (&mut arena, &mut spans, &mut cursors),
                 &mut total,
             );
@@ -431,15 +449,19 @@ impl<'g, F: MessageFactory, G: GraphView + ?Sized> MessageSimulator<'g, F, G> {
                 self.processes
                     .chunks_mut(chunk)
                     .zip(self.status.chunks_mut(chunk))
-                    .zip(scratch.iter_mut()),
-                |c, ((procs, statuses), scratch)| {
+                    .zip(ranges.iter_mut()),
+                |c, ((procs, statuses), range)| {
                     let mut tally = Tally::default();
                     for (i, status) in statuses.iter_mut().enumerate() {
-                        if *status == NodeStatus::Active {
+                        if range.present(*status, i) {
                             let v = (c * chunk + i) as NodeId;
-                            let inbox = inboxes.get(graph, v, &mut scratch.0, &mut tally);
-                            let verdict = procs[i].decide(inbox);
-                            tally.decided += usize::from(apply_verdict(verdict, status));
+                            let inbox = inboxes.get(graph, v, range, i, &mut tally);
+                            *status = match procs[i].decide(inbox) {
+                                Verdict::Continue => continue,
+                                Verdict::JoinMis => NodeStatus::InMis,
+                                Verdict::Covered => NodeStatus::Covered,
+                            };
+                            tally.decided += 1;
                         }
                     }
                     tally
@@ -452,159 +474,53 @@ impl<'g, F: MessageFactory, G: GraphView + ?Sized> MessageSimulator<'g, F, G> {
             rounds += 1;
         }
 
-        self.finish(
-            rounds,
-            remaining,
-            MessageMetrics {
-                messages_delivered: total.delivered,
-                bits_total: total.bits,
-            },
-        )
-    }
-
-    /// The reference loop: a fresh `Vec` inbox per receiver per sub-round,
-    /// with `scenario` deciding each delivery's fate (per sub-round, the
-    /// message analogue of the beeping exchanges), staggering wake-ups,
-    /// and churning nodes in and out. `None` is the reliable network:
-    /// every delivery on time, nobody asleep or absent.
-    ///
-    /// Semantics mirror the beeping scenario path: sleeping and absent
-    /// nodes neither send nor receive and their processes are frozen;
-    /// delayed messages arrive in the same sub-round slot `d` rounds
-    /// later, appended after the on-time inbox in `(send round, sender)`
-    /// order; a delayed message whose receiver is not listening on arrival
-    /// is lost. With a do-nothing scenario this loop is bit-identical to
-    /// the arena loop.
-    fn run_reference(mut self, max_rounds: u32, scenario: Option<&ScenarioSpec>) -> MsgRunOutcome {
-        let graph = self.graph;
-        let n = graph.node_count();
-        let wake: Vec<u32> = match scenario {
-            Some(scenario) => {
-                let degrees: Vec<usize> = (0..n as NodeId).map(|v| graph.degree(v)).collect();
-                let schedule = scenario.wake_schedule(&degrees);
-                (0..n)
-                    .map(|v| schedule.get(v).copied().unwrap_or(0))
-                    .collect()
-            }
-            None => vec![0; n],
-        };
-        for (v, &w) in wake.iter().enumerate() {
-            if w > 0 {
-                self.status[v] = NodeStatus::Asleep;
-            }
-        }
-        let churn = scenario.filter(|s| s.has_churn());
-        let mut away = vec![false; n];
-        let mut metrics = MessageMetrics::default();
-        let mut outbox1: Vec<Option<MsgOf<F>>> = vec![None; n];
-        let mut outbox2: Vec<Option<MsgOf<F>>> = vec![None; n];
-        // Per-receiver delayed deliveries:
-        // (arrival round, sub-round, send round, sender, message).
-        let mut pending: Vec<Vec<PendingMsg<MsgOf<F>>>> = vec![Vec::new(); n];
-        let mut remaining = self.status.iter().filter(|s| !s.is_inactive()).count();
-        let mut rounds = 0u32;
-
-        while remaining > 0 && rounds < max_rounds {
-            let round = rounds;
-            for (v, &w) in wake.iter().enumerate() {
-                if self.status[v] == NodeStatus::Asleep && w <= round {
-                    self.status[v] = NodeStatus::Active;
-                }
-            }
-            if let Some(churn) = churn {
-                for (v, a) in away.iter_mut().enumerate() {
-                    *a = churn.absent(v as NodeId, round);
-                }
-            }
-            // Sub-round 1 broadcasts (frozen nodes stay silent).
-            for (v, out) in outbox1.iter_mut().enumerate() {
-                *out = if self.status[v] == NodeStatus::Active && !away[v] {
-                    self.processes[v].broadcast1(&mut self.rngs[v])
-                } else {
-                    None
-                };
-            }
-
-            // Sub-round 2: deliver the first inboxes through the scenario,
-            // collect second broadcasts.
-            for v in 0..n {
-                outbox2[v] = if self.status[v] == NodeStatus::Active && !away[v] {
-                    let inbox = collect_inbox::<F, G>(
-                        graph,
-                        v as NodeId,
-                        &outbox1,
-                        scenario,
-                        (round, 0),
-                        &mut pending[v],
-                        &mut metrics,
-                    );
-                    self.processes[v].broadcast2(&inbox)
-                } else {
-                    // A non-collecting receiver loses what was due now.
-                    drop_missed(&mut pending[v], round, 0);
-                    None
-                };
-            }
-
-            // Decisions from the second inboxes.
-            for v in 0..n {
-                if self.status[v] == NodeStatus::Active && !away[v] {
-                    let inbox = collect_inbox::<F, G>(
-                        graph,
-                        v as NodeId,
-                        &outbox2,
-                        scenario,
-                        (round, 1),
-                        &mut pending[v],
-                        &mut metrics,
-                    );
-                    let verdict = self.processes[v].decide(&inbox);
-                    remaining -= usize::from(apply_verdict(verdict, &mut self.status[v]));
-                } else {
-                    drop_missed(&mut pending[v], round, 1);
-                }
-            }
-            rounds += 1;
-        }
-
-        self.finish(rounds, remaining, metrics)
-    }
-
-    /// The outcome of a finished run: `metrics` plus the out-of-band bits
-    /// every process reports.
-    fn finish(self, rounds: u32, remaining: usize, mut metrics: MessageMetrics) -> MsgRunOutcome {
-        for p in &self.processes {
-            metrics.bits_total += p.bits_consumed();
-        }
+        // Out-of-band bits every process reports join the delivered ones.
+        let oob: u64 = self
+            .processes
+            .iter()
+            .map(MessageProcess::bits_consumed)
+            .sum();
         MsgRunOutcome {
             statuses: self.status,
             rounds,
             terminated: remaining == 0,
-            metrics,
+            metrics: MessageMetrics {
+                messages_delivered: total.delivered,
+                bits_total: total.bits + oob,
+            },
         }
+    }
+
+    /// Marks the nodes `spec` wakes after round 0 asleep and returns them
+    /// as `(wake round, node)`, latest first, so the due ones pop off the
+    /// end.
+    fn sleepers(&mut self, spec: Option<&ScenarioSpec>) -> Vec<(u32, NodeId)> {
+        let Some(spec) = spec else {
+            return Vec::new();
+        };
+        let degrees: Vec<usize> = (0..self.graph.node_count() as NodeId)
+            .map(|v| self.graph.degree(v))
+            .collect();
+        let mut sleepers: Vec<(u32, NodeId)> = (spec.wake_schedule(&degrees).into_iter())
+            .zip(0..)
+            .filter(|&(wake, _)| wake > 0)
+            .collect();
+        for &(_, v) in &sleepers {
+            self.status[v as usize] = NodeStatus::Asleep;
+        }
+        sleepers.sort_unstable_by(|a, b| b.cmp(a));
+        sleepers
     }
 }
 
 /// Shorthand for the message type of a factory's process.
 pub type MsgOf<F> = <<F as MessageFactory>::Process as MessageProcess>::Msg;
 
-/// One delayed delivery awaiting its receiver:
-/// (arrival round, sub-round, send round, sender, message).
-type PendingMsg<M> = (u32, u8, u32, NodeId, M);
+/// One delayed delivery parked with its receiver: (arrival round,
+/// sub-round, message).
+type PendingMsg<M> = (u32, u8, M);
 
-/// Applies one node's end-of-round [`Verdict`] — shared by both loops so
-/// the status transitions can never diverge between them. Returns whether
-/// the node left the active set.
-fn apply_verdict(verdict: Verdict, status: &mut NodeStatus) -> bool {
-    match verdict {
-        Verdict::Continue => return false,
-        Verdict::JoinMis => *status = NodeStatus::InMis,
-        Verdict::Covered => *status = NodeStatus::Covered,
-    }
-    true
-}
-
-/// Delivery counters and decisions of one arena-loop pass.
+/// Delivery counters and decisions of one per-node pass.
 #[derive(Clone, Copy, Default)]
 struct Tally {
     delivered: u64,
@@ -629,21 +545,53 @@ impl std::iter::Sum for Tally {
     }
 }
 
-/// A receiver range's reused pull inbox, aligned to a cache-line pair of
-/// its own: every push writes the `Vec`'s length, and ranges on different
+/// A receiver range's own state, aligned to a cache-line pair of its own:
+/// every pull writes the inbox `Vec`'s length, and ranges on different
 /// threads sharing a line would contend for it on every delivery.
 #[repr(align(128))]
-struct Scratch<M>(Vec<M>);
+struct RangeState<M> {
+    /// The pull inbox every receiver of the range reuses.
+    inbox: Vec<M>,
+    /// Per receiver: churned out this round. Empty without churn.
+    away: Vec<bool>,
+    /// Per receiver: its delayed deliveries, in the order they were
+    /// parked. Empty unless the scenario perturbs deliveries.
+    pending: Vec<Vec<PendingMsg<M>>>,
+}
 
-/// Sender-density threshold for the arena delivery direction: with fewer
-/// than `active / PUSH_CROSSOVER` senders, push from each sender instead
-/// of scanning every active receiver's full neighbour list. Both
-/// directions produce identical inboxes (ascending sender id); this only
-/// tunes speed — the same lever the beeping simulator's bitset kernel
-/// pulls per exchange.
+impl<M> RangeState<M> {
+    /// Whether receiver `i` of the range, with `status`, takes part in
+    /// this round: active, and not churned out.
+    fn present(&self, status: NodeStatus, i: usize) -> bool {
+        status == NodeStatus::Active && self.away.get(i) != Some(&true)
+    }
+}
+
+/// Sender-density threshold for the delivery direction: with fewer than
+/// `active / PUSH_CROSSOVER` senders, push from each sender instead of
+/// scanning every active receiver's full neighbour list. Both directions
+/// produce identical inboxes (ascending sender id); this only tunes speed
+/// — the same lever the beeping simulator's bitset kernel pulls per
+/// exchange.
 const PUSH_CROSSOVER: usize = 4;
 
-/// Where the arena loop finds a sub-round's inboxes for processes `P`.
+/// How the receivers of one sub-round get their inboxes.
+#[derive(Clone, Copy)]
+struct Exchange<'a> {
+    /// `(round, sub-round)` of the exchange.
+    slot: (u32, u8),
+    /// Whether a sparse sub-round may be pushed: only when every delivery
+    /// is on time and nobody churns, and never for
+    /// [`InboxStrategy::FreshVecs`].
+    push: bool,
+    /// Pull into a newly allocated `Vec` ([`InboxStrategy::FreshVecs`]).
+    fresh: bool,
+    /// The scenario deciding each pulled message's fate, when it perturbs
+    /// deliveries.
+    fates: Option<&'a ScenarioSpec>,
+}
+
+/// Where a sub-round's inboxes are found for processes `P`.
 enum Inboxes<'a, P: MessageProcess> {
     /// Pushed: receiver v's inbox is `arena[spans[v]..spans[v + 1]]`,
     /// already accounted.
@@ -652,57 +600,94 @@ enum Inboxes<'a, P: MessageProcess> {
         spans: &'a [usize],
     },
     /// Pulled on demand from the sub-round's outbox.
-    Pulled(&'a [Option<P::Msg>]),
+    Pulled(&'a [Option<P::Msg>], Exchange<'a>),
 }
 
 impl<'a, P: MessageProcess> Inboxes<'a, P> {
-    /// Receiver `v`'s inbox: its pushed slice, or a pull into the range's
-    /// reused `scratch` buffer — in ascending neighbour id order, the
-    /// pinned delivery contract inherited from the [`GraphView`]
-    /// iteration order — accounted into `tally` as it fills.
+    /// The inbox of receiver `v`, which is receiver `i` of `range`: its
+    /// pushed slice, or a pull into the range's inbox — in ascending
+    /// neighbour id order, the pinned delivery contract inherited from the
+    /// [`GraphView`] iteration order — accounted into `tally` on arrival.
+    ///
+    /// A pull under a scenario that perturbs deliveries gives each
+    /// message its fate: on time, dropped, or parked with `v` for the same
+    /// sub-round `d` rounds later. The parked messages due now follow the
+    /// on-time ones in `(send round, sender)` order, the order `v` parked
+    /// them in. Those past due came due while `v` was not collecting
+    /// (asleep, absent or decided) and are lost.
     #[inline]
     fn get<'s, G: GraphView + ?Sized>(
         &self,
         graph: &G,
         v: NodeId,
-        scratch: &'s mut Vec<P::Msg>,
+        range: &'s mut RangeState<P::Msg>,
+        i: usize,
         tally: &mut Tally,
     ) -> &'s [P::Msg]
     where
         'a: 's,
     {
-        match self {
-            Inboxes::Pushed { arena, spans } => &arena[spans[v as usize]..spans[v as usize + 1]],
-            Inboxes::Pulled(outbox) => {
-                scratch.clear();
-                graph.for_each_neighbor(v, |u| {
-                    if let Some(msg) = &outbox[u as usize] {
-                        tally.delivered += 1;
-                        tally.bits += P::message_bits(msg);
-                        scratch.push(msg.clone());
-                    }
-                });
-                scratch
+        let (outbox, exchange) = match self {
+            Inboxes::Pushed { arena, spans } => {
+                return &arena[spans[v as usize]..spans[v as usize + 1]]
             }
+            Inboxes::Pulled(outbox, exchange) => (outbox, exchange),
+        };
+        let inbox = &mut range.inbox;
+        if exchange.fresh {
+            *inbox = Vec::new();
+        } else {
+            inbox.clear();
         }
+        let Some(spec) = exchange.fates else {
+            graph.for_each_neighbor(v, |u| {
+                if let Some(msg) = &outbox[u as usize] {
+                    tally.delivered += 1;
+                    tally.bits += P::message_bits(msg);
+                    inbox.push(msg.clone());
+                }
+            });
+            return inbox;
+        };
+        let (round, sub) = exchange.slot;
+        let pending = &mut range.pending[i];
+        graph.for_each_neighbor(v, |u| {
+            if let Some(msg) = &outbox[u as usize] {
+                match spec.delivery(u, v, round, u32::from(sub)) {
+                    Delivery::OnTime => inbox.push(msg.clone()),
+                    Delivery::Dropped => {}
+                    Delivery::Delayed(d) => pending.push((round + d.max(1), sub, msg.clone())),
+                }
+            }
+        });
+        pending.retain(|(arrival, s, msg)| {
+            if (*arrival, *s) == (round, sub) {
+                inbox.push(msg.clone());
+            }
+            (*arrival, *s) > (round, sub)
+        });
+        tally.delivered += inbox.len() as u64;
+        tally.bits += inbox.iter().map(P::message_bits).sum::<u64>();
+        inbox
     }
 }
 
 /// Picks the delivery direction for `outbox`: with fewer than
-/// `remaining / PUSH_CROSSOVER` senders, push every active receiver's
-/// inbox into the arena now (accounted into `total`); otherwise leave
-/// each receiver to pull its own.
+/// `remaining / PUSH_CROSSOVER` senders, in an exchange that may push,
+/// push every active receiver's inbox into the arena now (accounted into
+/// `total`); otherwise leave each receiver to pull its own.
 fn deliver<'a, F: MessageFactory, G: GraphView + ?Sized>(
     graph: &G,
     status: &[NodeStatus],
     outbox: &'a [Option<MsgOf<F>>],
     remaining: usize,
+    exchange: Exchange<'a>,
     (arena, spans, cursors): (&'a mut Vec<MsgOf<F>>, &'a mut [usize], &mut [usize]),
     total: &mut Tally,
 ) -> Inboxes<'a, F::Process> {
-    let senders = outbox.iter().filter(|o| o.is_some()).count();
-    if senders * PUSH_CROSSOVER >= remaining {
-        return Inboxes::Pulled(outbox);
+    if !exchange.push || outbox.iter().filter(|o| o.is_some()).count() * PUSH_CROSSOVER >= remaining
+    {
+        return Inboxes::Pulled(outbox, exchange);
     }
     push_deliver::<F, G>(
         graph,
@@ -712,68 +697,6 @@ fn deliver<'a, F: MessageFactory, G: GraphView + ?Sized>(
         total,
     );
     Inboxes::Pushed { arena, spans }
-}
-
-/// Reference-loop inbox collection for receiver `v` in sub-round `sub` of
-/// `round`: on-time deliveries in ascending neighbour id order (the pinned
-/// contract), each gated by the scenario's per-delivery fate (all on time
-/// without one), followed by the delayed deliveries due this slot in
-/// `(send round, sender)` order. Accounting happens on arrival, so dropped
-/// and lost messages consume no bits.
-fn collect_inbox<F: MessageFactory, G: GraphView + ?Sized>(
-    graph: &G,
-    v: NodeId,
-    outbox: &[Option<MsgOf<F>>],
-    scenario: Option<&ScenarioSpec>,
-    (round, sub): (u32, u8),
-    pending: &mut Vec<PendingMsg<MsgOf<F>>>,
-    metrics: &mut MessageMetrics,
-) -> Vec<MsgOf<F>> {
-    let mut inbox = Vec::new();
-    graph.for_each_neighbor(v, |u| {
-        if let Some(msg) = &outbox[u as usize] {
-            let fate = scenario.map_or(Delivery::OnTime, |s| {
-                s.delivery(u, v, round, u32::from(sub))
-            });
-            match fate {
-                Delivery::OnTime => inbox.push(msg.clone()),
-                Delivery::Dropped => {}
-                Delivery::Delayed(d) => {
-                    pending.push((round + d.max(1), sub, round, u, msg.clone()));
-                }
-            }
-        }
-    });
-    // Split off what comes due this slot (entries pushed above always
-    // have a strictly later arrival round, so they stay parked).
-    let mut due: Vec<PendingMsg<MsgOf<F>>> = Vec::new();
-    let mut keep: Vec<PendingMsg<MsgOf<F>>> = Vec::new();
-    for entry in pending.drain(..) {
-        let (arrival, s, ..) = entry;
-        if arrival > round || (arrival == round && s > sub) {
-            keep.push(entry);
-        } else if arrival == round && s == sub {
-            due.push(entry);
-        }
-        // Entries the receiver slept/churned through are lost.
-    }
-    *pending = keep;
-    due.sort_by_key(|&(_, _, sent, sender, _)| (sent, sender));
-    for (_, _, _, _, msg) in due {
-        inbox.push(msg);
-    }
-    metrics.messages_delivered += inbox.len() as u64;
-    for msg in &inbox {
-        metrics.bits_total += F::Process::message_bits(msg);
-    }
-    inbox
-}
-
-/// Discards the delayed deliveries that came due in sub-round `sub` of
-/// `round` for a receiver that was not collecting (asleep, absent, or
-/// already decided) — those messages are lost.
-fn drop_missed<M>(pending: &mut Vec<PendingMsg<M>>, round: u32, sub: u8) {
-    pending.retain(|&(arrival, s, ..)| arrival > round || (arrival == round && s > sub));
 }
 
 /// Push direction: materialises **all** active receivers' inboxes as fixed
@@ -1111,7 +1034,7 @@ mod tests {
         let a = run(InboxStrategy::Arena);
         let b = run(InboxStrategy::Arena);
         assert_eq!(a, b);
-        // The scenario path ignores the inbox strategy, so results match.
+        // Both inbox strategies deliver the same inboxes under a scenario.
         let c = run(InboxStrategy::FreshVecs);
         assert_eq!(a, c);
     }
@@ -1301,7 +1224,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_scenario_runs_take_the_sequential_reference_path() {
+    fn sharded_scenario_runs_match_sequential() {
         use mis_beeping::scenario::{LossModel, ScenarioSpec};
 
         let g = generators::grid2d(5, 5);

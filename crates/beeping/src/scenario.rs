@@ -283,8 +283,9 @@ impl std::error::Error for ScenarioError {}
 ///   [`has_churn`](Self::has_churn) — capability flags that let the
 ///   beeping [`Stepper`](crate::Stepper) keep its fast paths when a
 ///   scenario only staggers wake-ups. `MessageSimulator` (in
-///   `mis_baselines`) runs every scenario, wake-only ones included, on its
-///   sequential reference loop.
+///   `mis_baselines`) runs every scenario on its one run loop, sharded
+///   like a reliable run; the flags tell it when every sub-round must
+///   pull, so each delivery can meet its fate.
 ///
 /// The `with_*` builders do not validate. Every attach point —
 /// [`SimConfig::with_scenario`](crate::SimConfig::with_scenario) and the

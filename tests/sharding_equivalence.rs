@@ -1,11 +1,15 @@
 //! Intra-run sharding is invisible in the results.
 //!
-//! Sharding splits only the bitset kernel's pull direction, which draws
-//! no randomness: every listener ORs the beeps that reach it. Process
-//! draws come from per-node streams in stream mode and are pure functions
-//! of `(master seed, node, round)` in counter mode, and counter loss draws
-//! are pure in `(sender, receiver, slot)`, so splitting a run across
-//! worker threads cannot change what any node sees in either RNG mode.
+//! In the beeping `Stepper`, sharding splits only the bitset kernel's pull
+//! direction, which draws no randomness: every listener ORs the beeps
+//! that reach it. In the message runtime it splits every per-node pass by
+//! receiver range, under both inbox strategies and every scenario: a
+//! receiver's inbox, parked delayed messages and churn mark belong to its
+//! range alone. Process draws come from per-node streams in stream mode
+//! and are pure functions of `(master seed, node, round)` in counter
+//! mode, and loss, delay and churn answers are pure in their arguments,
+//! so splitting a run across worker threads cannot change what any node
+//! sees in either RNG mode.
 //! This suite pins that contract end to end: sharded runs must be
 //! bit-identical to sequential runs for every shard count, on both
 //! simulator families (beeping and message-passing), under both
@@ -148,8 +152,9 @@ fn sharded_runs_agree_on_derived_views() {
     }
 }
 
-/// Scenario runs take the sequential scalar reference path in every
-/// configuration, so a shard request must be a no-op on the results.
+/// A beeping run under a lossy scenario takes the sequential scalar
+/// reference path, and a message scenario run shards by receiver range:
+/// either way a shard request must be a no-op on the results.
 #[test]
 fn sharded_scenario_runs_match_sequential_scenario_runs() {
     let g = generators::gnp(60, 0.15, &mut SmallRng::seed_from_u64(5));
