@@ -28,9 +28,13 @@
 //! `xp replay <file>` re-executes a corpus written by `xp fuzz` and exits
 //! non-zero unless every entry reproduces byte-identically.
 //!
-//! `--shards` is read by decay, robustness and faults only, and
-//! `--backend` by decay only; any other experiment (`all` and `replay`
-//! included) rejects them rather than ignore them.
+//! An experiment rejects every flag it would not read rather than ignore
+//! it: `--seed` and `--trials` are read by every experiment but potential
+//! and replay, `--jobs` by every one but potential, `--quick` and `--out`
+//! by every one but replay, `--science` by fig5, `--on` by race,
+//! `--corpus` by fuzz and replay, `--shards` by decay, robustness and
+//! faults, and `--backend` by decay. `all` accepts a flag wherever an
+//! experiment it runs reads it, except `--shards` and `--backend`.
 //! ```
 
 #![forbid(unsafe_code)]
@@ -48,6 +52,27 @@ const SHARD_READERS: [&str; 3] = ["decay", "robustness", "faults"];
 
 /// The experiments that serve their graphs from `--backend`.
 const BACKEND_READERS: [&str; 1] = ["decay"];
+
+/// One experiment: its section title and rendered body.
+type Runner = fn(&Options) -> (String, String);
+
+/// Every experiment `xp <name>` runs, in the order `all` runs them.
+const RUNNERS: [(&str, Runner); 14] = [
+    ("fig3", run_fig3),
+    ("fig5", run_fig5),
+    ("grid", run_grid),
+    ("lower-bound", run_lower_bound),
+    ("tails", run_tails),
+    ("robustness", run_robustness),
+    ("faults", run_faults),
+    ("race", run_race),
+    ("quality", run_quality),
+    ("decay", run_decay),
+    ("apps", run_apps),
+    ("sop", run_sop),
+    ("potential", run_potential),
+    ("fuzz", run_fuzz),
+];
 
 #[derive(Debug, Clone)]
 struct Options {
@@ -72,6 +97,9 @@ fn usage() -> &'static str {
 fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut it = args.iter();
     let experiment = it.next().ok_or_else(|| usage().to_owned())?.clone();
+    if !every_experiment_but(&[]).contains(&experiment.as_str()) {
+        return Err(format!("unknown experiment {experiment:?}\n{}", usage()));
+    }
     let mut opts = Options {
         experiment,
         quick: false,
@@ -83,8 +111,11 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         out: None,
         corpus: None,
     };
-    let mut backend_given = false;
+    let mut given = Vec::new();
     while let Some(arg) = it.next() {
+        if arg.starts_with("--") {
+            given.push(arg.as_str());
+        }
         match arg.as_str() {
             "--quick" => opts.quick = true,
             "--science" => opts.science = true,
@@ -114,7 +145,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 opts.ctx.backend = Backend::parse(v).ok_or_else(|| {
                     format!("unknown backend {v:?} (expected csr|compressed|disk)")
                 })?;
-                backend_given = true;
             }
             "--on" => {
                 let v = it.next().ok_or("--on needs a value")?;
@@ -141,13 +171,38 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             }
         }
     }
-    if opts.ctx.shards.is_some() {
-        only_for("--shards", &SHARD_READERS, &opts.experiment)?;
-    }
-    if backend_given {
-        only_for("--backend", &BACKEND_READERS, &opts.experiment)?;
+    for flag in given {
+        only_for(flag, &readers(flag), &opts.experiment)?;
     }
     Ok(opts)
+}
+
+/// Every experiment name `xp` accepts, `all` and `replay` included, but
+/// those in `skip`.
+fn every_experiment_but(skip: &[&str]) -> Vec<&'static str> {
+    RUNNERS
+        .iter()
+        .map(|&(name, _)| name)
+        .chain(["all", "replay"])
+        .filter(|name| !skip.contains(name))
+        .collect()
+}
+
+/// The experiments whose output depends on `flag`, one `parse_args` has
+/// accepted. `all` reads a flag wherever an experiment it runs does, but
+/// `--shards` and `--backend` are for single experiments only.
+fn readers(flag: &str) -> Vec<&'static str> {
+    match flag {
+        "--shards" => SHARD_READERS.to_vec(),
+        "--backend" => BACKEND_READERS.to_vec(),
+        "--science" => vec!["fig5", "all"],
+        "--on" => vec!["race", "all"],
+        "--corpus" => vec!["fuzz", "replay", "all"],
+        "--seed" | "--trials" => every_experiment_but(&["potential", "replay"]),
+        "--jobs" => every_experiment_but(&["potential"]),
+        "--quick" | "--out" => every_experiment_but(&["replay"]),
+        other => unreachable!("{other} is not an xp flag"),
+    }
 }
 
 /// Rejects `flag` unless `experiment` is one of the `readers` whose output
@@ -522,46 +577,11 @@ fn main() -> ExitCode {
         return run_replay(&opts);
     }
 
-    type Runner = fn(&Options) -> (String, String);
-    let plan: Vec<Runner> = match opts.experiment.as_str() {
-        "fig3" => vec![run_fig3],
-        "fig5" => vec![run_fig5],
-        "grid" => vec![run_grid],
-        "lower-bound" => vec![run_lower_bound],
-        "tails" => vec![run_tails],
-        "robustness" => vec![run_robustness],
-        "faults" => vec![run_faults],
-        "race" => vec![run_race],
-        "quality" => vec![run_quality],
-        "decay" => vec![run_decay],
-        "apps" => vec![run_apps],
-        "sop" => vec![run_sop],
-        "potential" => vec![run_potential],
-        "fuzz" => vec![run_fuzz],
-        "all" => vec![
-            run_fig3,
-            run_fig5,
-            run_grid,
-            run_lower_bound,
-            run_tails,
-            run_robustness,
-            run_faults,
-            run_race,
-            run_quality,
-            run_decay,
-            run_apps,
-            run_sop,
-            run_potential,
-            run_fuzz,
-        ],
-        other => {
-            eprintln!("unknown experiment {other:?}\n{}", usage());
-            return ExitCode::FAILURE;
-        }
-    };
-
     let mut report = Report::new();
-    for runner in plan {
+    let plan = RUNNERS
+        .iter()
+        .filter(|&&(name, _)| opts.experiment == "all" || opts.experiment == name);
+    for &(_, runner) in plan {
         // detlint: allow(D03) -- progress display only; never feeds results or seeds
         let started = std::time::Instant::now();
         let (title, body) = runner(&opts);
@@ -694,6 +714,87 @@ mod tests {
             assert!(err.contains("only to decay,"), "{err}");
             assert!(err.contains(experiment), "{err}");
         }
+    }
+
+    #[test]
+    fn flags_are_rejected_where_no_experiment_reads_them() {
+        for (flag, args) in [
+            ("--seed", &["potential", "--quick", "--seed", "99"][..]),
+            ("--trials", &["potential", "--trials", "3"]),
+            ("--jobs", &["potential", "--jobs", "1"]),
+            ("--seed", &["replay", "c.json", "--seed", "5"]),
+            ("--trials", &["replay", "c.json", "--trials", "2"]),
+            ("--quick", &["replay", "c.json", "--quick"]),
+            ("--out", &["replay", "c.json", "--out", "o.md"]),
+            ("--science", &["grid", "--quick", "--science"]),
+            ("--on", &["grid", "--on", "line"]),
+            ("--corpus", &["grid", "--corpus", "f.json"]),
+        ] {
+            let err = parse(args).unwrap_err();
+            assert!(
+                err.starts_with(&format!("{flag} applies only to ")),
+                "{err}"
+            );
+            assert!(err.ends_with(&format!(", not to {}", args[0])), "{err}");
+        }
+    }
+
+    #[test]
+    fn single_experiment_flags_are_accepted_only_where_they_are_read() {
+        for (args, readers) in [
+            (&["--science"][..], &["fig5", "all"][..]),
+            (&["--on", "line"], &["race", "all"]),
+            (&["--corpus", "c.json"], &["fuzz", "replay", "all"]),
+        ] {
+            for experiment in every_experiment_but(&[]) {
+                let mut argv = vec![experiment];
+                argv.extend(args);
+                match parse(&argv) {
+                    Ok(_) => assert!(readers.contains(&experiment), "{argv:?} was accepted"),
+                    Err(err) => {
+                        assert!(!readers.contains(&experiment), "{argv:?}: {err}");
+                        assert!(err.starts_with(&format!("{} applies only to", args[0])));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn all_accepts_every_flag_one_of_its_experiments_reads() {
+        let opts = parse(&[
+            "all",
+            "--quick",
+            "--seed",
+            "3",
+            "--trials",
+            "2",
+            "--jobs",
+            "2",
+            "--science",
+            "--on",
+            "line",
+            "--out",
+            "r.md",
+            "--corpus",
+            "c.json",
+        ])
+        .unwrap();
+        assert!(opts.quick && opts.science);
+        assert_eq!(
+            (opts.seed, opts.trials, opts.ctx.jobs),
+            (Some(3), Some(2), 2)
+        );
+        assert_eq!(opts.on, Some(race::RaceSurface::Line));
+        assert_eq!(opts.out.as_deref(), Some("r.md"));
+        assert_eq!(opts.corpus.as_deref(), Some("c.json"));
+    }
+
+    #[test]
+    fn rejects_unknown_experiment() {
+        let err = parse(&["nonsense", "--quick"]).unwrap_err();
+        assert!(err.starts_with("unknown experiment \"nonsense\""), "{err}");
+        assert!(err.contains("usage"));
     }
 
     #[test]
