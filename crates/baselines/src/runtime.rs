@@ -501,7 +501,9 @@ impl<'g, F: MessageFactory, G: GraphView + ?Sized> MessageSimulator<'g, F, G> {
         let degrees: Vec<usize> = (0..self.graph.node_count() as NodeId)
             .map(|v| self.graph.degree(v))
             .collect();
-        let mut sleepers: Vec<(u32, NodeId)> = (spec.wake_schedule(&degrees).into_iter())
+        let mut sleepers: Vec<(u32, NodeId)> = spec
+            .wake_schedule(&degrees)
+            .into_iter()
             .zip(0..)
             .filter(|&(wake, _)| wake > 0)
             .collect();
