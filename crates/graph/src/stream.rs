@@ -1063,21 +1063,30 @@ mod tests {
     #[test]
     fn streamed_shards_match_view_written_shards() {
         let mut rng = SmallRng::seed_from_u64(42);
-        let g = generators::gnp(500, 0.02, &mut rng);
-        let streamed = TempDir::new("streamed");
-        let from_view = TempDir::new("from-view");
-        let a = stream_graph(&g, streamed.path(), 192);
-        let b = write_sharded_from_view(from_view.path(), &g, 192).unwrap();
-        assert_eq!(a, b);
-        for s in 0..a.shard_count {
-            let left = fs::read(shard_path(streamed.path(), s)).unwrap();
-            let right = fs::read(shard_path(from_view.path(), s)).unwrap();
-            assert_eq!(left, right, "shard {s} bytes differ");
+        let cases = [
+            ("gnp", generators::gnp(500, 0.02, &mut rng), 192),
+            ("torus", generators::torus2d(10, 13), 64),
+            ("edgeless", Graph::empty(100), 64),
+            ("empty", Graph::empty(0), 64),
+            ("star", generators::star(200), 128),
+        ];
+        for (label, g, nodes_per_shard) in &cases {
+            let streamed = TempDir::new("streamed");
+            let from_view = TempDir::new("from-view");
+            let a = stream_graph(g, streamed.path(), *nodes_per_shard);
+            let b = write_sharded_from_view(from_view.path(), g, *nodes_per_shard).unwrap();
+            assert_eq!(a, b, "{label}");
+            for s in 0..a.shard_count {
+                let left = fs::read(shard_path(streamed.path(), s)).unwrap();
+                let right = fs::read(shard_path(from_view.path(), s)).unwrap();
+                assert_eq!(left, right, "{label}: shard {s} bytes differ");
+            }
+            assert_eq!(
+                fs::read(meta_path(streamed.path())).unwrap(),
+                fs::read(meta_path(from_view.path())).unwrap(),
+                "{label}: meta.bin differs"
+            );
         }
-        assert_eq!(
-            fs::read(meta_path(streamed.path())).unwrap(),
-            fs::read(meta_path(from_view.path())).unwrap()
-        );
     }
 
     #[test]
@@ -1185,6 +1194,39 @@ mod tests {
             assert_eq!(disk.degree(v), 4);
         }
         assert!(disk.cache_stats().misses > 4, "eviction forces re-reads");
+    }
+
+    #[test]
+    fn lru_evicts_the_least_recently_used_block() {
+        let tmp = TempDir::new("lru-order");
+        let g = generators::torus2d(16, 16); // 256 nodes = 4 blocks
+        stream_graph(&g, tmp.path(), 64);
+        let disk = DiskGraph::open(tmp.path()).unwrap().with_cache_blocks(2);
+        let stats = |disk: &DiskGraph| {
+            let s = disk.cache_stats();
+            (s.hits, s.misses)
+        };
+        // Blocks touched: 0, 1, 0 (hit), 2 (evicts 1), 1 (evicts 0),
+        // 0 (evicts 2), 2 (evicts 1).
+        let trace = [
+            (0, (0, 1)),
+            (64, (0, 2)),
+            (1, (1, 2)),
+            (128, (1, 3)),
+            (65, (1, 4)),
+            (2, (1, 5)),
+            (129, (1, 6)),
+        ];
+        for (v, expected) in trace {
+            assert_eq!(disk.degree(v), 4);
+            assert_eq!(stats(&disk), expected, "after degree({v})");
+        }
+        // Shrinking keeps only the most recent block (2) resident.
+        let disk = disk.with_cache_blocks(1);
+        assert_eq!(disk.degree(130), 4);
+        assert_eq!(stats(&disk), (2, 6), "block 2 stayed resident");
+        assert_eq!(disk.degree(3), 4);
+        assert_eq!(stats(&disk), (2, 7), "block 0 was evicted");
     }
 
     #[test]
