@@ -47,6 +47,7 @@
 use core::fmt;
 use core::ops::ControlFlow;
 
+use crate::view::debug_check_overrides;
 use crate::{Graph, GraphView, NodeId};
 
 /// Number of consecutive nodes grouped into one compressed block.
@@ -116,37 +117,55 @@ pub(crate) fn encode_adjacency(v: NodeId, neighbors: &[NodeId], payload: &mut Ve
     }
 }
 
-/// Accumulates per-node encodings for one block and seals them into the
-/// final `[width][directory][payload]` byte layout. Shared by
-/// [`CompressedGraphBuilder`] and the shard writer.
-#[derive(Debug, Default)]
-pub(crate) struct BlockWriter {
+/// The one block-sequence encoder: pushes consecutive nodes' sorted
+/// neighbour lists into the open block (directory plus payload), seals it
+/// into `data` every [`BLOCK_NODES`] nodes, and keeps the running degree
+/// sum and maximum degree. Behind [`CompressedGraphBuilder`] and both shard
+/// writers of [`stream`](crate::stream).
+#[derive(Debug)]
+pub(crate) struct BlockEncoder {
     dir: Vec<u32>,
     payload: Vec<u8>,
+    /// Concatenated sealed blocks.
+    pub(crate) data: Vec<u8>,
+    /// Byte offset of each sealed block in `data`, plus the end offset.
+    pub(crate) block_starts: Vec<u64>,
+    /// Sum of the pushed degrees.
+    pub(crate) degree_sum: usize,
+    /// Largest pushed degree.
+    pub(crate) max_degree: usize,
 }
 
-impl BlockWriter {
-    /// Nodes encoded into the open block so far.
-    pub(crate) fn len(&self) -> usize {
-        self.dir.len()
+impl BlockEncoder {
+    /// An encoder with no nodes pushed yet.
+    pub(crate) fn new() -> Self {
+        Self {
+            dir: Vec::new(),
+            payload: Vec::new(),
+            data: Vec::new(),
+            block_starts: vec![0],
+            degree_sum: 0,
+            max_degree: 0,
+        }
     }
 
-    /// Whether the open block has no nodes yet.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.dir.is_empty()
-    }
-
-    /// Encodes `v`'s sorted neighbour list as the next node of the block.
+    /// Encodes `v`'s sorted neighbour list as the next node, sealing the
+    /// block once it holds [`BLOCK_NODES`] nodes.
     pub(crate) fn push(&mut self, v: NodeId, neighbors: &[NodeId]) {
-        debug_assert!(self.dir.len() < BLOCK_NODES, "block overfull");
         self.dir
             .push(u32::try_from(self.payload.len()).expect("block payload overflows u32"));
         encode_adjacency(v, neighbors, &mut self.payload);
+        self.degree_sum += neighbors.len();
+        self.max_degree = self.max_degree.max(neighbors.len());
+        if self.dir.len() == BLOCK_NODES {
+            self.seal();
+        }
     }
 
-    /// Appends the sealed block (padded to 8 bytes) to `out` and resets
-    /// the writer for the next block. No-op on an empty writer.
-    pub(crate) fn seal_into(&mut self, out: &mut Vec<u8>) {
+    /// Appends the open block to `data`, padded to 8 bytes, and records
+    /// its end offset. No-op when the open block is empty, so it also
+    /// flushes a partial last block.
+    pub(crate) fn seal(&mut self) {
         if self.dir.is_empty() {
             return;
         }
@@ -155,14 +174,15 @@ impl BlockWriter {
         } else {
             4
         };
-        out.push(width as u8);
+        self.data.push(width as u8);
         for &entry in &self.dir {
-            out.extend_from_slice(&entry.to_le_bytes()[..width]);
+            self.data.extend_from_slice(&entry.to_le_bytes()[..width]);
         }
-        out.extend_from_slice(&self.payload);
-        while !out.len().is_multiple_of(8) {
-            out.push(0);
+        self.data.extend_from_slice(&self.payload);
+        while !self.data.len().is_multiple_of(8) {
+            self.data.push(0);
         }
+        self.block_starts.push(self.data.len() as u64);
         self.dir.clear();
         self.payload.clear();
     }
@@ -273,7 +293,8 @@ impl CompressedGraph {
         builder.finish()
     }
 
-    /// Assembles a graph from already-encoded parts (shard loading).
+    /// Assembles a graph from already-encoded parts (the builder and the
+    /// shard loader).
     pub(crate) fn from_parts(
         node_count: usize,
         edge_count: usize,
@@ -288,7 +309,7 @@ impl CompressedGraph {
             block_starts,
             data,
         };
-        g.debug_check_overrides();
+        debug_check_overrides(&g);
         g
     }
 
@@ -359,29 +380,6 @@ impl CompressedGraph {
         };
         (&bytes[1 + span * width..], offset)
     }
-
-    /// Asserts the stored `edge_count`/`max_degree` against the
-    /// [`GraphView`] default degree-scan formulas on small graphs — the
-    /// guard that keeps the O(1) overrides honest (debug builds only).
-    pub(crate) fn debug_check_overrides(&self) {
-        #[cfg(debug_assertions)]
-        if self.node_count <= 4096 {
-            let degrees: Vec<usize> = (0..self.node_count as NodeId)
-                .map(|v| GraphView::degree(self, v))
-                .collect();
-            let total: usize = degrees.iter().sum();
-            debug_assert_eq!(
-                self.edge_count,
-                total / 2,
-                "stored edge_count disagrees with the degree-sum default"
-            );
-            debug_assert_eq!(
-                self.max_degree,
-                degrees.iter().copied().max().unwrap_or(0),
-                "stored max_degree disagrees with the degree-scan default"
-            );
-        }
-    }
 }
 
 impl GraphView for CompressedGraph {
@@ -447,8 +445,8 @@ impl From<&Graph> for CompressedGraph {
 
 /// Streaming constructor for [`CompressedGraph`]: push each node's sorted
 /// neighbour list in ascending node order, then [`finish`](Self::finish).
-/// Used by [`CompressedGraph::from_view`] and the shard loader, and
-/// usable directly when adjacency is produced a node at a time.
+/// Used by [`CompressedGraph::from_view`], and usable directly when
+/// adjacency is produced a node at a time.
 ///
 /// # Examples
 ///
@@ -467,11 +465,7 @@ impl From<&Graph> for CompressedGraph {
 pub struct CompressedGraphBuilder {
     node_count: usize,
     next_node: usize,
-    degree_sum: usize,
-    max_degree: usize,
-    block: BlockWriter,
-    block_starts: Vec<u64>,
-    data: Vec<u8>,
+    encoder: BlockEncoder,
 }
 
 impl CompressedGraphBuilder {
@@ -489,11 +483,7 @@ impl CompressedGraphBuilder {
         Self {
             node_count,
             next_node: 0,
-            degree_sum: 0,
-            max_degree: 0,
-            block: BlockWriter::default(),
-            block_starts: vec![0],
-            data: Vec::new(),
+            encoder: BlockEncoder::new(),
         }
     }
 
@@ -525,14 +515,8 @@ impl CompressedGraphBuilder {
             );
             prev = Some(u);
         }
-        self.block.push(v, neighbors);
-        self.degree_sum += neighbors.len();
-        self.max_degree = self.max_degree.max(neighbors.len());
+        self.encoder.push(v, neighbors);
         self.next_node += 1;
-        if self.block.len() == BLOCK_NODES {
-            self.block.seal_into(&mut self.data);
-            self.block_starts.push(self.data.len() as u64);
-        }
     }
 
     /// Seals the final block and returns the finished graph.
@@ -547,23 +531,25 @@ impl CompressedGraphBuilder {
             self.next_node, self.node_count,
             "pushed fewer neighbour lists than nodes"
         );
-        if !self.block.is_empty() {
-            self.block.seal_into(&mut self.data);
-            self.block_starts.push(self.data.len() as u64);
-        }
+        self.encoder.seal();
+        let BlockEncoder {
+            data,
+            block_starts,
+            degree_sum,
+            max_degree,
+            ..
+        } = self.encoder;
         assert!(
-            self.degree_sum.is_multiple_of(2),
+            degree_sum.is_multiple_of(2),
             "neighbour lists are not symmetric (odd degree sum)"
         );
-        let g = CompressedGraph {
-            node_count: self.node_count,
-            edge_count: self.degree_sum / 2,
-            max_degree: self.max_degree,
-            block_starts: self.block_starts,
-            data: self.data,
-        };
-        g.debug_check_overrides();
-        g
+        CompressedGraph::from_parts(
+            self.node_count,
+            degree_sum / 2,
+            max_degree,
+            block_starts,
+            data,
+        )
     }
 }
 

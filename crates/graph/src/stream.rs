@@ -61,7 +61,8 @@ use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-use crate::compressed::{decode_block, BlockWriter, DecodedBlock, BLOCK_NODES};
+use crate::compressed::{decode_block, BlockEncoder, DecodedBlock, BLOCK_NODES};
+use crate::view::debug_check_overrides;
 use crate::{CompressedGraph, GraphError, GraphView, NodeId};
 
 const META_MAGIC: &[u8; 8] = b"MISGRPH1";
@@ -174,62 +175,27 @@ fn format_err(path: &Path, reason: impl Into<String>) -> StreamError {
     }
 }
 
-/// Encodes one shard's nodes into sealed blocks plus a relative block
-/// offset table.
-struct ShardEncoder {
-    data: Vec<u8>,
-    block_starts: Vec<u64>,
-    block: BlockWriter,
-}
-
-impl ShardEncoder {
-    fn new() -> Self {
-        Self {
-            data: Vec::new(),
-            block_starts: vec![0],
-            block: BlockWriter::default(),
-        }
-    }
-
-    fn push(&mut self, v: NodeId, neighbors: &[NodeId]) {
-        self.block.push(v, neighbors);
-        if self.block.len() == BLOCK_NODES {
-            self.block.seal_into(&mut self.data);
-            self.block_starts.push(self.data.len() as u64);
-        }
-    }
-
-    fn finish(mut self) -> (Vec<u8>, Vec<u64>) {
-        if !self.block.is_empty() {
-            self.block.seal_into(&mut self.data);
-            self.block_starts.push(self.data.len() as u64);
-        }
-        (self.data, self.block_starts)
-    }
-}
-
-/// Writes one shard file and returns its on-disk adjacency bytes (data
-/// plus offset table).
+/// Writes one shard file from its sealed encoder and returns its on-disk
+/// adjacency bytes (data plus offset table).
 fn write_shard_file(
     path: &Path,
     shard_id: usize,
     first_node: usize,
     node_span: usize,
-    block_starts: &[u64],
-    data: &[u8],
+    encoder: &BlockEncoder,
 ) -> io::Result<u64> {
     let mut f = BufWriter::new(File::create(path)?);
     f.write_all(SHARD_MAGIC)?;
     write_u64(&mut f, shard_id as u64)?;
     write_u64(&mut f, first_node as u64)?;
     write_u64(&mut f, node_span as u64)?;
-    write_u64(&mut f, (block_starts.len() - 1) as u64)?;
-    for &off in block_starts {
+    write_u64(&mut f, (encoder.block_starts.len() - 1) as u64)?;
+    for &off in &encoder.block_starts {
         write_u64(&mut f, off)?;
     }
-    f.write_all(data)?;
+    f.write_all(&encoder.data)?;
     f.flush()?;
-    Ok(data.len() as u64 + block_starts.len() as u64 * 8)
+    Ok(encoder.data.len() as u64 + encoder.block_starts.len() as u64 * 8)
 }
 
 fn write_meta_file(dir: &Path, summary: &ShardedGraphSummary) -> io::Result<()> {
@@ -242,6 +208,44 @@ fn write_meta_file(dir: &Path, summary: &ShardedGraphSummary) -> io::Result<()> 
     write_u64(&mut f, summary.nodes_per_shard as u64)?;
     write_u64(&mut f, summary.shard_count as u64)?;
     f.flush()
+}
+
+/// The one shard-writing loop, behind [`ShardWriter::finish`] and
+/// [`write_sharded_from_view`]. For each shard, `fill(first, span, encoder)`
+/// pushes nodes `first..first + span` into a fresh encoder; the sealed
+/// blocks become the shard file. `meta.bin` is written last, from the
+/// summed degrees.
+fn write_shards(
+    dir: &Path,
+    node_count: usize,
+    nodes_per_shard: usize,
+    mut fill: impl FnMut(usize, usize, &mut BlockEncoder) -> Result<(), StreamError>,
+) -> Result<ShardedGraphSummary, StreamError> {
+    let shard_count = node_count.div_ceil(nodes_per_shard);
+    let mut degree_sum = 0usize;
+    let mut max_degree = 0usize;
+    let mut adjacency_bytes = 0u64;
+    for s in 0..shard_count {
+        let first = s * nodes_per_shard;
+        let span = nodes_per_shard.min(node_count - first);
+        let mut encoder = BlockEncoder::new();
+        fill(first, span, &mut encoder)?;
+        encoder.seal();
+        degree_sum += encoder.degree_sum;
+        max_degree = max_degree.max(encoder.max_degree);
+        adjacency_bytes += write_shard_file(&shard_path(dir, s), s, first, span, &encoder)?;
+    }
+    debug_assert!(degree_sum.is_multiple_of(2), "half-edges must pair up");
+    let summary = ShardedGraphSummary {
+        node_count,
+        edge_count: degree_sum / 2,
+        max_degree,
+        nodes_per_shard,
+        shard_count,
+        adjacency_bytes,
+    };
+    write_meta_file(dir, &summary)?;
+    Ok(summary)
 }
 
 /// Bounded-memory writer for the sharded on-disk format.
@@ -377,18 +381,15 @@ impl ShardWriter {
         if let Some(e) = self.error.take() {
             return Err(e);
         }
-        let shard_count = self.spills.len();
         for spill in &mut self.spills {
             spill.flush()?;
         }
         self.spills.clear(); // close the spill handles
-        let mut degree_sum = 0u64;
-        let mut max_degree = 0usize;
-        let mut adjacency_bytes = 0u64;
-        for s in 0..shard_count {
-            let first = s * self.nodes_per_shard;
-            let span = self.nodes_per_shard.min(self.node_count - first);
-            let spill = spill_path(&self.dir, s);
+        let dir = &self.dir;
+        let nodes_per_shard = self.nodes_per_shard;
+        let mut neighbors: Vec<NodeId> = Vec::new();
+        write_shards(dir, self.node_count, nodes_per_shard, |first, span, enc| {
+            let spill = spill_path(dir, first / nodes_per_shard);
             let bytes = fs::read(&spill)?;
             if !bytes.len().is_multiple_of(8) {
                 return Err(format_err(&spill, "truncated spill record"));
@@ -405,42 +406,19 @@ impl ShardWriter {
             drop(bytes);
             recs.sort_unstable();
             recs.dedup();
-            let mut encoder = ShardEncoder::new();
-            let mut neighbors: Vec<NodeId> = Vec::new();
             let mut i = 0usize;
-            for local in 0..span {
-                let v = (first + local) as NodeId;
+            for v in first..first + span {
+                let v = v as NodeId;
                 neighbors.clear();
                 while i < recs.len() && recs[i].0 == v {
                     neighbors.push(recs[i].1);
                     i += 1;
                 }
-                degree_sum += neighbors.len() as u64;
-                max_degree = max_degree.max(neighbors.len());
-                encoder.push(v, &neighbors);
+                enc.push(v, &neighbors);
             }
-            let (data, block_starts) = encoder.finish();
-            adjacency_bytes += write_shard_file(
-                &shard_path(&self.dir, s),
-                s,
-                first,
-                span,
-                &block_starts,
-                &data,
-            )?;
             let _ = fs::remove_file(&spill);
-        }
-        debug_assert!(degree_sum.is_multiple_of(2), "teed half-edges must pair up");
-        let summary = ShardedGraphSummary {
-            node_count: self.node_count,
-            edge_count: (degree_sum / 2) as usize,
-            max_degree,
-            nodes_per_shard: self.nodes_per_shard,
-            shard_count,
-            adjacency_bytes,
-        };
-        write_meta_file(&self.dir, &summary)?;
-        Ok(summary)
+            Ok(())
+        })
     }
 
     fn cleanup_spills(&mut self) {
@@ -495,38 +473,16 @@ pub fn write_sharded_from_view<G: GraphView + ?Sized>(
     );
     let dir = dir.as_ref();
     fs::create_dir_all(dir)?;
-    let node_count = g.node_count();
-    let shard_count = node_count.div_ceil(nodes_per_shard);
-    let mut degree_sum = 0u64;
-    let mut max_degree = 0usize;
-    let mut adjacency_bytes = 0u64;
     let mut neighbors: Vec<NodeId> = Vec::new();
-    for s in 0..shard_count {
-        let first = s * nodes_per_shard;
-        let span = nodes_per_shard.min(node_count - first);
-        let mut encoder = ShardEncoder::new();
-        for local in 0..span {
-            let v = (first + local) as NodeId;
+    write_shards(dir, g.node_count(), nodes_per_shard, |first, span, enc| {
+        for v in first..first + span {
+            let v = v as NodeId;
             neighbors.clear();
             g.for_each_neighbor(v, |u| neighbors.push(u));
-            degree_sum += neighbors.len() as u64;
-            max_degree = max_degree.max(neighbors.len());
-            encoder.push(v, &neighbors);
+            enc.push(v, &neighbors);
         }
-        let (data, block_starts) = encoder.finish();
-        adjacency_bytes +=
-            write_shard_file(&shard_path(dir, s), s, first, span, &block_starts, &data)?;
-    }
-    let summary = ShardedGraphSummary {
-        node_count,
-        edge_count: (degree_sum / 2) as usize,
-        max_degree,
-        nodes_per_shard,
-        shard_count,
-        adjacency_bytes,
-    };
-    write_meta_file(dir, &summary)?;
-    Ok(summary)
+        Ok(())
+    })
 }
 
 /// Parsed `meta.bin` plus derived shard geometry.
@@ -684,14 +640,29 @@ struct CacheEntry {
 
 struct DiskState {
     files: Vec<File>,
-    // BTreeMap, not HashMap: both LRU evictions below iterate the cache to
-    // find the min-tick victim, and `last_used` ties (pre-warm, equal-tick
-    // paths) must break toward the same block in every process — hash-order
+    // BTreeMap, not HashMap: `evict_to` iterates the cache to find the
+    // min-tick victim, and `last_used` ties (pre-warm, equal-tick paths)
+    // must break toward the same block in every process — hash-order
     // iteration made eviction, and with it DiskCacheStats, run-dependent.
     cache: BTreeMap<usize, CacheEntry>,
     tick: u64,
     hits: u64,
     misses: u64,
+}
+
+impl DiskState {
+    /// Evicts least-recently-used blocks (the lowest block id on a tie)
+    /// until at most `cap` stay resident.
+    fn evict_to(&mut self, cap: usize) {
+        while self.cache.len() > cap {
+            let (&victim, _) = self
+                .cache
+                .iter()
+                .min_by_key(|(_, e)| e.last_used)
+                .expect("an over-capacity cache is non-empty");
+            self.cache.remove(&victim);
+        }
+    }
 }
 
 /// Hit/miss counters of a [`DiskGraph`]'s block cache.
@@ -772,7 +743,7 @@ impl DiskGraph {
                 misses: 0,
             }),
         };
-        g.debug_check_overrides();
+        debug_check_overrides(&g);
         // The debug cross-check warms the cache; start callers from a
         // clean slate so stats and residency are deterministic across
         // debug and release builds.
@@ -795,19 +766,10 @@ impl DiskGraph {
     #[must_use]
     pub fn with_cache_blocks(mut self, blocks: usize) -> Self {
         self.cache_blocks = blocks.max(1);
-        let mut st = self.state.lock().expect("disk graph lock");
-        while st.cache.len() > self.cache_blocks {
-            let victim = st
-                .cache
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(&b, _)| b);
-            match victim {
-                Some(b) => st.cache.remove(&b),
-                None => break,
-            };
-        }
-        drop(st);
+        self.state
+            .lock()
+            .expect("disk graph lock")
+            .evict_to(self.cache_blocks);
         self
     }
 
@@ -892,11 +854,7 @@ impl DiskGraph {
             decode_block(&buf, base, span, self.node_count)
                 .unwrap_or_else(|reason| panic!("corrupt shard block {b}: {reason}")),
         );
-        if st.cache.len() >= self.cache_blocks {
-            if let Some((&victim, _)) = st.cache.iter().min_by_key(|(_, e)| e.last_used) {
-                st.cache.remove(&victim);
-            }
-        }
+        st.evict_to(self.cache_blocks - 1);
         st.cache.insert(
             b,
             CacheEntry {
@@ -913,29 +871,6 @@ impl DiskGraph {
             "node {v} out of range for graph with {} nodes",
             self.node_count
         );
-    }
-
-    /// Asserts the stored header stats against the [`GraphView`] default
-    /// degree-scan formulas on small graphs (debug builds only) — the
-    /// same guard [`CompressedGraph`] applies to its O(1) overrides.
-    fn debug_check_overrides(&self) {
-        #[cfg(debug_assertions)]
-        if self.node_count <= 4096 {
-            let degrees: Vec<usize> = (0..self.node_count as NodeId)
-                .map(|v| GraphView::degree(self, v))
-                .collect();
-            let total: usize = degrees.iter().sum();
-            debug_assert_eq!(
-                self.edge_count,
-                total / 2,
-                "header edge_count disagrees with the degree-sum default"
-            );
-            debug_assert_eq!(
-                self.max_degree,
-                degrees.iter().copied().max().unwrap_or(0),
-                "header max_degree disagrees with the degree-scan default"
-            );
-        }
     }
 }
 
