@@ -530,7 +530,8 @@ fn read_meta(dir: &Path) -> Result<MetaFile, StreamError> {
 }
 
 /// Reads one shard header (magic through the offset table), leaving the
-/// file positioned at the start of the block data. Returns the offsets.
+/// file positioned at the start of the block data. Returns the offsets,
+/// checked to ascend and to end within the file.
 fn read_shard_header(
     f: &mut File,
     path: &Path,
@@ -564,6 +565,15 @@ fn read_shard_header(
         if pair[0] > pair[1] {
             return Err(format_err(path, "block offsets not ascending"));
         }
+    }
+    // Both readers size buffers from these offsets: a corrupt one must
+    // fail here, not as an allocation abort or a mid-run read panic.
+    let data_len = f.metadata()?.len().saturating_sub(f.stream_position()?);
+    if *offsets.last().expect("offsets never empty") > data_len {
+        return Err(format_err(
+            path,
+            "block offsets run past the end of the file",
+        ));
     }
     Ok(offsets)
 }
@@ -1107,6 +1117,26 @@ mod tests {
         bytes[last] = 0xff;
         fs::write(&shard, &bytes).unwrap();
         assert!(CompressedGraph::load_sharded(tmp.path()).is_err());
+
+        // Block offsets past the end of the file: a last offset of 2^56,
+        // then a data section cut short. Both readers reject them at open
+        // instead of sizing a buffer from them.
+        stream_graph(&g, tmp.path(), 64);
+        let valid = fs::read(&shard).unwrap();
+        let mut huge = valid.clone();
+        let last_offset = 8 + 4 * 8 + 8; // magic, 4 header words, offset 0
+        huge[last_offset..last_offset + 8].copy_from_slice(&(1u64 << 56).to_le_bytes());
+        for corrupt in [&huge[..], &valid[..valid.len() - 8]] {
+            fs::write(&shard, corrupt).unwrap();
+            assert!(matches!(
+                CompressedGraph::load_sharded(tmp.path()),
+                Err(StreamError::Format { .. })
+            ));
+            assert!(matches!(
+                DiskGraph::open(tmp.path()),
+                Err(StreamError::Format { .. })
+            ));
+        }
 
         // Missing directory entirely.
         assert!(DiskGraph::open(tmp.path().join("nope")).is_err());
