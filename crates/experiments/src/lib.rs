@@ -46,5 +46,6 @@ pub mod seeds;
 pub mod sop;
 pub mod tails;
 
+pub use mis_graph::backend::{run_with_backend, Backend, BackendOp};
 pub use report::Report;
-pub use runner::{run_with_backend, Backend, BackendOp, RunContext, SeriesPoint};
+pub use runner::{RunContext, SeriesPoint};

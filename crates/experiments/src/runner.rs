@@ -15,17 +15,10 @@
 //! beeping or message-passing — parallelises with bit-identical results
 //! for any job count.
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use mis_beeping::{RngMode, SimConfig};
 use mis_core::{parallel_indexed_map, BatchPlan};
-use mis_graph::{stream, CompressedGraph, DiskGraph, Graph, GraphView};
+use mis_graph::backend::Backend;
 use mis_stats::OnlineStats;
-
-/// Counter making the per-process shard directories of the disk backend
-/// unique.
-static DISK_DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 /// The settings a run of the experiments executes under.
 ///
@@ -40,7 +33,7 @@ pub struct RunContext {
     /// (`None` = unsharded stream mode, `Some(0)` = one per core).
     pub shards: Option<usize>,
     /// The adjacency backend experiments that read one serve their graphs
-    /// from (see [`run_with_backend`]).
+    /// from (see [`run_with_backend`](mis_graph::backend::run_with_backend)).
     pub backend: Backend,
 }
 
@@ -87,96 +80,6 @@ impl RunContext {
         // path, so trial runs and `RunPlan` runs can never diverge.
         let plan = BatchPlan::new(master_seed, trials).with_jobs(self.jobs);
         parallel_indexed_map(plan.runs, plan.effective_jobs(), |i| f(plan.run_seed(i), i))
-    }
-}
-
-/// The adjacency backend a simulation reads its topology from.
-///
-/// Backends change only *where adjacency lives* — never the elected MIS:
-/// all three serve the same neighbour lists through
-/// [`GraphView`](mis_graph::GraphView), so outcomes are bit-identical
-/// across this choice (pinned by `tests/backend_equivalence.rs`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Backend {
-    /// In-RAM compressed sparse rows — fastest, biggest (the default).
-    #[default]
-    Csr,
-    /// In-RAM delta-varint blocks ([`CompressedGraph`]): ≥2× fewer
-    /// adjacency bytes per node on regular topologies, slower decode.
-    Compressed,
-    /// Paged from an on-disk shard directory ([`DiskGraph`]): graphs
-    /// larger than RAM, slowest.
-    Disk,
-}
-
-impl Backend {
-    /// Parses a `--backend` value.
-    #[must_use]
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "csr" => Some(Backend::Csr),
-            "compressed" => Some(Backend::Compressed),
-            "disk" => Some(Backend::Disk),
-            _ => None,
-        }
-    }
-
-    /// The flag spelling of this backend.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Backend::Csr => "csr",
-            Backend::Compressed => "compressed",
-            Backend::Disk => "disk",
-        }
-    }
-}
-
-/// A simulation (or any graph computation) abstracted over the adjacency
-/// backend. [`GraphView`] has generic methods, so it is not object-safe
-/// and a `&dyn` can't cross this seam — implementors get the concrete
-/// view through a generic method instead.
-pub trait BackendOp {
-    /// What the computation produces.
-    type Out;
-    /// Runs the computation against one concrete adjacency backend.
-    fn run<G: GraphView + ?Sized>(self, g: &G) -> Self::Out;
-}
-
-/// Runs `op` against `g` served through `backend`: the CSR graph itself,
-/// a [`CompressedGraph`] re-encoding, or a [`DiskGraph`] paging a
-/// temporary shard directory (written, used, and removed per call).
-///
-/// # Panics
-///
-/// Panics if the disk backend cannot write or reopen its temporary shard
-/// directory.
-pub fn run_with_backend<Op: BackendOp>(g: &Graph, backend: Backend, op: Op) -> Op::Out {
-    match backend {
-        Backend::Csr => op.run(g),
-        Backend::Compressed => op.run(&CompressedGraph::from_view(g)),
-        Backend::Disk => {
-            // Declared before `disk`, so it is dropped after it: the
-            // directory goes even when the write, the open or `op` panics.
-            let dir = ShardDir(std::env::temp_dir().join(format!(
-                "xp-disk-backend-{}-{}",
-                std::process::id(),
-                DISK_DIR_COUNTER.fetch_add(1, Ordering::Relaxed)
-            )));
-            stream::write_sharded_from_view(&dir.0, g, stream::DEFAULT_NODES_PER_SHARD)
-                .expect("write disk-backend shard directory");
-            let disk = DiskGraph::open(&dir.0).expect("reopen disk-backend shard directory");
-            op.run(&disk)
-        }
-    }
-}
-
-/// A disk-backend shard directory, removed when dropped.
-struct ShardDir(PathBuf);
-
-impl Drop for ShardDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
     }
 }
 
@@ -252,14 +155,6 @@ mod tests {
             let got = ctx.run_trials(17, 9, |seed, idx| (idx, seed));
             assert_eq!(got, reference, "jobs = {jobs}");
         }
-    }
-
-    #[test]
-    fn backend_parse_round_trips() {
-        for b in [Backend::Csr, Backend::Compressed, Backend::Disk] {
-            assert_eq!(Backend::parse(b.name()), Some(b));
-        }
-        assert_eq!(Backend::parse("ram"), None);
     }
 
     #[test]

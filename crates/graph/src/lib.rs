@@ -19,7 +19,9 @@
 //! * [`io`] — an edge-list text format and Graphviz DOT export;
 //! * [`compressed`] / [`stream`] — the scale tier: a delta-varint
 //!   [`CompressedGraph`] backend, streaming shard generation in bounded
-//!   memory, and the paged [`DiskGraph`] reader for graphs larger than RAM.
+//!   memory, and the paged [`DiskGraph`] reader for graphs larger than RAM;
+//! * [`backend`] — runs one computation on any of the three adjacency
+//!   backends.
 //!
 //! # Examples
 //!
@@ -40,6 +42,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod backend;
 mod builder;
 pub mod compressed;
 mod error;

@@ -30,7 +30,7 @@ use mis_baselines::FamilyOp;
 use mis_beeping::json::Json;
 use mis_core::engine::{Engine, EngineRecord};
 use mis_core::{BatchReport, RunPlan};
-use mis_experiments::{run_with_backend, BackendOp};
+use mis_graph::backend::{run_with_backend, BackendOp};
 use mis_graph::{Graph, GraphView};
 
 use crate::request::RunRequest;

@@ -18,7 +18,7 @@ use mis_baselines::Family;
 use mis_beeping::json::Json;
 use mis_beeping::{FaultPlan, PropagationKernel, RngMode, SimConfig};
 use mis_core::Algorithm;
-use mis_experiments::Backend;
+use mis_graph::backend::Backend;
 use mis_graph::{generators, io, Graph, GraphView};
 use rand::{rngs::SmallRng, SeedableRng};
 
