@@ -26,7 +26,9 @@
 //!   all          everything above, in order
 //!
 //! `xp replay <file>` re-executes a corpus written by `xp fuzz` and exits
-//! non-zero unless every entry reproduces byte-identically.
+//! non-zero unless every entry reproduces byte-identically. A run that
+//! cannot write its `--out` file or its fuzz corpus prints its report and
+//! exits 1.
 //!
 //! An experiment rejects every flag it would not read rather than ignore
 //! it: `--seed` and `--trials` are read by every experiment but potential
@@ -53,8 +55,9 @@ const SHARD_READERS: [&str; 3] = ["decay", "robustness", "faults"];
 /// The experiments that serve their graphs from `--backend`.
 const BACKEND_READERS: [&str; 1] = ["decay"];
 
-/// One experiment: its section title and rendered body.
-type Runner = fn(&Options) -> (String, String);
+/// One experiment: its section title, its rendered body, and whether it
+/// wrote every file it was asked to (`xp` exits 1 after the report if not).
+type Runner = fn(&Options) -> (String, String, bool);
 
 /// Every experiment `xp <name>` runs, in the order `all` runs them.
 const RUNNERS: [(&str, Runner); 14] = [
@@ -218,7 +221,7 @@ fn only_for(flag: &str, readers: &[&str], experiment: &str) -> Result<(), String
     }
 }
 
-fn run_fig3(opts: &Options) -> (String, String) {
+fn run_fig3(opts: &Options) -> (String, String, bool) {
     let mut config = if opts.quick {
         fig3::Fig3Config::quick()
     } else {
@@ -234,10 +237,11 @@ fn run_fig3(opts: &Options) -> (String, String) {
     (
         "Figure 3 — rounds to MIS on G(n, ½)".into(),
         fig3::run(&config, &opts.ctx).render(),
+        true,
     )
 }
 
-fn run_fig5(opts: &Options) -> (String, String) {
+fn run_fig5(opts: &Options) -> (String, String, bool) {
     let mut config = if opts.quick {
         fig5::Fig5Config::quick()
     } else {
@@ -256,10 +260,11 @@ fn run_fig5(opts: &Options) -> (String, String) {
     (
         "Figure 5 — mean beeps per node on G(n, ½)".into(),
         fig5::run(&config, &opts.ctx).render(),
+        true,
     )
 }
 
-fn run_grid(opts: &Options) -> (String, String) {
+fn run_grid(opts: &Options) -> (String, String, bool) {
     let mut config = if opts.quick {
         grid_beeps::GridBeepsConfig::quick()
     } else {
@@ -275,10 +280,11 @@ fn run_grid(opts: &Options) -> (String, String) {
     (
         "§5 / Theorem 6 — beeps per node on rectangular grids".into(),
         grid_beeps::run(&config, &opts.ctx).render(),
+        true,
     )
 }
 
-fn run_lower_bound(opts: &Options) -> (String, String) {
+fn run_lower_bound(opts: &Options) -> (String, String, bool) {
     let mut config = if opts.quick {
         lower_bound::LowerBoundConfig::quick()
     } else {
@@ -297,10 +303,11 @@ fn run_lower_bound(opts: &Options) -> (String, String) {
     (
         "Theorem 1 — clique-union lower-bound family".into(),
         lower_bound::run(&config, &opts.ctx).render(),
+        true,
     )
 }
 
-fn run_tails(opts: &Options) -> (String, String) {
+fn run_tails(opts: &Options) -> (String, String, bool) {
     let mut config = if opts.quick {
         tails::TailsConfig::quick()
     } else {
@@ -316,10 +323,11 @@ fn run_tails(opts: &Options) -> (String, String) {
     (
         "Theorem 2 — termination-time tails".into(),
         tails::run(&config, &opts.ctx).render(),
+        true,
     )
 }
 
-fn run_robustness(opts: &Options) -> (String, String) {
+fn run_robustness(opts: &Options) -> (String, String, bool) {
     let mut config = if opts.quick {
         robustness::RobustnessConfig::quick()
     } else {
@@ -335,10 +343,11 @@ fn run_robustness(opts: &Options) -> (String, String) {
     (
         "§6 — robustness ablations".into(),
         robustness::run(&config, &opts.ctx).render(),
+        true,
     )
 }
 
-fn run_faults(opts: &Options) -> (String, String) {
+fn run_faults(opts: &Options) -> (String, String, bool) {
     let mut config = if opts.quick {
         faults::FaultsConfig::quick()
     } else {
@@ -357,10 +366,11 @@ fn run_faults(opts: &Options) -> (String, String) {
     (
         "Extension — fault injection".into(),
         faults::run(&config, &opts.ctx).render(),
+        true,
     )
 }
 
-fn run_race(opts: &Options) -> (String, String) {
+fn run_race(opts: &Options) -> (String, String, bool) {
     let mut config = if opts.quick {
         race::RaceConfig::quick()
     } else {
@@ -387,10 +397,10 @@ fn run_race(opts: &Options) -> (String, String) {
             surface.name()
         ),
     };
-    (title, race::run(&config, &opts.ctx).render())
+    (title, race::run(&config, &opts.ctx).render(), true)
 }
 
-fn run_quality(opts: &Options) -> (String, String) {
+fn run_quality(opts: &Options) -> (String, String, bool) {
     let mut config = if opts.quick {
         quality::QualityConfig::quick()
     } else {
@@ -406,10 +416,11 @@ fn run_quality(opts: &Options) -> (String, String) {
     (
         "Extension — MIS size vs exact optimum".into(),
         quality::run(&config, &opts.ctx).render(),
+        true,
     )
 }
 
-fn run_decay(opts: &Options) -> (String, String) {
+fn run_decay(opts: &Options) -> (String, String, bool) {
     let mut config = if opts.quick {
         decay::DecayConfig::quick()
     } else {
@@ -425,10 +436,11 @@ fn run_decay(opts: &Options) -> (String, String) {
     (
         "Extension — active-node decay".into(),
         decay::run(&config, &opts.ctx).render(),
+        true,
     )
 }
 
-fn run_apps(opts: &Options) -> (String, String) {
+fn run_apps(opts: &Options) -> (String, String, bool) {
     let mut config = if opts.quick {
         applications::AppsConfig::quick()
     } else {
@@ -444,10 +456,11 @@ fn run_apps(opts: &Options) -> (String, String) {
     (
         "Extension — MIS as a building block".into(),
         applications::run(&config, &opts.ctx).render(),
+        true,
     )
 }
 
-fn run_sop(opts: &Options) -> (String, String) {
+fn run_sop(opts: &Options) -> (String, String, bool) {
     let mut config = if opts.quick {
         sop::SopConfig::quick()
     } else {
@@ -466,10 +479,11 @@ fn run_sop(opts: &Options) -> (String, String) {
     (
         "Extension — SOP selection-time statistics".into(),
         sop::run(&config, &opts.ctx).render(),
+        true,
     )
 }
 
-fn run_potential(opts: &Options) -> (String, String) {
+fn run_potential(opts: &Options) -> (String, String, bool) {
     let config = if opts.quick {
         potential::PotentialConfig::quick()
     } else {
@@ -483,10 +497,11 @@ fn run_potential(opts: &Options) -> (String, String) {
     (
         "Extension — Theorem 1 potential coverage".into(),
         potential::run(&config).render(),
+        true,
     )
 }
 
-fn run_fuzz(opts: &Options) -> (String, String) {
+fn run_fuzz(opts: &Options) -> (String, String, bool) {
     let mut config = if opts.quick {
         fuzz::FuzzConfig::quick()
     } else {
@@ -509,13 +524,20 @@ fn run_fuzz(opts: &Options) -> (String, String) {
     );
     let results = fuzz::run(&config, &opts.ctx);
     let path = opts.corpus.as_deref().unwrap_or("worst_scenarios.json");
-    match std::fs::write(path, results.corpus_string()) {
-        Ok(()) => eprintln!("wrote corpus {path} (replay with `xp replay {path}`)"),
-        Err(e) => eprintln!("failed to write corpus {path}: {e}"),
-    }
+    let wrote = match std::fs::write(path, results.corpus_string()) {
+        Ok(()) => {
+            eprintln!("wrote corpus {path} (replay with `xp replay {path}`)");
+            true
+        }
+        Err(e) => {
+            eprintln!("failed to write corpus {path}: {e}");
+            false
+        }
+    };
     (
         "Extension — adversarial scenario fuzzer".into(),
         results.render(),
+        wrote,
     )
 }
 
@@ -578,16 +600,18 @@ fn main() -> ExitCode {
     }
 
     let mut report = Report::new();
+    let mut wrote_all = true;
     let plan = RUNNERS
         .iter()
         .filter(|&&(name, _)| opts.experiment == "all" || opts.experiment == name);
     for &(_, runner) in plan {
         // detlint: allow(D03) -- progress display only; never feeds results or seeds
         let started = std::time::Instant::now();
-        let (title, body) = runner(&opts);
+        let (title, body, wrote) = runner(&opts);
         eprintln!("  …done in {:.1?}", started.elapsed());
         println!("## {title}\n\n{body}");
         report.push_section(title, body);
+        wrote_all &= wrote;
     }
 
     if let Some(path) = &opts.out {
@@ -601,7 +625,11 @@ fn main() -> ExitCode {
             }
         }
     }
-    ExitCode::SUCCESS
+    if wrote_all {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
 }
 
 #[cfg(test)]
@@ -858,6 +886,17 @@ mod tests {
         let opts = parse(&["fuzz", "--quick", "--corpus", "out.json"]).unwrap();
         assert_eq!(opts.corpus.as_deref(), Some("out.json"));
         assert!(parse(&["fuzz", "--corpus"]).is_err());
+    }
+
+    #[test]
+    fn fuzz_reports_a_corpus_it_could_not_write() {
+        let missing = std::env::temp_dir()
+            .join(format!("xp-no-such-dir-{}", std::process::id()))
+            .join("c.json");
+        let opts = parse(&["fuzz", "--quick", "--corpus", missing.to_str().unwrap()]).unwrap();
+        let (_, body, wrote) = run_fuzz(&opts);
+        assert!(!wrote, "the corpus directory does not exist");
+        assert!(!body.is_empty(), "the report still renders");
     }
 
     #[test]
