@@ -1,11 +1,7 @@
-//! Adjacency backend selection: run one computation against a CSR
-//! [`Graph`], its [`CompressedGraph`] re-encoding, or a [`DiskGraph`]
-//! paging a temporary shard directory.
-//!
-//! Backends change only *where adjacency lives*, never the result: all
-//! three serve the same neighbour lists through [`GraphView`], so outcomes
-//! are bit-identical across the choice (pinned by
-//! `tests/backend_equivalence.rs`).
+//! Adjacency backend selection: [`run_with_backend`] runs one computation
+//! against a CSR [`Graph`], its [`CompressedGraph`] re-encoding, or a
+//! [`DiskGraph`] paging a temporary shard directory. Both `xp --backend`
+//! and `mis-serve` requests select a backend through it.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -17,6 +13,11 @@ use crate::{stream, CompressedGraph, DiskGraph, Graph, GraphView};
 static DISK_DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 /// The adjacency backend a simulation reads its topology from.
+///
+/// Backends change only *where adjacency lives* — never the elected MIS:
+/// all three serve the same neighbour lists through [`GraphView`], so
+/// outcomes are bit-identical across this choice (pinned by
+/// `tests/backend_equivalence.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
     /// In-RAM compressed sparse rows — fastest, biggest (the default).

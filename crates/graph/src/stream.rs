@@ -7,7 +7,10 @@
 //! per-shard spill files and, at [`finish`](ShardWriter::finish), converts
 //! one shard at a time into the block-compressed format of
 //! [`compressed`](crate::compressed) — peak memory is one shard's
-//! half-edges, never the whole graph. The resulting directory can then be
+//! half-edges, never the whole graph. [`write_sharded_from_view`] writes a
+//! graph already in RAM. Both writers run one loop that encodes each shard
+//! with the block encoder behind [`CompressedGraph`], writes its file, and
+//! writes `meta.bin` last. The resulting directory can then be
 //!
 //! * loaded fully into RAM as a [`CompressedGraph`]
 //!   ([`CompressedGraph::load_sharded`]), or
@@ -32,7 +35,8 @@
 //! [`CompressedGraph`], so loading is
 //! concatenation, not transcoding. `nodes_per_shard` must be a positive
 //! multiple of the block size so shard boundaries coincide with block
-//! boundaries.
+//! boundaries. Both readers check every shard header at open, block
+//! offsets included: they must ascend and end within the file.
 //!
 //! # Examples
 //!
@@ -450,9 +454,9 @@ impl fmt::Debug for ShardWriter {
 }
 
 /// Writes an already-resident [`GraphView`] to the sharded format without
-/// spill files (adjacency is encoded shard by shard straight from the
-/// view). Produces byte-identical files to streaming the same graph's
-/// edges through a [`ShardWriter`].
+/// spill files: each shard is encoded straight from the view, through the
+/// same shard loop as [`ShardWriter::finish`]. Produces byte-identical
+/// files to streaming the same graph's edges through a [`ShardWriter`].
 ///
 /// # Errors
 ///
