@@ -36,7 +36,8 @@
 //! concatenation, not transcoding. `nodes_per_shard` must be a positive
 //! multiple of the block size so shard boundaries coincide with block
 //! boundaries. Both readers check every shard header at open, block
-//! offsets included: they must ascend and end within the file.
+//! offsets included: they must start at 0, ascend and end within the
+//! file.
 //!
 //! # Examples
 //!
@@ -535,7 +536,7 @@ fn read_meta(dir: &Path) -> Result<MetaFile, StreamError> {
 
 /// Reads one shard header (magic through the offset table), leaving the
 /// file positioned at the start of the block data. Returns the offsets,
-/// checked to ascend and to end within the file.
+/// checked to start at 0, ascend and end within the file.
 fn read_shard_header(
     f: &mut File,
     path: &Path,
@@ -564,6 +565,11 @@ fn read_shard_header(
     let mut offsets = Vec::with_capacity(block_count + 1);
     for _ in 0..=block_count {
         offsets.push(read_u64(f)?);
+    }
+    // `load_sharded` concatenates shards assuming their data starts with
+    // block 0; `DiskGraph` would read a shifted layout correctly.
+    if offsets[0] != 0 {
+        return Err(format_err(path, "first block offset is not 0"));
     }
     for pair in offsets.windows(2) {
         if pair[0] > pair[1] {
@@ -1122,15 +1128,22 @@ mod tests {
         fs::write(&shard, &bytes).unwrap();
         assert!(CompressedGraph::load_sharded(tmp.path()).is_err());
 
-        // Block offsets past the end of the file: a last offset of 2^56,
-        // then a data section cut short. Both readers reject them at open
-        // instead of sizing a buffer from them.
+        // Block offsets out of range: a last offset of 2^56, a data section
+        // cut short, and offsets shifted by 8 over 8 inserted bytes. Both
+        // readers reject each at open, instead of sizing a buffer from it,
+        // panicking mid-run, or (`load_sharded`) misreading the blocks.
         stream_graph(&g, tmp.path(), 64);
         let valid = fs::read(&shard).unwrap();
+        let table = 8 + 4 * 8; // magic and 4 header words; then offsets 0, 1
         let mut huge = valid.clone();
-        let last_offset = 8 + 4 * 8 + 8; // magic, 4 header words, offset 0
-        huge[last_offset..last_offset + 8].copy_from_slice(&(1u64 << 56).to_le_bytes());
-        for corrupt in [&huge[..], &valid[..valid.len() - 8]] {
+        huge[table + 8..table + 16].copy_from_slice(&(1u64 << 56).to_le_bytes());
+        let mut shifted = valid.clone();
+        for word in shifted[table..table + 16].chunks_exact_mut(8) {
+            let offset = u64::from_le_bytes(word.try_into().unwrap()) + 8;
+            word.copy_from_slice(&offset.to_le_bytes());
+        }
+        shifted.splice(table + 16..table + 16, [0u8; 8]);
+        for corrupt in [&huge[..], &valid[..valid.len() - 8], &shifted[..]] {
             fs::write(&shard, corrupt).unwrap();
             assert!(matches!(
                 CompressedGraph::load_sharded(tmp.path()),
