@@ -48,7 +48,7 @@ use core::fmt;
 use core::ops::ControlFlow;
 
 use crate::view::debug_check_overrides;
-use crate::{Graph, GraphView, NodeId};
+use crate::{Graph, GraphView, NodeId, PerNode};
 
 /// Number of consecutive nodes grouped into one compressed block.
 pub const BLOCK_NODES: usize = 64;
@@ -188,34 +188,27 @@ impl BlockEncoder {
     }
 }
 
-/// A fully decoded block: prefix offsets plus the concatenated neighbour
-/// lists of its nodes. The page unit of [`DiskGraph`](crate::DiskGraph)'s
-/// LRU cache.
-#[derive(Debug)]
-pub(crate) struct DecodedBlock {
-    /// `starts[i]..starts[i + 1]` indexes `neighbors` for the block's
-    /// `i`-th node; length is span + 1.
-    pub(crate) starts: Vec<u32>,
-    /// Concatenated sorted neighbour lists.
-    pub(crate) neighbors: Vec<NodeId>,
+/// The degree sum and maximum degree of one validated block.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct BlockStats {
+    /// Sum of the block's degrees.
+    pub(crate) degree_sum: usize,
+    /// Largest degree in the block.
+    pub(crate) max_degree: usize,
 }
 
-impl DecodedBlock {
-    /// Neighbour slice of the block-local `slot`.
-    pub(crate) fn neighbors_of(&self, slot: usize) -> &[NodeId] {
-        &self.neighbors[self.starts[slot] as usize..self.starts[slot + 1] as usize]
-    }
-}
-
-/// Decodes and validates a sealed block covering `span` nodes starting at
-/// global id `base`, checking the [`GraphView`] adjacency contract
-/// (ascending lists, no self-loops, endpoints below `node_count`).
-pub(crate) fn decode_block(
+/// Validates a sealed block covering `span` nodes starting at global id
+/// `base` in one pass over its bytes, checking its layout and the
+/// [`GraphView`] adjacency contract (ascending lists, no self-loops,
+/// endpoints below `node_count`). Builds nothing but the degree statistics
+/// `load_sharded` cross-checks against `meta.bin`; a [`BlockReader`] then
+/// reads the validated bytes in place.
+pub(crate) fn validate_block(
     bytes: &[u8],
     base: NodeId,
     span: usize,
     node_count: usize,
-) -> Result<DecodedBlock, String> {
+) -> Result<BlockStats, String> {
     let width = match bytes.first() {
         Some(&w @ (2 | 4)) => w as usize,
         Some(&w) => return Err(format!("bad directory width {w}")),
@@ -224,43 +217,107 @@ pub(crate) fn decode_block(
     let payload = bytes
         .get(1 + span * width..)
         .ok_or("block shorter than its directory")?;
-    let mut starts = Vec::with_capacity(span + 1);
-    let mut neighbors = Vec::new();
+    let mut stats = BlockStats {
+        degree_sum: 0,
+        max_degree: 0,
+    };
     for slot in 0..span {
-        let dir = &bytes[1 + slot * width..1 + (slot + 1) * width];
-        let offset = if width == 2 {
-            u64::from(u16::from_le_bytes([dir[0], dir[1]]))
-        } else {
-            u64::from(u32::from_le_bytes([dir[0], dir[1], dir[2], dir[3]]))
-        } as usize;
-        let v = base + slot as NodeId;
-        let mut pos = offset;
-        let degree = read_varint(payload, &mut pos).ok_or("truncated degree")? as usize;
-        starts.push(u32::try_from(neighbors.len()).expect("block adjacency overflows u32"));
+        let v = i64::from(base + slot as NodeId);
+        let mut pos = directory_offset(bytes, width, slot);
+        let degree = read_varint(payload, &mut pos).ok_or("truncated degree")?;
         let mut prev: Option<i64> = None;
         for _ in 0..degree {
             let raw = read_varint(payload, &mut pos).ok_or("truncated neighbour")?;
             let u = match prev {
-                None => i64::from(v) + zigzag_decode(raw),
-                Some(p) => p
-                    .checked_add(raw as i64)
-                    .ok_or("neighbour delta overflow")?,
-            };
+                None => v.checked_add(zigzag_decode(raw)),
+                Some(p) => p.checked_add(raw as i64),
+            }
+            .ok_or("neighbour delta overflow")?;
             if u < 0 || u as u64 >= node_count as u64 {
                 return Err(format!("neighbour {u} of node {v} out of range"));
             }
-            if u == i64::from(v) {
+            if u == v {
                 return Err(format!("self-loop at node {v}"));
             }
             if prev.is_some_and(|p| u <= p) {
                 return Err(format!("non-ascending neighbour list at node {v}"));
             }
-            neighbors.push(u as NodeId);
             prev = Some(u);
         }
+        // `degree` varints were read, each at least one byte of `payload`.
+        let degree = degree as usize;
+        stats.degree_sum += degree;
+        stats.max_degree = stats.max_degree.max(degree);
     }
-    starts.push(u32::try_from(neighbors.len()).expect("block adjacency overflows u32"));
-    Ok(DecodedBlock { starts, neighbors })
+    Ok(stats)
+}
+
+/// Payload offset of the block-local `slot` in a block whose directory
+/// entries are `width` bytes wide.
+#[inline]
+fn directory_offset(bytes: &[u8], width: usize, slot: usize) -> usize {
+    let dir = &bytes[1 + slot * width..1 + (slot + 1) * width];
+    if width == 2 {
+        usize::from(u16::from_le_bytes([dir[0], dir[1]]))
+    } else {
+        u32::from_le_bytes([dir[0], dir[1], dir[2], dir[3]]) as usize
+    }
+}
+
+/// Reads nodes in place from the bytes of one sealed block of `span`
+/// nodes. Behind [`CompressedGraph`]'s accessors and the cursor of
+/// [`DiskGraph`](crate::DiskGraph). The bytes come from the encoder or
+/// passed [`validate_block`], so a read never fails.
+#[derive(Clone, Copy)]
+pub(crate) struct BlockReader<'a> {
+    bytes: &'a [u8],
+    span: usize,
+}
+
+impl<'a> BlockReader<'a> {
+    /// A reader over the sealed `bytes` of a block covering `span` nodes.
+    #[inline]
+    pub(crate) fn new(bytes: &'a [u8], span: usize) -> Self {
+        Self { bytes, span }
+    }
+
+    /// The payload and the position of node `v`'s encoding in it.
+    #[inline]
+    fn entry(&self, v: NodeId) -> (&'a [u8], usize) {
+        let width = self.bytes[0] as usize;
+        let offset = directory_offset(self.bytes, width, v as usize % BLOCK_NODES);
+        (&self.bytes[1 + self.span * width..], offset)
+    }
+
+    /// Degree of node `v`, which the block covers.
+    #[inline]
+    pub(crate) fn degree(&self, v: NodeId) -> usize {
+        let (payload, mut pos) = self.entry(v);
+        read_varint(payload, &mut pos).expect("valid block encoding") as usize
+    }
+
+    /// Visits the neighbours of node `v`, which the block covers, in
+    /// ascending order until `f` breaks.
+    #[inline]
+    pub(crate) fn try_for_each_neighbor<F>(&self, v: NodeId, mut f: F) -> ControlFlow<()>
+    where
+        F: FnMut(NodeId) -> ControlFlow<()>,
+    {
+        let (payload, mut pos) = self.entry(v);
+        let degree = read_varint(payload, &mut pos).expect("valid block encoding");
+        let mut prev = i64::from(v);
+        for i in 0..degree {
+            let raw = read_varint(payload, &mut pos).expect("valid block encoding");
+            let u = if i == 0 {
+                prev + zigzag_decode(raw)
+            } else {
+                prev + raw as i64
+            };
+            prev = u;
+            f(u as NodeId)?;
+        }
+        ControlFlow::Continue(())
+    }
 }
 
 /// An immutable simple undirected graph with delta-varint compressed
@@ -359,57 +416,41 @@ impl CompressedGraph {
         (self.node_count - b * BLOCK_NODES).min(BLOCK_NODES)
     }
 
-    /// Returns `(payload, position)` for node `v`'s encoding inside its
-    /// block. Panics if `v` is out of range.
-    fn node_entry(&self, v: NodeId) -> (&[u8], usize) {
+    /// The reader of node `v`'s block. Panics if `v` is out of range.
+    fn block_of(&self, v: NodeId) -> BlockReader<'_> {
         assert!(
             (v as usize) < self.node_count,
             "node {v} out of range for graph with {} nodes",
             self.node_count
         );
         let block = v as usize / BLOCK_NODES;
-        let slot = v as usize % BLOCK_NODES;
-        let span = self.block_span(block);
-        let bytes = self.block_bytes(block);
-        let width = bytes[0] as usize;
-        let dir = &bytes[1 + slot * width..1 + (slot + 1) * width];
-        let offset = if width == 2 {
-            usize::from(u16::from_le_bytes([dir[0], dir[1]]))
-        } else {
-            u32::from_le_bytes([dir[0], dir[1], dir[2], dir[3]]) as usize
-        };
-        (&bytes[1 + span * width..], offset)
+        BlockReader::new(self.block_bytes(block), self.block_span(block))
     }
 }
 
 impl GraphView for CompressedGraph {
+    type Cursor<'a>
+        = PerNode<'a, Self>
+    where
+        Self: 'a;
+
+    fn cursor(&self) -> PerNode<'_, Self> {
+        PerNode::new(self)
+    }
+
     fn node_count(&self) -> usize {
         self.node_count
     }
 
     fn degree(&self, v: NodeId) -> usize {
-        let (payload, mut pos) = self.node_entry(v);
-        read_varint(payload, &mut pos).expect("valid block encoding") as usize
+        self.block_of(v).degree(v)
     }
 
-    fn try_for_each_neighbor<F>(&self, v: NodeId, mut f: F) -> ControlFlow<()>
+    fn try_for_each_neighbor<F>(&self, v: NodeId, f: F) -> ControlFlow<()>
     where
         F: FnMut(NodeId) -> ControlFlow<()>,
     {
-        let (payload, mut pos) = self.node_entry(v);
-        let degree = read_varint(payload, &mut pos).expect("valid block encoding");
-        let mut prev = i64::from(v);
-        for i in 0..degree {
-            let raw = read_varint(payload, &mut pos).expect("valid block encoding");
-            let u = if i == 0 {
-                prev + zigzag_decode(raw)
-            } else {
-                prev + raw as i64
-            };
-            prev = u;
-            f(u as NodeId)?;
-        }
-        ControlFlow::Continue(())
+        self.block_of(v).try_for_each_neighbor(v, f)
     }
 
     fn edge_count(&self) -> usize {
@@ -687,32 +728,82 @@ mod tests {
     }
 
     #[test]
-    fn decode_block_round_trips() {
+    fn validated_blocks_read_back_in_place() {
         let g = generators::torus2d(8, 8);
         let c = CompressedGraph::from_view(&g);
         for b in 0..c.block_count() {
             let base = (b * BLOCK_NODES) as NodeId;
             let span = c.block_span(b);
-            let decoded = decode_block(c.block_bytes(b), base, span, c.node_count()).unwrap();
-            for slot in 0..span {
-                assert_eq!(
-                    decoded.neighbors_of(slot),
-                    g.neighbors(base + slot as NodeId)
-                );
+            let bytes = c.block_bytes(b);
+            let stats = validate_block(bytes, base, span, c.node_count()).unwrap();
+            let nodes = base..base + span as NodeId;
+            let degrees: Vec<usize> = nodes.clone().map(|v| g.degree(v)).collect();
+            assert_eq!(stats.degree_sum, degrees.iter().sum::<usize>());
+            assert_eq!(stats.max_degree, degrees.iter().copied().max().unwrap());
+            let reader = BlockReader::new(bytes, span);
+            for v in nodes {
+                let mut seen = Vec::new();
+                let flow = reader.try_for_each_neighbor(v, |u| {
+                    seen.push(u);
+                    ControlFlow::Continue(())
+                });
+                assert_eq!(flow, ControlFlow::Continue(()));
+                assert_eq!(seen, g.neighbors(v), "neighbours of {v}");
+                assert_eq!(reader.degree(v), g.degree(v), "degree of {v}");
             }
         }
     }
 
     #[test]
-    fn decode_block_rejects_corruption() {
+    fn validate_block_rejects_corruption() {
         let g = generators::torus2d(4, 4);
         let c = CompressedGraph::from_view(&g);
         let mut bytes = c.block_bytes(0).to_vec();
         bytes[0] = 3; // invalid width
-        assert!(decode_block(&bytes, 0, 16, 16).is_err());
+        assert!(validate_block(&bytes, 0, 16, 16).is_err());
         let too_short = &c.block_bytes(0)[..2];
-        assert!(decode_block(too_short, 0, 16, 16).is_err());
-        assert!(decode_block(&[], 0, 1, 1).is_err());
+        assert!(validate_block(too_short, 0, 16, 16).is_err());
+        assert!(validate_block(&[], 0, 1, 1).is_err());
+
+        // One-node blocks for node 5 of 16: a 2-byte directory entry of 0,
+        // then the degree and the raw neighbour varints.
+        let cases: [(u64, &[u64], &str); 7] = [
+            (1, &[zigzag_encode(i64::MAX)], "neighbour delta overflow"),
+            (
+                2,
+                &[zigzag_encode(1), i64::MAX as u64],
+                "neighbour delta overflow",
+            ),
+            (1, &[zigzag_encode(0)], "self-loop at node 5"),
+            (
+                1,
+                &[zigzag_encode(11)],
+                "neighbour 16 of node 5 out of range",
+            ),
+            (
+                1,
+                &[zigzag_encode(-6)],
+                "neighbour -1 of node 5 out of range",
+            ),
+            (
+                2,
+                &[zigzag_encode(-1), 0],
+                "non-ascending neighbour list at node 5",
+            ),
+            (2, &[zigzag_encode(-1)], "truncated neighbour"),
+        ];
+        for (degree, raw, reason) in cases {
+            let mut block = vec![2, 0, 0];
+            write_varint(&mut block, degree);
+            for &x in raw {
+                write_varint(&mut block, x);
+            }
+            assert_eq!(validate_block(&block, 5, 1, 16), Err(reason.into()));
+        }
+        assert_eq!(
+            validate_block(&[2, 0, 0], 5, 1, 16),
+            Err("truncated degree".into())
+        );
     }
 
     #[test]

@@ -57,8 +57,8 @@ pub use builder::GraphBuilder;
 pub use compressed::{CompressedGraph, CompressedGraphBuilder};
 pub use error::GraphError;
 pub use graph::{EdgeIter, Graph, NodeIter};
-pub use stream::{DiskGraph, ShardWriter, ShardedGraphSummary, StreamError};
-pub use view::{GraphView, InducedView, LineGraphView, ProductView};
+pub use stream::{DiskCursor, DiskGraph, ShardWriter, ShardedGraphSummary, StreamError};
+pub use view::{GraphView, InducedView, LineGraphView, NeighborCursor, PerNode, ProductView};
 
 /// Index of a node in a [`Graph`].
 ///

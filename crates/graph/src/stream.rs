@@ -15,7 +15,11 @@
 //! * loaded fully into RAM as a [`CompressedGraph`]
 //!   ([`CompressedGraph::load_sharded`]), or
 //! * served page-by-page by [`DiskGraph`], which keeps only an LRU cache of
-//!   decoded blocks resident — graphs larger than RAM stream through a run.
+//!   sealed blocks resident — graphs larger than RAM stream through a run.
+//!   Each block is validated in one pass over its bytes when it is read
+//!   from disk, and its nodes are then read in place; a pass over many
+//!   nodes reads through one [`DiskCursor`], which keeps its current
+//!   block, so the nodes of one block cost one cache lookup.
 //!
 //! Everything here is `std::fs` only — no external dependencies.
 //!
@@ -60,15 +64,14 @@
 
 use core::fmt;
 use core::ops::ControlFlow;
-use std::collections::BTreeMap;
 use std::fs::{self, File};
 use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-use crate::compressed::{decode_block, BlockEncoder, DecodedBlock, BLOCK_NODES};
+use crate::compressed::{validate_block, BlockEncoder, BlockReader, BLOCK_NODES};
 use crate::view::debug_check_overrides;
-use crate::{CompressedGraph, GraphError, GraphView, NodeId};
+use crate::{CompressedGraph, GraphError, GraphView, NeighborCursor, NodeId};
 
 const META_MAGIC: &[u8; 8] = b"MISGRPH1";
 const SHARD_MAGIC: &[u8; 8] = b"MISSHRD1";
@@ -77,7 +80,8 @@ const META_VERSION: u64 = 1;
 /// Default shard granularity: 2²⁰ nodes (a multiple of the block size).
 pub const DEFAULT_NODES_PER_SHARD: usize = 1 << 20;
 
-/// Default number of decoded blocks a [`DiskGraph`] keeps resident.
+/// Default number of blocks a [`DiskGraph`] keeps resident: validated
+/// sealed blocks of 64 nodes each, held in their on-disk bytes.
 pub const DEFAULT_CACHE_BLOCKS: usize = 1024;
 
 /// Errors from the streaming layer: invalid graph input, I/O failures, or
@@ -617,17 +621,10 @@ impl CompressedGraph {
                 let block_base = (first + b * BLOCK_NODES) as NodeId;
                 let block_span = (span - b * BLOCK_NODES).min(BLOCK_NODES);
                 let bytes = &data[(base_len + pair[0]) as usize..(base_len + pair[1]) as usize];
-                let decoded = decode_block(bytes, block_base, block_span, meta.node_count)
+                let stats = validate_block(bytes, block_base, block_span, meta.node_count)
                     .map_err(|reason| format_err(&path, format!("block {b}: {reason}")))?;
-                degree_sum += decoded.neighbors.len() as u64;
-                max_degree = max_degree.max(
-                    decoded
-                        .starts
-                        .windows(2)
-                        .map(|p| (p[1] - p[0]) as usize)
-                        .max()
-                        .unwrap_or(0),
-                );
+                degree_sum += stats.degree_sum as u64;
+                max_degree = max_degree.max(stats.max_degree);
                 block_starts.push(base_len + pair[1]);
             }
         }
@@ -653,34 +650,118 @@ struct DiskShard {
     block_starts: Vec<u64>,
 }
 
-struct CacheEntry {
-    block: Arc<DecodedBlock>,
-    last_used: u64,
+/// The end of the recency list, and the slot of a block not resident.
+const NIL: u32 = u32::MAX;
+
+/// One resident block: its validated sealed bytes and its place on the
+/// recency list.
+struct Slot {
+    block: usize,
+    bytes: Arc<[u8]>,
+    /// The next more recently used slot (`NIL` at the head).
+    newer: u32,
+    /// The next less recently used slot (`NIL` at the tail).
+    older: u32,
 }
 
 struct DiskState {
     files: Vec<File>,
-    // BTreeMap, not HashMap: `evict_to` iterates the cache to find the
-    // min-tick victim, and `last_used` ties (pre-warm, equal-tick paths)
-    // must break toward the same block in every process — hash-order
-    // iteration made eviction, and with it DiskCacheStats, run-dependent.
-    cache: BTreeMap<usize, CacheEntry>,
-    tick: u64,
+    /// The resident blocks, in no order; the recency list links them by
+    /// index from `head` (most recently used) to `tail`.
+    slots: Vec<Slot>,
+    /// Per block of the graph: its slot, or `NIL` when not resident.
+    slot_of: Vec<u32>,
+    head: u32,
+    tail: u32,
+    /// Read buffer of a miss, validated before it is cached.
+    scratch: Vec<u8>,
     hits: u64,
     misses: u64,
 }
 
 impl DiskState {
-    /// Evicts least-recently-used blocks (the lowest block id on a tie)
-    /// until at most `cap` stay resident.
+    /// Takes slot `s` off the recency list.
+    fn unlink(&mut self, s: u32) {
+        let Slot { newer, older, .. } = self.slots[s as usize];
+        match newer {
+            NIL => self.head = older,
+            n => self.slots[n as usize].older = older,
+        }
+        match older {
+            NIL => self.tail = newer,
+            o => self.slots[o as usize].newer = newer,
+        }
+    }
+
+    /// Puts slot `s` at the head of the recency list.
+    fn push_front(&mut self, s: u32) {
+        let head = self.head;
+        let slot = &mut self.slots[s as usize];
+        slot.newer = NIL;
+        slot.older = head;
+        match head {
+            NIL => self.tail = s,
+            h => self.slots[h as usize].newer = s,
+        }
+        self.head = s;
+    }
+
+    /// Serves block `b` from the cache if it is resident, making it the
+    /// most recently used.
+    fn lookup(&mut self, b: usize) -> Option<Arc<[u8]>> {
+        let s = self.slot_of[b];
+        if s == NIL {
+            return None;
+        }
+        self.hits += 1;
+        if s != self.head {
+            self.unlink(s);
+            self.push_front(s);
+        }
+        Some(Arc::clone(&self.slots[s as usize].bytes))
+    }
+
+    /// Caches block `b` as the most recently used. It must not be
+    /// resident, and the cache must have room.
+    fn insert(&mut self, b: usize, bytes: Arc<[u8]>) {
+        let s = u32::try_from(self.slots.len()).expect("slot index fits u32");
+        self.slots.push(Slot {
+            block: b,
+            bytes,
+            newer: NIL,
+            older: NIL,
+        });
+        self.slot_of[b] = s;
+        self.push_front(s);
+    }
+
+    /// Evicts least-recently-used blocks until at most `cap` stay
+    /// resident.
     fn evict_to(&mut self, cap: usize) {
-        while self.cache.len() > cap {
-            let (&victim, _) = self
-                .cache
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .expect("an over-capacity cache is non-empty");
-            self.cache.remove(&victim);
+        while self.slots.len() > cap {
+            let victim = self.tail;
+            self.unlink(victim);
+            let evicted = self.slots.swap_remove(victim as usize);
+            self.slot_of[evicted.block] = NIL;
+            // The last slot moved into `victim`'s place: repoint its
+            // neighbours on the list and its block.
+            if let Some(moved) = self.slots.get(victim as usize) {
+                let Slot {
+                    block,
+                    newer,
+                    older,
+                    ..
+                } = *moved;
+                match newer {
+                    NIL => self.head = victim,
+                    n => self.slots[n as usize].older = victim,
+                }
+                match older {
+                    NIL => self.tail = victim,
+                    o => self.slots[o as usize].newer = victim,
+                }
+                self.slot_of[block] = victim;
+            }
         }
     }
 }
@@ -690,20 +771,29 @@ impl DiskState {
 pub struct DiskCacheStats {
     /// Block requests served from the resident cache.
     pub hits: u64,
-    /// Block requests that read and decoded from disk.
+    /// Block requests that read a block from disk and validated it.
     pub misses: u64,
 }
 
 /// A paged, read-only graph served from a shard directory: adjacency
-/// stays on disk and only an LRU cache of decoded blocks (64 nodes each)
+/// stays on disk and only an LRU cache of sealed blocks (64 nodes each)
 /// is resident, so graphs larger than RAM stream through a simulation.
+///
+/// A miss reads the block's bytes and validates them in one pass (every
+/// check [`CompressedGraph::load_sharded`] runs), re-reads after eviction
+/// included; nodes are then read in place from the cached bytes. A hit
+/// moves the block to the head of an index-linked recency list, and a
+/// miss evicts its tail, both in O(1). Per-node calls look the block up
+/// each time; a [`DiskCursor`] from [`cursor`](GraphView::cursor) keeps
+/// its current block, so the simulators' passes pay one lookup per run of
+/// reads inside a block.
 ///
 /// Implements [`GraphView`], so kernels, engines, views and the sharded
 /// batch machinery run on it unchanged. `edge_count`/`max_degree` come
 /// from the `meta.bin` header in O(1) rather than the trait's degree-scan
 /// defaults.
 ///
-/// Shard files are validated at [`open`](Self::open); an I/O failure or
+/// Shard headers are validated at [`open`](Self::open); an I/O failure or
 /// corrupt block encountered **mid-run** panics, since [`GraphView`]
 /// accessors cannot report errors.
 pub struct DiskGraph {
@@ -757,8 +847,11 @@ impl DiskGraph {
             cache_blocks: DEFAULT_CACHE_BLOCKS,
             state: Mutex::new(DiskState {
                 files,
-                cache: BTreeMap::new(),
-                tick: 0,
+                slots: Vec::new(),
+                slot_of: vec![NIL; meta.node_count.div_ceil(BLOCK_NODES)],
+                head: NIL,
+                tail: NIL,
+                scratch: Vec::new(),
                 hits: 0,
                 misses: 0,
             }),
@@ -769,17 +862,17 @@ impl DiskGraph {
         // debug and release builds.
         {
             let mut st = g.state.lock().expect("disk graph lock");
-            st.cache.clear();
-            st.tick = 0;
+            st.evict_to(0);
             st.hits = 0;
             st.misses = 0;
         }
         Ok(g)
     }
 
-    /// Sets the cache capacity in decoded blocks (≥ 1). 64 nodes per
-    /// block: the default of [`DEFAULT_CACHE_BLOCKS`] keeps ~65k nodes of
-    /// adjacency resident.
+    /// Sets the cache capacity in sealed blocks (≥ 1), evicting the least
+    /// recently used ones beyond it. 64 nodes per block: the default of
+    /// [`DEFAULT_CACHE_BLOCKS`] keeps ~65k nodes of adjacency resident.
+    ///
     /// # Panics
     ///
     /// Panics if the cache lock is poisoned.
@@ -818,18 +911,26 @@ impl DiskGraph {
         self.adjacency_bytes as usize
     }
 
-    /// Approximate resident bytes: the block offset tables plus the
-    /// decoded-block cache at capacity (assuming mean-degree blocks).
+    /// Approximate resident bytes: the block offset tables and the
+    /// block-to-slot index, plus the cache at capacity — `cache_blocks`
+    /// blocks (every block, if the graph has fewer) of the mean sealed
+    /// block size, the directory's block bytes over its block count.
     #[must_use]
     pub fn resident_bytes_estimate(&self) -> usize {
-        let tables: usize = self.shards.iter().map(|s| s.block_starts.len() * 8).sum();
-        let mean_degree = if self.node_count == 0 {
+        let blocks = self.node_count.div_ceil(BLOCK_NODES);
+        let offsets: usize = self.shards.iter().map(|s| s.block_starts.len()).sum();
+        let tables = offsets * core::mem::size_of::<u64>() + blocks * core::mem::size_of::<u32>();
+        let sealed: u64 = self
+            .shards
+            .iter()
+            .map(|s| s.block_starts.last().expect("offsets never empty"))
+            .sum();
+        let mean_block = if blocks == 0 {
             0.0
         } else {
-            2.0 * self.edge_count as f64 / self.node_count as f64
+            sealed as f64 / blocks as f64
         };
-        let per_block = BLOCK_NODES as f64 * (4.0 + mean_degree * 4.0);
-        tables + (self.cache_blocks as f64 * per_block) as usize
+        tables + (self.cache_blocks.min(blocks) as f64 * mean_block) as usize
     }
 
     /// Cache hit/miss counters accumulated since `open`.
@@ -846,16 +947,13 @@ impl DiskGraph {
         }
     }
 
-    /// Fetches (decoding and caching on miss) the block containing `v`.
-    fn fetch_block(&self, b: usize) -> Arc<DecodedBlock> {
-        let mut st = self.state.lock().expect("disk graph lock");
-        st.tick += 1;
-        let tick = st.tick;
-        if let Some(entry) = st.cache.get_mut(&b) {
-            entry.last_used = tick;
-            let block = Arc::clone(&entry.block);
-            st.hits += 1;
-            return block;
+    /// Fetches block `b`'s validated sealed bytes: from the cache, or on
+    /// a miss from disk, validated and cached as the most recently used.
+    fn fetch_block(&self, b: usize) -> Arc<[u8]> {
+        let mut guard = self.state.lock().expect("disk graph lock");
+        let st = &mut *guard;
+        if let Some(bytes) = st.lookup(b) {
+            return bytes;
         }
         st.misses += 1;
         let shard_idx = b * BLOCK_NODES / self.nodes_per_shard;
@@ -863,26 +961,25 @@ impl DiskGraph {
         let local = b - shard.first_block;
         let lo = shard.block_starts[local];
         let hi = shard.block_starts[local + 1];
-        let mut buf = vec![0u8; (hi - lo) as usize];
+        st.scratch.resize((hi - lo) as usize, 0);
         let file = &mut st.files[shard_idx];
         file.seek(SeekFrom::Start(shard.data_start + lo))
             .expect("seek shard block");
-        file.read_exact(&mut buf).expect("read shard block");
+        file.read_exact(&mut st.scratch).expect("read shard block");
         let base = (b * BLOCK_NODES) as NodeId;
-        let span = (self.node_count - b * BLOCK_NODES).min(BLOCK_NODES);
-        let block = Arc::new(
-            decode_block(&buf, base, span, self.node_count)
-                .unwrap_or_else(|reason| panic!("corrupt shard block {b}: {reason}")),
-        );
+        if let Err(reason) = validate_block(&st.scratch, base, self.block_span(b), self.node_count)
+        {
+            panic!("corrupt shard block {b}: {reason}");
+        }
+        let bytes: Arc<[u8]> = Arc::from(&st.scratch[..]);
         st.evict_to(self.cache_blocks - 1);
-        st.cache.insert(
-            b,
-            CacheEntry {
-                block: Arc::clone(&block),
-                last_used: tick,
-            },
-        );
-        block
+        st.insert(b, Arc::clone(&bytes));
+        bytes
+    }
+
+    /// Node span covered by block `b`.
+    fn block_span(&self, b: usize) -> usize {
+        (self.node_count - b * BLOCK_NODES).min(BLOCK_NODES)
     }
 
     fn assert_in_range(&self, v: NodeId) {
@@ -895,28 +992,28 @@ impl DiskGraph {
 }
 
 impl GraphView for DiskGraph {
+    type Cursor<'a> = DiskCursor<'a>;
+
+    fn cursor(&self) -> DiskCursor<'_> {
+        DiskCursor {
+            graph: self,
+            current: None,
+        }
+    }
+
     fn node_count(&self) -> usize {
         self.node_count
     }
 
     fn degree(&self, v: NodeId) -> usize {
-        self.assert_in_range(v);
-        let block = self.fetch_block(v as usize / BLOCK_NODES);
-        let slot = v as usize % BLOCK_NODES;
-        block.neighbors_of(slot).len()
+        self.cursor().degree(v)
     }
 
-    fn try_for_each_neighbor<F>(&self, v: NodeId, mut f: F) -> ControlFlow<()>
+    fn try_for_each_neighbor<F>(&self, v: NodeId, f: F) -> ControlFlow<()>
     where
         F: FnMut(NodeId) -> ControlFlow<()>,
     {
-        self.assert_in_range(v);
-        let block = self.fetch_block(v as usize / BLOCK_NODES);
-        let slot = v as usize % BLOCK_NODES;
-        for &u in block.neighbors_of(slot) {
-            f(u)?;
-        }
-        ControlFlow::Continue(())
+        self.cursor().try_for_each_neighbor(v, f)
     }
 
     fn edge_count(&self) -> usize {
@@ -929,6 +1026,55 @@ impl GraphView for DiskGraph {
 
     fn is_empty(&self) -> bool {
         self.node_count == 0
+    }
+}
+
+/// The [`NeighborCursor`] of a [`DiskGraph`]: it keeps the block it read
+/// last, so consecutive reads inside one 64-node block cost one cache
+/// lookup between them. A pass in ascending node order reads each block it
+/// touches once. The kept block stays readable after the cache evicts it.
+pub struct DiskCursor<'a> {
+    graph: &'a DiskGraph,
+    /// The block read last and its validated sealed bytes.
+    current: Option<(usize, Arc<[u8]>)>,
+}
+
+impl DiskCursor<'_> {
+    /// The reader of node `v`'s block, fetched unless it is the current
+    /// one.
+    fn block_of(&mut self, v: NodeId) -> BlockReader<'_> {
+        self.graph.assert_in_range(v);
+        let b = v as usize / BLOCK_NODES;
+        if self
+            .current
+            .as_ref()
+            .is_none_or(|(current, _)| *current != b)
+        {
+            self.current = Some((b, self.graph.fetch_block(b)));
+        }
+        let (_, bytes) = self.current.as_ref().expect("the current block is set");
+        BlockReader::new(bytes, self.graph.block_span(b))
+    }
+}
+
+impl NeighborCursor for DiskCursor<'_> {
+    fn degree(&mut self, v: NodeId) -> usize {
+        self.block_of(v).degree(v)
+    }
+
+    fn try_for_each_neighbor<F>(&mut self, v: NodeId, f: F) -> ControlFlow<()>
+    where
+        F: FnMut(NodeId) -> ControlFlow<()>,
+    {
+        self.block_of(v).try_for_each_neighbor(v, f)
+    }
+}
+
+impl fmt::Debug for DiskCursor<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("DiskCursor")
+            .field("block", &self.current.as_ref().map(|(b, _)| b))
+            .finish_non_exhaustive()
     }
 }
 
@@ -1164,6 +1310,15 @@ mod tests {
         let tmp = TempDir::new("lru");
         let g = generators::torus2d(16, 16); // 256 nodes = 4 blocks
         stream_graph(&g, tmp.path(), 64);
+        // A cursor reads each block of a forward sweep once.
+        let disk = DiskGraph::open(tmp.path()).unwrap().with_cache_blocks(2);
+        let mut cursor = disk.cursor();
+        for v in 0..g.node_count() as NodeId {
+            assert_eq!(cursor.degree(v), 4);
+        }
+        let stats = disk.cache_stats();
+        assert_eq!((stats.hits, stats.misses), (0, 4), "a cursor sweep");
+        // Per-node calls look the block up every time.
         let disk = DiskGraph::open(tmp.path()).unwrap().with_cache_blocks(2);
         for v in 0..g.node_count() as NodeId {
             assert_eq!(disk.degree(v), 4);
@@ -1209,6 +1364,25 @@ mod tests {
         assert_eq!(stats(&disk), (2, 6), "block 2 stayed resident");
         assert_eq!(disk.degree(3), 4);
         assert_eq!(stats(&disk), (2, 7), "block 0 was evicted");
+    }
+
+    #[test]
+    #[should_panic(expected = "corrupt shard block 0: bad directory width 3")]
+    fn a_block_read_again_after_eviction_is_validated_again() {
+        let tmp = TempDir::new("reread");
+        let g = generators::torus2d(16, 16); // 256 nodes = 4 blocks
+        stream_graph(&g, tmp.path(), 256);
+        let disk = DiskGraph::open(tmp.path()).unwrap().with_cache_blocks(1);
+        assert_eq!(disk.degree(0), 4);
+        assert_eq!(disk.degree(64), 4); // evicts block 0
+                                        // Overwrite block 0's directory width in place: the open file
+                                        // handle reads the new bytes.
+        let shard = shard_path(tmp.path(), 0);
+        let mut bytes = fs::read(&shard).unwrap();
+        let data_start = 8 + 4 * 8 + 5 * 8; // magic, 4 header words, 5 offsets
+        bytes[data_start] = 3;
+        fs::write(&shard, &bytes).unwrap();
+        let _ = disk.degree(1);
     }
 
     #[test]

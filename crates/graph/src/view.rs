@@ -28,6 +28,15 @@
 //! simulator's bitset propagation kernel exploits the ordering to fold
 //! word-grouped neighbour masks.
 //!
+//! # Cursors
+//!
+//! A pass that reads node after node (a degree sweep, a propagation
+//! pass) reads through one [`NeighborCursor`] from
+//! [`GraphView::cursor`]. In-memory views return [`PerNode`], which
+//! forwards each read to the per-node calls; the paged
+//! [`DiskGraph`](crate::DiskGraph) keeps the block it read last, so a run
+//! of reads inside one 64-node block costs one cache lookup.
+//!
 //! # Examples
 //!
 //! ```
@@ -74,6 +83,18 @@ use crate::{Graph, NodeId};
 /// assert_eq!(product.max_degree(), g.max_degree() + 1);
 /// ```
 pub trait GraphView: Sync {
+    /// The [`NeighborCursor`] that [`cursor`](Self::cursor) returns.
+    type Cursor<'a>: NeighborCursor
+    where
+        Self: 'a;
+
+    /// A cursor for one pass of reads. It answers exactly as
+    /// [`degree`](Self::degree) and
+    /// [`try_for_each_neighbor`](Self::try_for_each_neighbor) do, in any
+    /// node order, but may keep state between reads (the paged backend
+    /// keeps its current block).
+    fn cursor(&self) -> Self::Cursor<'_>;
+
     /// Number of nodes; valid ids are exactly `0..node_count()`.
     fn node_count(&self) -> usize;
 
@@ -128,16 +149,18 @@ pub trait GraphView: Sync {
 
     /// Number of undirected edges (`Σ deg / 2` by default).
     fn edge_count(&self) -> usize {
+        let mut cursor = self.cursor();
         let total: usize = (0..self.node_count() as NodeId)
-            .map(|v| self.degree(v))
+            .map(|v| cursor.degree(v))
             .sum();
         total / 2
     }
 
     /// Maximum degree Δ (0 for the empty view).
     fn max_degree(&self) -> usize {
+        let mut cursor = self.cursor();
         (0..self.node_count() as NodeId)
-            .map(|v| self.degree(v))
+            .map(|v| cursor.degree(v))
             .max()
             .unwrap_or(0)
     }
@@ -175,14 +198,97 @@ pub trait GraphView: Sync {
     fn materialize(&self) -> Graph {
         let n = self.node_count();
         let mut edges = Vec::with_capacity(self.edge_count());
+        let mut cursor = self.cursor();
         for v in 0..n as NodeId {
-            self.for_each_neighbor(v, |u| {
+            cursor.for_each_neighbor(v, |u| {
                 if v < u {
                     edges.push((v, u));
                 }
             });
         }
         Graph::from_edges(n, edges).expect("a GraphView describes a valid simple graph")
+    }
+}
+
+/// Reads degrees and neighbour lists of one [`GraphView`] node after node,
+/// for one pass. Answers exactly as the view's per-node calls do, in any
+/// node order; an implementation may only make a run of nearby reads
+/// cheaper.
+///
+/// # Examples
+///
+/// ```
+/// use mis_graph::{generators, GraphView, NeighborCursor};
+///
+/// let g = generators::cycle(5);
+/// let mut cursor = g.cursor();
+/// let degrees: Vec<usize> = (0..5).map(|v| cursor.degree(v)).collect();
+/// assert_eq!(degrees, vec![2; 5]);
+/// let mut nbrs = Vec::new();
+/// cursor.for_each_neighbor(0, |u| nbrs.push(u));
+/// assert_eq!(nbrs, g.neighbors(0));
+/// ```
+pub trait NeighborCursor {
+    /// Degree of node `v`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is out of range.
+    fn degree(&mut self, v: NodeId) -> usize;
+
+    /// Visits the neighbours of `v` in strictly ascending id order until
+    /// `f` breaks, as [`GraphView::try_for_each_neighbor`] does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is out of range.
+    fn try_for_each_neighbor<F>(&mut self, v: NodeId, f: F) -> ControlFlow<()>
+    where
+        F: FnMut(NodeId) -> ControlFlow<()>;
+
+    /// Visits every neighbour of `v` in ascending id order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is out of range.
+    fn for_each_neighbor<F>(&mut self, v: NodeId, mut f: F)
+    where
+        F: FnMut(NodeId),
+    {
+        let _ = self.try_for_each_neighbor(v, |u| {
+            f(u);
+            ControlFlow::Continue(())
+        });
+    }
+}
+
+/// The cursor of a view whose per-node calls are already cheap: each read
+/// forwards to [`GraphView::degree`] or
+/// [`GraphView::try_for_each_neighbor`]. The CSR [`Graph`], the compressed
+/// backend and the lazy views return it.
+#[derive(Debug)]
+pub struct PerNode<'a, G: ?Sized>(&'a G);
+
+impl<'a, G: ?Sized> PerNode<'a, G> {
+    /// A cursor over `graph`.
+    #[must_use]
+    pub fn new(graph: &'a G) -> Self {
+        Self(graph)
+    }
+}
+
+impl<G: GraphView + ?Sized> NeighborCursor for PerNode<'_, G> {
+    #[inline]
+    fn degree(&mut self, v: NodeId) -> usize {
+        self.0.degree(v)
+    }
+
+    #[inline]
+    fn try_for_each_neighbor<F>(&mut self, v: NodeId, f: F) -> ControlFlow<()>
+    where
+        F: FnMut(NodeId) -> ControlFlow<()>,
+    {
+        self.0.try_for_each_neighbor(v, f)
     }
 }
 
@@ -194,8 +300,9 @@ pub trait GraphView: Sync {
 pub(crate) fn debug_check_overrides<G: GraphView + ?Sized>(g: &G) {
     if cfg!(debug_assertions) && g.node_count() <= 4096 {
         let (mut total, mut max) = (0usize, 0usize);
+        let mut cursor = g.cursor();
         for v in 0..g.node_count() as NodeId {
-            let d = g.degree(v);
+            let d = cursor.degree(v);
             total += d;
             max = max.max(d);
         }
@@ -213,6 +320,15 @@ pub(crate) fn debug_check_overrides<G: GraphView + ?Sized>(g: &G) {
 }
 
 impl GraphView for Graph {
+    type Cursor<'a>
+        = PerNode<'a, Self>
+    where
+        Self: 'a;
+
+    fn cursor(&self) -> PerNode<'_, Self> {
+        PerNode::new(self)
+    }
+
     fn node_count(&self) -> usize {
         Graph::node_count(self)
     }
@@ -359,6 +475,15 @@ impl<'g> LineGraphView<'g> {
 }
 
 impl GraphView for LineGraphView<'_> {
+    type Cursor<'a>
+        = PerNode<'a, Self>
+    where
+        Self: 'a;
+
+    fn cursor(&self) -> PerNode<'_, Self> {
+        PerNode::new(self)
+    }
+
     fn node_count(&self) -> usize {
         self.edges.len()
     }
@@ -496,6 +621,15 @@ impl<'g> ProductView<'g> {
 }
 
 impl GraphView for ProductView<'_> {
+    type Cursor<'a>
+        = PerNode<'a, Self>
+    where
+        Self: 'a;
+
+    fn cursor(&self) -> PerNode<'_, Self> {
+        PerNode::new(self)
+    }
+
     fn node_count(&self) -> usize {
         self.base.node_count() * self.k as usize
     }
@@ -625,6 +759,15 @@ impl<'g> InducedView<'g> {
 }
 
 impl GraphView for InducedView<'_> {
+    type Cursor<'a>
+        = PerNode<'a, Self>
+    where
+        Self: 'a;
+
+    fn cursor(&self) -> PerNode<'_, Self> {
+        PerNode::new(self)
+    }
+
     fn node_count(&self) -> usize {
         self.nodes.len()
     }
