@@ -40,6 +40,9 @@
 //! views — Luby on a `LineGraphView` *is* a distributed maximal-matching
 //! baseline — without materialising the derived adjacency. The inbox
 //! buffers are sized from [`GraphView::degree`], never from CSR offsets.
+//! Each pass over many nodes reads adjacency through one
+//! [`NeighborCursor`], so the paged `DiskGraph` looks a 64-node block up
+//! once per run of reads inside it.
 //!
 //! # Intra-run sharding
 //!
@@ -62,7 +65,7 @@ use mis_beeping::batch::over_ranges;
 use mis_beeping::rng::node_rng;
 use mis_beeping::scenario::{Delivery, ScenarioSpec};
 use mis_beeping::{NetworkInfo, NodeStatus, Verdict};
-use mis_graph::{Graph, GraphView, NodeId};
+use mis_graph::{Graph, GraphView, NeighborCursor, NodeId};
 
 /// A message-passing automaton run at each node by [`MessageSimulator`].
 ///
@@ -243,8 +246,9 @@ impl<'g, F: MessageFactory, G: GraphView + ?Sized> MessageSimulator<'g, F, G> {
             node_count: graph.node_count(),
             max_degree,
         };
+        let mut cursor = graph.cursor();
         let processes = (0..graph.node_count() as NodeId)
-            .map(|v| factory.create(v, graph.degree(v), &info))
+            .map(|v| factory.create(v, cursor.degree(v), &info))
             .collect();
         let status = vec![NodeStatus::Active; graph.node_count()];
         let rngs = (0..graph.node_count() as NodeId)
@@ -421,10 +425,11 @@ impl<'g, F: MessageFactory, G: GraphView + ?Sized> MessageSimulator<'g, F, G> {
                     .zip(ranges.iter_mut()),
                 |c, (((procs, outs), status), range)| {
                     let mut tally = Tally::default();
+                    let mut cursor = graph.cursor();
                     for (i, out) in outs.iter_mut().enumerate() {
                         *out = if range.present(status[i], i) {
                             let v = (c * chunk + i) as NodeId;
-                            procs[i].broadcast2(inboxes.get(graph, v, range, i, &mut tally))
+                            procs[i].broadcast2(inboxes.get(&mut cursor, v, range, i, &mut tally))
                         } else {
                             None
                         };
@@ -452,10 +457,11 @@ impl<'g, F: MessageFactory, G: GraphView + ?Sized> MessageSimulator<'g, F, G> {
                     .zip(ranges.iter_mut()),
                 |c, ((procs, statuses), range)| {
                     let mut tally = Tally::default();
+                    let mut cursor = graph.cursor();
                     for (i, status) in statuses.iter_mut().enumerate() {
                         if range.present(*status, i) {
                             let v = (c * chunk + i) as NodeId;
-                            let inbox = inboxes.get(graph, v, range, i, &mut tally);
+                            let inbox = inboxes.get(&mut cursor, v, range, i, &mut tally);
                             *status = match procs[i].decide(inbox) {
                                 Verdict::Continue => continue,
                                 Verdict::JoinMis => NodeStatus::InMis,
@@ -498,8 +504,9 @@ impl<'g, F: MessageFactory, G: GraphView + ?Sized> MessageSimulator<'g, F, G> {
         let Some(spec) = spec else {
             return Vec::new();
         };
+        let mut cursor = self.graph.cursor();
         let degrees: Vec<usize> = (0..self.graph.node_count() as NodeId)
-            .map(|v| self.graph.degree(v))
+            .map(|v| cursor.degree(v))
             .collect();
         let mut sleepers: Vec<(u32, NodeId)> = spec
             .wake_schedule(&degrees)
@@ -607,9 +614,10 @@ enum Inboxes<'a, P: MessageProcess> {
 
 impl<'a, P: MessageProcess> Inboxes<'a, P> {
     /// The inbox of receiver `v`, which is receiver `i` of `range`: its
-    /// pushed slice, or a pull into the range's inbox — in ascending
-    /// neighbour id order, the pinned delivery contract inherited from the
-    /// [`GraphView`] iteration order — accounted into `tally` on arrival.
+    /// pushed slice, or a pull through the range pass's `cursor` into the
+    /// range's inbox — in ascending neighbour id order, the pinned delivery
+    /// contract inherited from the [`GraphView`] iteration order —
+    /// accounted into `tally` on arrival.
     ///
     /// A pull under a scenario that perturbs deliveries gives each
     /// message its fate: on time, dropped, or parked with `v` for the same
@@ -618,9 +626,9 @@ impl<'a, P: MessageProcess> Inboxes<'a, P> {
     /// them in. Those past due came due while `v` was not collecting
     /// (asleep, absent or decided) and are lost.
     #[inline]
-    fn get<'s, G: GraphView + ?Sized>(
+    fn get<'s>(
         &self,
-        graph: &G,
+        cursor: &mut impl NeighborCursor,
         v: NodeId,
         range: &'s mut RangeState<P::Msg>,
         i: usize,
@@ -642,7 +650,7 @@ impl<'a, P: MessageProcess> Inboxes<'a, P> {
             inbox.clear();
         }
         let Some(spec) = exchange.fates else {
-            graph.for_each_neighbor(v, |u| {
+            cursor.for_each_neighbor(v, |u| {
                 if let Some(msg) = &outbox[u as usize] {
                     tally.delivered += 1;
                     tally.bits += P::message_bits(msg);
@@ -653,7 +661,7 @@ impl<'a, P: MessageProcess> Inboxes<'a, P> {
         };
         let (round, sub) = exchange.slot;
         let pending = &mut range.pending[i];
-        graph.for_each_neighbor(v, |u| {
+        cursor.for_each_neighbor(v, |u| {
             if let Some(msg) = &outbox[u as usize] {
                 match spec.delivery(u, v, round, u32::from(sub)) {
                     Delivery::OnTime => inbox.push(msg.clone()),
@@ -706,7 +714,7 @@ fn deliver<'a, F: MessageFactory, G: GraphView + ?Sized>(
 /// senders' neighbour lists — a counting pass sizes each slice, a prefix
 /// sum lays them out, and a second pass over the senders (ascending id, so
 /// the pinned delivery order is preserved) fills them. Accounting rides
-/// the counting pass.
+/// the counting pass. One cursor reads the senders of both passes.
 fn push_deliver<F: MessageFactory, G: GraphView + ?Sized>(
     graph: &G,
     status: &[NodeStatus],
@@ -718,11 +726,12 @@ fn push_deliver<F: MessageFactory, G: GraphView + ?Sized>(
     arena.clear();
     cursors.fill(0);
     let mut filler: Option<&MsgOf<F>> = None;
+    let mut cursor = graph.cursor();
     for (u, slot) in outbox.iter().enumerate() {
         let Some(msg) = slot else { continue };
         filler = Some(msg);
         let msg_bits = F::Process::message_bits(msg);
-        graph.for_each_neighbor(u as NodeId, |v| {
+        cursor.for_each_neighbor(u as NodeId, |v| {
             if status[v as usize] == NodeStatus::Active {
                 cursors[v as usize] += 1;
                 total.delivered += 1;
@@ -741,7 +750,7 @@ fn push_deliver<F: MessageFactory, G: GraphView + ?Sized>(
     arena.resize(spans[n], Clone::clone(filler));
     for (u, slot) in outbox.iter().enumerate() {
         let Some(msg) = slot else { continue };
-        graph.for_each_neighbor(u as NodeId, |v| {
+        cursor.for_each_neighbor(u as NodeId, |v| {
             if status[v as usize] == NodeStatus::Active {
                 arena[cursors[v as usize]] = msg.clone();
                 cursors[v as usize] += 1;

@@ -13,6 +13,11 @@
 //! O(n / 64) word scans. Beeps and heard bits live natively in `u64`
 //! words, one bit per node, and observers read exchange 1's words in place
 //! through [`NodeBits`].
+//!
+//! Each pass over many nodes reads adjacency through one
+//! [`NeighborCursor`]: free on in-memory graphs, and one block-cache
+//! lookup per run of nodes inside a 64-node block on the paged
+//! `DiskGraph`.
 
 use core::ops::{ControlFlow, Index};
 use std::sync::Arc;
@@ -20,7 +25,7 @@ use std::sync::Arc;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use mis_graph::{Graph, GraphView, NodeId};
+use mis_graph::{Graph, GraphView, NeighborCursor, NodeId};
 
 use crate::batch::{auto_jobs, over_ranges};
 use crate::rng::{fault_stream_seed, loss_dropped, node_rng, round_seed};
@@ -337,11 +342,12 @@ impl<'g, F: ProcessFactory, G: GraphView + ?Sized> Stepper<'g, F, G> {
             node_count: n,
             max_degree: graph.max_degree(),
         };
+        let mut cursor = graph.cursor();
         let processes: Vec<F::Process> = (0..n as NodeId)
-            .map(|v| factory.create(v, graph.degree(v), &info))
+            .map(|v| factory.create(v, cursor.degree(v), &info))
             .collect();
         let scenario_wake: Option<Vec<u32>> = config.scenario.as_ref().map(|s| {
-            let degrees: Vec<usize> = (0..n as NodeId).map(|v| graph.degree(v)).collect();
+            let degrees: Vec<usize> = (0..n as NodeId).map(|v| cursor.degree(v)).collect();
             s.wake_schedule(&degrees)
         });
         // Nodes awake at round 0 form the first frontier; the rest queue
@@ -844,7 +850,7 @@ fn push<G: GraphView + ?Sized>(
 /// neighbour's `heard` bit unless it is asleep or `dropped(from, to)` says
 /// the beep does not arrive now. `sleeping` says whether any node is
 /// still asleep. The fixed order is what lets a stream-mode loss draw
-/// consume the fault RNG reproducibly.
+/// consume the fault RNG reproducibly. One cursor reads every beeper.
 #[inline]
 fn push_with<G: GraphView + ?Sized>(
     graph: &G,
@@ -854,8 +860,9 @@ fn push_with<G: GraphView + ?Sized>(
     heard: &mut [u64],
     mut dropped: impl FnMut(NodeId, NodeId) -> bool,
 ) {
+    let mut cursor = graph.cursor();
     for_each_set_bit(beeps, |v| {
-        graph.for_each_neighbor(v as NodeId, |u| {
+        cursor.for_each_neighbor(v as NodeId, |u| {
             // Sleeping nodes hear nothing.
             if sleeping && status[u as usize] == NodeStatus::Asleep {
                 return;
@@ -870,11 +877,11 @@ fn push_with<G: GraphView + ?Sized>(
 /// Whether listener `v` hears any beeping neighbour, via the word-grouped
 /// early-exit scan: ascending iteration keeps same-word neighbours
 /// contiguous, so they fold into one mask tested against the beep bitset.
-fn listener_hears<G: GraphView + ?Sized>(graph: &G, v: NodeId, beep_words: &[u64]) -> bool {
+fn listener_hears(cursor: &mut impl NeighborCursor, v: NodeId, beep_words: &[u64]) -> bool {
     let mut cur_word = usize::MAX;
     let mut mask = 0u64;
     let mut hit = false;
-    let flow = graph.try_for_each_neighbor(v, |u| {
+    let flow = cursor.try_for_each_neighbor(v, |u| {
         let w = u as usize / WORD_BITS;
         if w != cur_word {
             if cur_word != usize::MAX && beep_words[cur_word] & mask != 0 {
@@ -900,13 +907,13 @@ fn listener_hears<G: GraphView + ?Sized>(graph: &G, v: NodeId, beep_words: &[u64
 /// dropped by a counter-keyed loss draw. The draws are pure functions of
 /// `(sender, v, slot)`, so the early exit on the first surviving delivery
 /// skips the remaining draws without affecting any other node's outcome.
-fn listener_hears_lossy<G: GraphView + ?Sized>(
-    graph: &G,
+fn listener_hears_lossy(
+    cursor: &mut impl NeighborCursor,
     v: NodeId,
     beep_words: &[u64],
     cl: CounterLoss,
 ) -> bool {
-    graph.try_for_each_neighbor(v, |u| {
+    cursor.try_for_each_neighbor(v, |u| {
         if test_bit(beep_words, u as usize) && !loss_dropped(cl.master, u, v, cl.slot, cl.loss) {
             ControlFlow::Break(())
         } else {
@@ -918,7 +925,8 @@ fn listener_hears_lossy<G: GraphView + ?Sized>(
 /// Computes the heard bitset for the listeners of `out.len()` consecutive
 /// words starting at word `first_word`, in the pull direction. This is the
 /// unit of intra-run sharding: each shard owns a word-aligned listener
-/// range and writes only its own output words.
+/// range, reads it through its own cursor and writes only its own output
+/// words.
 fn pull_heard_words<G: GraphView + ?Sized>(
     graph: &G,
     status: &[NodeStatus],
@@ -929,6 +937,7 @@ fn pull_heard_words<G: GraphView + ?Sized>(
     out: &mut [u64],
 ) {
     let n = graph.node_count();
+    let mut cursor = graph.cursor();
     for (i, word_out) in out.iter_mut().enumerate() {
         let base = (first_word + i) * WORD_BITS;
         let mut word = 0u64;
@@ -938,8 +947,8 @@ fn pull_heard_words<G: GraphView + ?Sized>(
             }
             let v = (base + off) as NodeId;
             let hit = match loss {
-                None => listener_hears(graph, v, beep_words),
-                Some(cl) => listener_hears_lossy(graph, v, beep_words, cl),
+                None => listener_hears(&mut cursor, v, beep_words),
+                Some(cl) => listener_hears_lossy(&mut cursor, v, beep_words, cl),
             };
             word |= u64::from(hit) << off;
         }
