@@ -189,7 +189,7 @@ impl BlockEncoder {
 }
 
 /// The degree sum and maximum degree of one validated block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub(crate) struct BlockStats {
     /// Sum of the block's degrees.
     pub(crate) degree_sum: usize,
@@ -244,7 +244,8 @@ pub(crate) fn validate_block(
             }
             prev = Some(u);
         }
-        // `degree` varints were read, each at least one byte of `payload`.
+        // Each of the `degree` varints took a byte of `payload`, so the
+        // degree fits a `usize`.
         let degree = degree as usize;
         stats.degree_sum += degree;
         stats.max_degree = stats.max_degree.max(degree);
@@ -268,7 +269,6 @@ fn directory_offset(bytes: &[u8], width: usize, slot: usize) -> usize {
 /// nodes. Behind [`CompressedGraph`]'s accessors and the cursor of
 /// [`DiskGraph`](crate::DiskGraph). The bytes come from the encoder or
 /// passed [`validate_block`], so a read never fails.
-#[derive(Clone, Copy)]
 pub(crate) struct BlockReader<'a> {
     bytes: &'a [u8],
     span: usize,

@@ -1366,6 +1366,84 @@ mod tests {
         assert_eq!(stats(&disk), (2, 7), "block 0 was evicted");
     }
 
+    /// What one read of node `v` sees: its degree, its neighbours, and
+    /// the neighbours and flow of a visit that breaks at the first
+    /// neighbour above `v`.
+    #[derive(Debug, PartialEq)]
+    struct Read {
+        degree: usize,
+        neighbors: Vec<NodeId>,
+        prefix: Vec<NodeId>,
+        flow: ControlFlow<()>,
+    }
+
+    /// Reads `v` through `visit`, a node's `try_for_each_neighbor`, and
+    /// `degree`.
+    fn read(
+        v: NodeId,
+        degree: usize,
+        mut visit: impl FnMut(&mut dyn FnMut(NodeId) -> ControlFlow<()>) -> ControlFlow<()>,
+    ) -> Read {
+        let mut neighbors = Vec::new();
+        let _ = visit(&mut |u| {
+            neighbors.push(u);
+            ControlFlow::Continue(())
+        });
+        let mut prefix = Vec::new();
+        let flow = visit(&mut |u| {
+            prefix.push(u);
+            if u > v {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        });
+        Read {
+            degree,
+            neighbors,
+            prefix,
+            flow,
+        }
+    }
+
+    /// Reads every node of `g` through one cursor per node order
+    /// (ascending, descending, shuffled) and compares each read with the
+    /// per-node calls.
+    fn assert_cursor_matches_per_node<G: GraphView + ?Sized>(g: &G, label: &str) {
+        use rand::seq::SliceRandom;
+        let ascending: Vec<NodeId> = (0..g.node_count() as NodeId).collect();
+        let descending: Vec<NodeId> = ascending.iter().rev().copied().collect();
+        let mut shuffled = ascending.clone();
+        shuffled.shuffle(&mut SmallRng::seed_from_u64(0x5EED));
+        for order in [&ascending, &descending, &shuffled] {
+            let mut cursor = g.cursor();
+            for &v in order {
+                let degree = cursor.degree(v);
+                let through_cursor = read(v, degree, |f| cursor.try_for_each_neighbor(v, f));
+                let per_node = read(v, g.degree(v), |f| g.try_for_each_neighbor(v, f));
+                assert_eq!(through_cursor, per_node, "{label}: node {v}");
+            }
+        }
+    }
+
+    #[test]
+    fn cursors_read_what_per_node_calls_read() {
+        // 300 nodes are 5 blocks; the disk cache holds 2 of them, so the
+        // disk cursor's block outlives its eviction.
+        let g = generators::gnp(300, 0.05, &mut SmallRng::seed_from_u64(0xC0C0));
+        assert_cursor_matches_per_node(&g, "csr");
+        assert_cursor_matches_per_node(&CompressedGraph::from_view(&g), "compressed");
+        let tmp = TempDir::new("cursor");
+        stream_graph(&g, tmp.path(), 128);
+        let disk = DiskGraph::open(tmp.path()).unwrap().with_cache_blocks(2);
+        assert_cursor_matches_per_node(&disk, "disk");
+        assert!(disk.cache_stats().misses > 5, "the cache evicted blocks");
+        assert_cursor_matches_per_node(&crate::LineGraphView::new(&g), "line");
+        assert_cursor_matches_per_node(&crate::ProductView::new(&g, 3), "product");
+        let every_third: Vec<NodeId> = (0..300).step_by(3).collect();
+        assert_cursor_matches_per_node(&crate::InducedView::new(&g, &every_third), "induced");
+    }
+
     #[test]
     #[should_panic(expected = "corrupt shard block 0: bad directory width 3")]
     fn a_block_read_again_after_eviction_is_validated_again() {
