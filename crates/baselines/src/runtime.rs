@@ -714,7 +714,8 @@ fn deliver<'a, F: MessageFactory, G: GraphView + ?Sized>(
 /// senders' neighbour lists — a counting pass sizes each slice, a prefix
 /// sum lays them out, and a second pass over the senders (ascending id, so
 /// the pinned delivery order is preserved) fills them. Accounting rides
-/// the counting pass. One cursor reads the senders of both passes.
+/// the counting pass. One cursor, `senders`, reads the senders of both
+/// passes.
 fn push_deliver<F: MessageFactory, G: GraphView + ?Sized>(
     graph: &G,
     status: &[NodeStatus],
@@ -726,12 +727,12 @@ fn push_deliver<F: MessageFactory, G: GraphView + ?Sized>(
     arena.clear();
     cursors.fill(0);
     let mut filler: Option<&MsgOf<F>> = None;
-    let mut cursor = graph.cursor();
+    let mut senders = graph.cursor();
     for (u, slot) in outbox.iter().enumerate() {
         let Some(msg) = slot else { continue };
         filler = Some(msg);
         let msg_bits = F::Process::message_bits(msg);
-        cursor.for_each_neighbor(u as NodeId, |v| {
+        senders.for_each_neighbor(u as NodeId, |v| {
             if status[v as usize] == NodeStatus::Active {
                 cursors[v as usize] += 1;
                 total.delivered += 1;
@@ -750,7 +751,7 @@ fn push_deliver<F: MessageFactory, G: GraphView + ?Sized>(
     arena.resize(spans[n], Clone::clone(filler));
     for (u, slot) in outbox.iter().enumerate() {
         let Some(msg) = slot else { continue };
-        cursor.for_each_neighbor(u as NodeId, |v| {
+        senders.for_each_neighbor(u as NodeId, |v| {
             if status[v as usize] == NodeStatus::Active {
                 arena[cursors[v as usize]] = msg.clone();
                 cursors[v as usize] += 1;

@@ -809,7 +809,7 @@ pub struct DiskGraph {
 
 impl DiskGraph {
     /// Opens a shard directory, validating `meta.bin` and every shard
-    /// header (block payloads are validated lazily as they are decoded).
+    /// header (each block's payload is validated whenever it is read).
     ///
     /// # Errors
     ///
