@@ -674,7 +674,7 @@ struct DiskState {
     head: u32,
     tail: u32,
     /// Read buffer of a miss, validated before it is cached.
-    scratch: Vec<u8>,
+    buffer: Vec<u8>,
     hits: u64,
     misses: u64,
 }
@@ -851,7 +851,7 @@ impl DiskGraph {
                 slot_of: vec![NIL; meta.node_count.div_ceil(BLOCK_NODES)],
                 head: NIL,
                 tail: NIL,
-                scratch: Vec::new(),
+                buffer: Vec::new(),
                 hits: 0,
                 misses: 0,
             }),
@@ -961,17 +961,16 @@ impl DiskGraph {
         let local = b - shard.first_block;
         let lo = shard.block_starts[local];
         let hi = shard.block_starts[local + 1];
-        st.scratch.resize((hi - lo) as usize, 0);
+        st.buffer.resize((hi - lo) as usize, 0);
         let file = &mut st.files[shard_idx];
         file.seek(SeekFrom::Start(shard.data_start + lo))
             .expect("seek shard block");
-        file.read_exact(&mut st.scratch).expect("read shard block");
+        file.read_exact(&mut st.buffer).expect("read shard block");
         let base = (b * BLOCK_NODES) as NodeId;
-        if let Err(reason) = validate_block(&st.scratch, base, self.block_span(b), self.node_count)
-        {
+        if let Err(reason) = validate_block(&st.buffer, base, self.block_span(b), self.node_count) {
             panic!("corrupt shard block {b}: {reason}");
         }
-        let bytes: Arc<[u8]> = Arc::from(&st.scratch[..]);
+        let bytes: Arc<[u8]> = Arc::from(&st.buffer[..]);
         st.evict_to(self.cache_blocks - 1);
         st.insert(b, Arc::clone(&bytes));
         bytes
