@@ -2,7 +2,7 @@
 
 use core::fmt;
 
-use mis_graph::{Graph, GraphView};
+use mis_graph::{Graph, GraphView, NeighborCursor};
 
 /// Quantities measured during a simulation run.
 ///
@@ -91,8 +91,9 @@ impl Metrics {
         if edges == 0 {
             return 0.0;
         }
+        let mut cursor = g.cursor();
         let total: u64 = (0..g.node_count())
-            .map(|v| u64::from(self.signals[v]) * g.degree(v as u32) as u64)
+            .map(|v| u64::from(self.signals[v]) * cursor.degree(v as u32) as u64)
             .sum();
         total as f64 / edges as f64
     }
@@ -206,6 +207,28 @@ mod tests {
             }
             assert_eq!(m.mean_channel_bits(&g), m.channel_bit_stats(&g).0, "{g:?}");
         }
+    }
+
+    #[test]
+    fn mean_channel_bits_reads_a_disk_graph_once_per_block() {
+        // 300 nodes fill ⌈300/64⌉ = 5 blocks; one lookup per node would
+        // cost 300.
+        let g = generators::grid2d(15, 20);
+        let dir = std::env::temp_dir().join(format!("mis-beeping-metrics-{}", std::process::id()));
+        mis_graph::stream::write_sharded_from_view(&dir, &g, 128).expect("write shards");
+        let disk = mis_graph::DiskGraph::open(&dir).expect("open shard directory");
+        let mut m = Metrics::new(g.node_count());
+        for v in 0..g.node_count() {
+            m.signals[v] = (v as u32 * 5 + 1) % 7;
+        }
+        let lookups = |s: mis_graph::stream::DiskCacheStats| s.hits + s.misses;
+        let before = lookups(disk.cache_stats());
+        let on_disk = m.mean_channel_bits(&disk);
+        let added = lookups(disk.cache_stats()) - before;
+        drop(disk);
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(on_disk, m.mean_channel_bits(&g));
+        assert_eq!(added, 5, "cache lookups of one degree sweep");
     }
 
     #[test]

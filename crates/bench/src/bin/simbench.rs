@@ -1,59 +1,69 @@
 //! `simbench` — simulation-engine throughput benchmark.
 //!
-//! Two suites, both driven through the unified engine batch path
-//! (`mis_core::RunPlan`), each verifying that every timed configuration
-//! produced identical per-run results before reporting any number:
+//! Four suites, each driven through the engines' batch path
+//! (`mis_core::RunPlan`) or the application entry points:
 //!
 //! * **simulator** (default) — the beeping engine along the axes the
 //!   workspace optimises: scalar reference vs bitset propagation kernel
 //!   (single-threaded), 1 worker vs N workers through the batch runner,
 //!   plus a **sharding point** (one counter-mode bitset run on a 1M+-node
-//!   graph in full mode, sequential vs 4 intra-run shards, records gated
-//!   bit-identical). Writes `BENCH_simulator.json`.
+//!   graph in full mode, sequential vs 4 intra-run shards). Writes
+//!   `BENCH_simulator.json`.
 //! * **baselines** — the message-passing engine's inbox delivery: the
-//!   pre-refactor fresh-`Vec` path vs the arena path on a Luby-priority
-//!   gnp workload, plus 1 worker vs N workers, plus a **views point**
-//!   (the same Luby-priority engine on the lazy `LineGraphView` vs on a
-//!   materialised `L(G)`, records gated bit-identical). Writes
-//!   `BENCH_baselines.json`.
+//!   pull-only reference strategy `InboxStrategy::FreshVecs` vs the arena
+//!   strategy, both on the one run loop, on a Luby-priority gnp workload,
+//!   plus 1 worker vs N workers, plus a **views point** (the same
+//!   Luby-priority engine on the lazy `LineGraphView` vs on a materialised
+//!   `L(G)`). Writes `BENCH_baselines.json`.
 //! * **apps** — the application reductions: maximal matching as MIS on a
 //!   **materialised** line graph (the pre-view path) vs the lazy
 //!   `LineGraphView`, on a ≥10k-node workload whose line graph dwarfs the
 //!   base CSR, plus `AppEngine` batch determinism at 1 vs N workers, plus
 //!   **colouring points** (Luby's product reduction on the lazy
 //!   `ProductView` vs a materialised `G □ K_{Δ+1}`, and the iterated-MIS
-//!   phase sweep on `InducedView`s vs per-phase materialised subgraphs,
-//!   both gated bit-identical). Writes `BENCH_apps.json`.
+//!   phase sweep on `InducedView`s vs per-phase materialised subgraphs).
+//!   Writes `BENCH_apps.json`.
 //! * **scale** — the out-of-core tier: one counter-mode propagation run
-//!   replayed bit-identically on all three adjacency backends (in-RAM CSR,
-//!   delta-varint `CompressedGraph`, shard-paged `DiskGraph` fed by the
-//!   streaming generators) at 1M nodes (quick) and 10M nodes (full),
-//!   recording rounds/sec, adjacency bytes/node and a peak-RSS proxy.
-//!   Writes `BENCH_scale.json`.
+//!   replayed on all three adjacency backends (in-RAM CSR, delta-varint
+//!   `CompressedGraph`, shard-paged `DiskGraph` fed by the streaming
+//!   generators) at 1M nodes (quick) and 10M nodes (full), recording
+//!   rounds/sec, adjacency bytes/node and a peak-RSS proxy. Writes
+//!   `BENCH_scale.json`.
+//!
+//! Every point is timed by [`time_point`]: each of its configurations
+//! runs `reps` times in interleaved order (2 reps in quick mode, 3 in
+//! full), keeps its fastest time, and the suite fails unless every
+//! configuration's last output is identical. [`write_bench`] then writes
+//! the document with its `bench`/`mode` header and the
+//! `outcomes_identical` flag those gates earned.
 //!
 //! ```text
 //! simbench [--quick] [--suite simulator|baselines|apps|scale|all]
 //!          [--out FILE] [--runs N] [--jobs N]
 //! ```
 //!
-//! The machine-readable summaries record the repository's performance
-//! trajectory per commit. (`--out` applies to a single suite; `--suite
-//! all` writes every default file name.)
+//! `--runs N` sets the seeded runs of every timed configuration (each
+//! point has its own default), `--jobs N` the worker count of the
+//! N-worker configurations. `--out` applies to a single suite; `--suite
+//! all` writes every default file name.
 
 #![forbid(unsafe_code)]
 
-use std::io::Write as _;
+use std::fmt;
+use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
 use mis_apps::coloring::is_proper_coloring;
 use mis_apps::{iterated_mis_coloring, AppEngine};
-use mis_baselines::{InboxStrategy, LubyPriorityFactory, MessageEngine};
+use mis_baselines::InboxStrategy::{self, Arena, FreshVecs};
+use mis_baselines::{LubyPriorityFactory, MessageEngine};
 use mis_beeping::rng::trial_seed;
-use mis_beeping::{PropagationKernel, RngMode, SimConfig};
+use mis_beeping::PropagationKernel::{self, Bitset, Scalar};
+use mis_beeping::{RngMode, SimConfig};
 use mis_bench::{gnp_mean_degree, gnp_mean_degree_edges};
-use mis_core::engine::Engine;
-use mis_core::{solve_mis_with_config, Algorithm, BatchPlan, BatchReport, RunPlan};
+use mis_core::engine::RunView;
+use mis_core::{solve_mis_with_config, Algorithm, BatchPlan, RunPlan};
 use mis_graph::stream::{DEFAULT_CACHE_BLOCKS, DEFAULT_NODES_PER_SHARD};
 use mis_graph::{
     generators, ops, CompressedGraph, DiskGraph, Graph, GraphView, LineGraphView, NodeId,
@@ -75,6 +85,28 @@ struct Options {
     out: Option<String>,
     runs: Option<usize>,
     jobs: Option<usize>,
+}
+
+impl Options {
+    /// Repetitions of every timed configuration.
+    fn reps(&self) -> usize {
+        if self.quick {
+            2
+        } else {
+            3
+        }
+    }
+
+    /// The seeded runs of one point's configurations: `--runs`, else the
+    /// point's default for the mode.
+    fn runs(&self, quick: usize, full: usize) -> usize {
+        self.runs.unwrap_or(if self.quick { quick } else { full })
+    }
+
+    /// The worker count of the N-worker configurations.
+    fn jobs(&self) -> usize {
+        self.jobs.unwrap_or_else(mis_core::auto_jobs)
+    }
 }
 
 fn usage() -> &'static str {
@@ -132,64 +164,224 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     Ok(opts)
 }
 
-/// Wall-clock milliseconds of one full batch execution (on any graph
-/// representation the engine accepts).
-fn time_plan<G, E>(plan: &RunPlan<E>, graph: &G) -> (f64, BatchReport<E::Record>)
-where
-    G: GraphView + ?Sized,
-    E: Engine<G>,
-{
-    let started = Instant::now();
-    let report = plan.execute(graph);
-    (started.elapsed().as_secs_f64() * 1e3, report)
+/// One configuration of a point: its fastest wall-clock milliseconds over
+/// the reps and the output of its last rep.
+#[derive(Debug)]
+struct Timed<T> {
+    ms: f64,
+    out: T,
 }
 
-/// Minimum wall-clock milliseconds over several executions (the standard
-/// noise-robust estimator on shared machines), plus the report of the
-/// last execution. Callers interleave the configurations under comparison
-/// so slow system phases hit them all equally.
-fn time_plan_min<G, E>(plan: &RunPlan<E>, graph: &G, best: &mut f64) -> BatchReport<E::Record>
-where
-    G: GraphView + ?Sized,
-    E: Engine<G>,
-{
-    let (ms, report) = time_plan(plan, graph);
-    if ms < *best {
-        *best = ms;
+/// Times the labelled configurations of one point. Each runs `reps` times
+/// (at least 1) in interleaved order, so a slow phase of a shared machine
+/// hits them all alike, and keeps its fastest time (the noise-robust
+/// estimator) and last output. The configurations may change only the
+/// time: unless every last output is equal, the point fails with an error
+/// naming `what` as the cause.
+fn time_point<T: PartialEq, const N: usize>(
+    what: &str,
+    reps: usize,
+    mut configs: [(&str, &mut dyn FnMut() -> T); N],
+) -> Result<[Timed<T>; N], String> {
+    let mut timed: [Option<Timed<T>>; N] = std::array::from_fn(|_| None);
+    for _ in 0..reps {
+        for (slot, (_, run)) in timed.iter_mut().zip(configs.iter_mut()) {
+            let started = Instant::now();
+            let out = run();
+            let ms = started.elapsed().as_secs_f64() * 1e3;
+            let ms = slot.as_ref().map_or(ms, |t| t.ms.min(ms));
+            *slot = Some(Timed { ms, out });
+        }
     }
-    report
+    let timed = timed.map(|t| t.expect("every configuration ran at least once"));
+    for ((label, _), t) in configs.iter().zip(&timed) {
+        eprintln!("  {label}: {:.1} ms", t.ms);
+    }
+    if timed.windows(2).any(|pair| pair[0].out != pair[1].out) {
+        return Err(format!("FATAL — {what} changed the results"));
+    }
+    Ok(timed)
 }
 
-fn write_json(path: &str, json: &str) -> Result<(), String> {
-    std::fs::File::create(path)
-        .and_then(|mut f| f.write_all(json.as_bytes()))
+/// How many times faster `candidate_ms` is than `reference_ms`.
+fn speedup(reference_ms: f64, candidate_ms: f64) -> f64 {
+    reference_ms / candidate_ms.max(1e-9)
+}
+
+/// A value of a BENCH document. Counts are `Int`; measured values are
+/// `Num` and keep three decimals; objects keep their insertion order.
+#[derive(Debug)]
+enum Json {
+    Bool(bool),
+    Int(u64),
+    Num(f64),
+    /// One of the program's own labels, written verbatim.
+    Str(&'static str),
+    Arr(Vec<Json>),
+    Obj(Vec<(&'static str, Json)>),
+}
+
+/// `From` conversions into [`Json`], one `type => |value| variant` each.
+macro_rules! json_from {
+    ($($ty:ty => |$v:ident| $variant:expr;)*) => {
+        $(impl From<$ty> for Json {
+            fn from($v: $ty) -> Self {
+                $variant
+            }
+        })*
+    };
+}
+
+json_from! {
+    bool => |b| Json::Bool(b);
+    u32 => |i| Json::Int(u64::from(i));
+    u64 => |i| Json::Int(i);
+    usize => |i| Json::Int(i as u64);
+    f64 => |x| Json::Num(x);
+    &'static str => |s| Json::Str(s);
+    Vec<Json> => |items| Json::Arr(items);
+    Vec<(&'static str, Json)> => |fields| Json::Obj(fields);
+}
+
+/// The fields of a JSON object, in order: `obj! { "key" => value, … }`,
+/// each value converted by `Json::from`.
+macro_rules! obj {
+    ($($key:literal => $value:expr),* $(,)?) => {
+        vec![$(($key, Json::from($value))),*]
+    };
+}
+
+impl Json {
+    /// Writes the value nested `depth` levels deep: containers put each
+    /// entry on its own line, indented two spaces per level.
+    fn write(&self, f: &mut fmt::Formatter<'_>, depth: usize) -> fmt::Result {
+        let (brackets, entries): (_, Vec<(Option<&str>, &Json)>) = match self {
+            Json::Bool(b) => return write!(f, "{b}"),
+            Json::Int(i) => return write!(f, "{i}"),
+            Json::Num(x) => return write!(f, "{x:.3}"),
+            Json::Str(s) => return write!(f, "\"{s}\""),
+            Json::Arr(items) => (['[', ']'], items.iter().map(|v| (None, v)).collect()),
+            Json::Obj(fields) => (
+                ['{', '}'],
+                fields.iter().map(|(k, v)| (Some(*k), v)).collect(),
+            ),
+        };
+        write!(f, "{}", brackets[0])?;
+        for (i, (key, value)) in entries.into_iter().enumerate() {
+            let sep = if i == 0 { "" } else { "," };
+            write!(f, "{sep}\n{:indent$}", "", indent = 2 * (depth + 1))?;
+            if let Some(key) = key {
+                write!(f, "\"{key}\": ")?;
+            }
+            value.write(f, depth + 1)?;
+        }
+        write!(f, "\n{:indent$}{}", "", brackets[1], indent = 2 * depth)
+    }
+}
+
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write(f, 0)
+    }
+}
+
+/// Writes one BENCH document: the `bench` and `mode` header, the suite's
+/// fields, and `outcomes_identical`, which every gate of the suite earned
+/// before this call. The path is `--out`, else `BENCH_<bench>.json`.
+fn write_bench(
+    opts: &Options,
+    bench: &'static str,
+    fields: Vec<(&'static str, Json)>,
+) -> Result<(), String> {
+    let mut doc = obj! {
+        "bench" => bench,
+        "mode" => if opts.quick { "quick" } else { "full" },
+    };
+    doc.extend(fields);
+    doc.push(("outcomes_identical", Json::Bool(true)));
+    let path = opts
+        .out
+        .clone()
+        .unwrap_or_else(|| format!("BENCH_{bench}.json"));
+    std::fs::write(&path, format!("{}\n", Json::Obj(doc)))
         .map_err(|e| format!("failed to write {path}: {e}"))?;
     eprintln!("wrote {path}");
     Ok(())
 }
 
-/// The beeping-engine suite: scalar vs bitset kernel, 1 vs N workers.
+/// The `graph` object of a gnp workload.
+fn gnp_json(g: &Graph) -> Vec<(&'static str, Json)> {
+    obj! {
+        "family" => "gnp",
+        "nodes" => g.node_count(),
+        "edges" => g.edge_count(),
+        "mean_degree" => g.mean_degree(),
+    }
+}
+
+/// The size of a graph: `{ "nodes": …, "edges": … }`.
+fn size_json(nodes: usize, edges: usize) -> Vec<(&'static str, Json)> {
+    obj! { "nodes" => nodes, "edges" => edges }
+}
+
+/// The derived-adjacency bytes of `L(base)` with `line_edges` edges: the
+/// materialised CSR (two u32 entries per line edge plus one usize offset
+/// per line node) and the lazy view's auxiliary indexing (the canonical
+/// edge list, one u32 edge id per base half-edge, and the base offsets).
+fn line_graph_bytes(base: &Graph, line_edges: usize) -> (usize, usize) {
+    let line_nodes = base.edge_count();
+    (
+        2 * line_edges * 4 + (line_nodes + 1) * 8,
+        line_nodes * 8 + 2 * base.edge_count() * 4 + (base.node_count() + 1) * 8,
+    )
+}
+
+/// The run seeds of a batch of `runs` runs under `master`.
+fn run_seeds(master: u64, runs: usize) -> Vec<u64> {
+    let plan = BatchPlan::new(master, runs);
+    (0..runs).map(|i| plan.run_seed(i)).collect()
+}
+
+/// `solve` run on each seed, in order.
+fn each_seed<T>(seeds: &[u64], solve: impl Fn(u64) -> T) -> Vec<T> {
+    seeds.iter().map(|&s| solve(s)).collect()
+}
+
+/// Mean of `f` over `items`.
+fn mean_of<T>(items: &[T], f: impl Fn(&T) -> u32) -> f64 {
+    items.iter().map(|x| f64::from(f(x))).sum::<f64>() / items.len().max(1) as f64
+}
+
+/// One feedback run's MIS and round count.
+type RunDigest = (Vec<NodeId>, u32);
+
+/// Solves `g` with the feedback algorithm under `seed`.
+fn feedback_digest<G: GraphView + ?Sized>(g: &G, seed: u64) -> RunDigest {
+    let r = solve_mis_with_config(g, &Algorithm::feedback(), seed, SimConfig::default())
+        .expect("feedback terminates on a fault-free network");
+    (r.mis().to_vec(), r.rounds())
+}
+
+/// The beeping-engine suite: scalar vs bitset kernel, 1 vs N workers, and
+/// sequential vs sharded runs.
 fn run_simulator_suite(opts: &Options) -> Result<(), String> {
     // A 10k-node random graph, dense enough that beep propagation is a
     // real cost. Quick mode shrinks everything so CI can smoke-test the
     // pipeline in seconds.
-    let (n, mean_degree, runs, capped_rounds) = if opts.quick {
-        (2_000usize, 64.0, opts.runs.unwrap_or(2), 16u32)
+    let (n, mean_degree, capped_rounds) = if opts.quick {
+        (2_000usize, 64.0, 16u32)
     } else {
-        (10_000usize, 256.0, opts.runs.unwrap_or(8), 48u32)
+        (10_000usize, 256.0, 48u32)
     };
-    let jobs = opts.jobs.unwrap_or_else(mis_core::auto_jobs);
-    let out = opts.out.as_deref().unwrap_or("BENCH_simulator.json");
+    let (runs, reps, jobs) = (opts.runs(2, 8), opts.reps(), opts.jobs());
 
     eprintln!("simbench[simulator]: building G({n}, d≈{mean_degree}) …");
     let graph = gnp_mean_degree(n, mean_degree);
     eprintln!(
-        "simbench[simulator]: {} nodes, {} edges, mean degree {:.1}; {} runs, {} jobs",
+        "simbench[simulator]: {} nodes, {} edges, mean degree {:.1}; {runs} runs × {reps} reps, {jobs} jobs",
         graph.node_count(),
         graph.edge_count(),
         graph.mean_degree(),
-        runs,
-        jobs
     );
 
     // Workload 1 — kernel throughput: every node beeps with constant
@@ -197,7 +389,7 @@ fn run_simulator_suite(opts: &Options) -> Result<(), String> {
     // nobody ever wins, so the beep density stays at ½ and the run
     // measures steady-state propagation, the quantity the bitset kernel
     // optimises).
-    let kernel_plan = |kernel: PropagationKernel| {
+    let run_kernel = |kernel: PropagationKernel| {
         RunPlan::new(Algorithm::constant(0.5), runs)
             .with_master_seed(0xBEEF)
             .with_jobs(1)
@@ -206,255 +398,180 @@ fn run_simulator_suite(opts: &Options) -> Result<(), String> {
                     .with_max_rounds(capped_rounds)
                     .with_kernel(kernel),
             )
+            .execute(&graph)
     };
+    eprintln!("simbench[simulator]: kernel workload (constant ½, {capped_rounds} rounds) …");
+    let [kernel_scalar, kernel_bitset] = time_point(
+        "the propagation kernel",
+        reps,
+        [
+            ("scalar 1-thread", &mut || run_kernel(Scalar)),
+            ("bitset 1-thread", &mut || run_kernel(Bitset)),
+        ],
+    )?;
+
     // Workload 2 — end to end: full feedback-algorithm runs to
     // termination, single-threaded per kernel plus the batch runner at
     // `jobs` workers. Propagation is only part of this cost (the per-node
     // automata dominate once beeps thin out), so its speedup is smaller.
-    let feedback_plan = |kernel: PropagationKernel, jobs: usize| {
+    let run_feedback = |kernel: PropagationKernel, jobs: usize| {
         RunPlan::new(Algorithm::feedback(), runs)
             .with_master_seed(0xF00D)
             .with_jobs(jobs)
             .with_config(SimConfig::default().with_kernel(kernel))
+            .execute(&graph)
     };
-
-    // Warm-up, untimed.
-    let _ = RunPlan::new(Algorithm::feedback(), 1)
-        .with_config(SimConfig::default())
-        .execute(&graph);
-
-    eprintln!("simbench[simulator]: kernel workload (constant ½, {capped_rounds} rounds) …");
-    let (kernel_scalar_ms, kernel_scalar) =
-        time_plan(&kernel_plan(PropagationKernel::Scalar), &graph);
-    eprintln!("  scalar 1-thread: {kernel_scalar_ms:.1} ms");
-    let (kernel_bitset_ms, kernel_bitset) =
-        time_plan(&kernel_plan(PropagationKernel::Bitset), &graph);
-    eprintln!("  bitset 1-thread: {kernel_bitset_ms:.1} ms");
-
     eprintln!("simbench[simulator]: end-to-end workload (feedback to termination) …");
-    let (fb_scalar_ms, fb_scalar) = time_plan(&feedback_plan(PropagationKernel::Scalar, 1), &graph);
-    eprintln!("  scalar 1-thread: {fb_scalar_ms:.1} ms");
-    let (fb_bitset_ms, fb_bitset) = time_plan(&feedback_plan(PropagationKernel::Bitset, 1), &graph);
-    eprintln!("  bitset 1-thread: {fb_bitset_ms:.1} ms");
-    // With one worker the batch is literally the 1-thread configuration —
-    // re-measuring it would only record timer noise as a "speedup".
-    let (fb_jobs_ms, fb_parallel) = if jobs > 1 {
-        let (ms, report) = time_plan(&feedback_plan(PropagationKernel::Bitset, jobs), &graph);
-        eprintln!("  bitset {jobs}-thread: {ms:.1} ms");
-        (ms, report)
-    } else {
-        (fb_bitset_ms, fb_bitset.clone())
-    };
-
-    // Equivalence gate: within each workload, every configuration must
-    // agree run for run before any timing is reported.
-    if kernel_scalar != kernel_bitset || fb_scalar != fb_bitset || fb_bitset != fb_parallel {
-        return Err("FATAL — kernel or thread count changed the results".to_owned());
-    }
+    let [fb_scalar, fb_bitset, fb_jobs] = time_point(
+        "the kernel or the thread count",
+        reps,
+        [
+            ("scalar 1-thread", &mut || run_feedback(Scalar, 1)),
+            ("bitset 1-thread", &mut || run_feedback(Bitset, 1)),
+            (&format!("bitset {jobs}-thread"), &mut || {
+                run_feedback(Bitset, jobs)
+            }),
+        ],
+    )?;
 
     // Workload 3 — intra-run sharding: one counter-mode propagation run
     // on a graph large enough that a *single* run dwarfs the batch
     // (1M+ nodes in full mode), bitset kernel, sequential vs 4 shards.
     // Counter-mode draws are pure in (node, round), so the shard count
-    // must be invisible in the results — gated below run for run.
+    // must be invisible in the results.
     const SHARDS: usize = 4;
-    let (shard_n, shard_degree, shard_rounds, shard_reps) = if opts.quick {
-        (50_000usize, 16.0, 4u32, 1usize)
+    let (shard_n, shard_degree, shard_rounds) = if opts.quick {
+        (50_000usize, 16.0, 4u32)
     } else {
-        (1_048_576usize, 16.0, 8u32, 2usize)
+        (1_048_576usize, 16.0, 8u32)
     };
     eprintln!("simbench[simulator]: building sharding graph G({shard_n}, d≈{shard_degree}) …");
     let shard_graph = gnp_mean_degree(shard_n, shard_degree);
-    let shard_plan = |shards: usize| {
-        RunPlan::new(Algorithm::constant(0.5), 1)
+    let run_sharded = |shards: usize| {
+        RunPlan::new(Algorithm::constant(0.5), opts.runs(1, 1))
             .with_master_seed(0x5AAD)
             .with_jobs(1)
             .with_config(
                 SimConfig::default()
                     .with_max_rounds(shard_rounds)
-                    .with_kernel(PropagationKernel::Bitset)
+                    .with_kernel(Bitset)
                     .with_rng_mode(RngMode::Counter)
                     .with_shards(shards),
             )
+            .execute(&shard_graph)
     };
     eprintln!(
         "simbench[simulator]: sharding workload (constant ½, counter rng, {} nodes, \
          {shard_rounds} rounds, 1 vs {SHARDS} shards) …",
         shard_graph.node_count()
     );
-    let mut shard_seq_ms = f64::INFINITY;
-    let mut shard_par_ms = f64::INFINITY;
-    let mut shard_seq = time_plan_min(&shard_plan(1), &shard_graph, &mut shard_seq_ms);
-    let mut shard_par = time_plan_min(&shard_plan(SHARDS), &shard_graph, &mut shard_par_ms);
-    for _ in 1..shard_reps {
-        // Interleave repetitions so thermal / cache drift hits both
-        // configurations evenly; keep the best of each.
-        shard_seq = time_plan_min(&shard_plan(1), &shard_graph, &mut shard_seq_ms);
-        shard_par = time_plan_min(&shard_plan(SHARDS), &shard_graph, &mut shard_par_ms);
-    }
-    eprintln!("  sequential: {shard_seq_ms:.1} ms; {SHARDS} shards: {shard_par_ms:.1} ms");
-    if shard_seq != shard_par {
-        return Err("FATAL — intra-run sharding changed the results".to_owned());
-    }
+    let [sequential, sharded] = time_point(
+        "intra-run sharding",
+        reps,
+        [
+            ("sequential", &mut || run_sharded(1)),
+            (&format!("{SHARDS} shards"), &mut || run_sharded(SHARDS)),
+        ],
+    )?;
 
-    let bitset_speedup = kernel_scalar_ms / kernel_bitset_ms.max(1e-9);
-    let fb_speedup = fb_scalar_ms / fb_bitset_ms.max(1e-9);
-    let thread_speedup = fb_bitset_ms / fb_jobs_ms.max(1e-9);
-    let shard_speedup = shard_seq_ms / shard_par_ms.max(1e-9);
-    eprintln!(
-        "simbench[simulator]: bitset/scalar {bitset_speedup:.2}x on propagation, \
-         {fb_speedup:.2}x end-to-end; {jobs}-thread/1-thread {thread_speedup:.2}x; \
-         {SHARDS}-shard/sequential {shard_speedup:.2}x on {} cores",
-        mis_core::auto_jobs()
-    );
-
-    let json = format!(
-        "{{\n  \"bench\": \"simulator\",\n  \"mode\": \"{mode}\",\n  \
-         \"graph\": {{ \"family\": \"gnp\", \"nodes\": {nodes}, \"edges\": {edges}, \"mean_degree\": {md:.2} }},\n  \
-         \"runs\": {runs},\n  \
-         \"kernel_workload\": {{\n    \"algorithm\": \"constant(0.5)\",\n    \"rounds\": {capped},\n    \
-         \"scalar_1thread_ms\": {kscalar:.3},\n    \"bitset_1thread_ms\": {kbitset:.3},\n    \
-         \"speedup\": {kspeed:.3}\n  }},\n  \
-         \"feedback_workload\": {{\n    \"algorithm\": \"feedback\",\n    \"rounds_mean\": {rounds:.2},\n    \
-         \"scalar_1thread_ms\": {fscalar:.3},\n    \"bitset_1thread_ms\": {fbitset:.3},\n    \
-         \"speedup\": {fspeed:.3},\n    \
-         \"jobs\": {jobs},\n    \"bitset_jobs_ms\": {fjobs:.3},\n    \"thread_speedup\": {tspeed:.3}\n  }},\n  \
-         \"sharding\": {{\n    \"algorithm\": \"constant(0.5)\",\n    \"rng\": \"counter\",\n    \
-         \"nodes\": {snodes},\n    \"edges\": {sedges},\n    \"rounds\": {srounds},\n    \
-         \"shards\": {shards},\n    \"cores\": {cores},\n    \
-         \"sequential_ms\": {sseq:.3},\n    \"sharded_ms\": {spar:.3},\n    \
-         \"speedup\": {sspeed:.3},\n    \"outcomes_identical\": true\n  }},\n  \
-         \"bitset_speedup\": {kspeed:.3},\n  \
-         \"outcomes_identical\": true\n}}\n",
-        mode = if opts.quick { "quick" } else { "full" },
-        nodes = graph.node_count(),
-        edges = graph.edge_count(),
-        md = graph.mean_degree(),
-        runs = runs,
-        capped = capped_rounds,
-        kscalar = kernel_scalar_ms,
-        kbitset = kernel_bitset_ms,
-        kspeed = bitset_speedup,
-        rounds = fb_scalar.rounds().mean(),
-        fscalar = fb_scalar_ms,
-        fbitset = fb_bitset_ms,
-        fspeed = fb_speedup,
-        jobs = jobs,
-        fjobs = fb_jobs_ms,
-        tspeed = thread_speedup,
-        snodes = shard_graph.node_count(),
-        sedges = shard_graph.edge_count(),
-        srounds = shard_rounds,
-        shards = SHARDS,
-        cores = mis_core::auto_jobs(),
-        sseq = shard_seq_ms,
-        spar = shard_par_ms,
-        sspeed = shard_speedup,
-    );
-    write_json(out, &json)
+    let bitset_speedup = speedup(kernel_scalar.ms, kernel_bitset.ms);
+    write_bench(
+        opts,
+        "simulator",
+        obj! {
+            "graph" => gnp_json(&graph),
+            "runs" => runs,
+            "kernel_workload" => obj! {
+                "algorithm" => "constant(0.5)",
+                "rounds" => capped_rounds,
+                "scalar_1thread_ms" => kernel_scalar.ms,
+                "bitset_1thread_ms" => kernel_bitset.ms,
+                "speedup" => bitset_speedup,
+            },
+            "feedback_workload" => obj! {
+                "algorithm" => "feedback",
+                "rounds_mean" => fb_scalar.out.rounds().mean(),
+                "scalar_1thread_ms" => fb_scalar.ms,
+                "bitset_1thread_ms" => fb_bitset.ms,
+                "speedup" => speedup(fb_scalar.ms, fb_bitset.ms),
+                "jobs" => jobs,
+                "bitset_jobs_ms" => fb_jobs.ms,
+                "thread_speedup" => speedup(fb_bitset.ms, fb_jobs.ms),
+            },
+            "sharding" => obj! {
+                "algorithm" => "constant(0.5)",
+                "rng" => "counter",
+                "nodes" => shard_graph.node_count(),
+                "edges" => shard_graph.edge_count(),
+                "rounds" => shard_rounds,
+                "shards" => SHARDS,
+                "cores" => mis_core::auto_jobs(),
+                "sequential_ms" => sequential.ms,
+                "sharded_ms" => sharded.ms,
+                "speedup" => speedup(sequential.ms, sharded.ms),
+                "outcomes_identical" => true,
+            },
+            "bitset_speedup" => bitset_speedup,
+        },
+    )
 }
 
-/// The message-engine suite: fresh-`Vec` (pre-refactor) vs arena inbox
-/// delivery on a Luby-priority workload, 1 vs N workers.
+/// The message-engine suite: the fresh-`Vec` reference vs arena inbox
+/// delivery on a Luby-priority workload, 1 vs N workers, and Luby on the
+/// lazy line-graph view vs on a materialised `L(G)`.
 fn run_baselines_suite(opts: &Options) -> Result<(), String> {
     // Luby's priority form exchanges a 64-bit value per edge per round —
     // the allocation-heaviest message workload in the repo, and the one
-    // the arena refactor targets.
-    let (n, mean_degree, runs) = if opts.quick {
-        (2_000usize, 32.0, opts.runs.unwrap_or(4))
+    // the arena strategy targets.
+    let (n, mean_degree) = if opts.quick {
+        (2_000usize, 32.0)
     } else {
-        (10_000usize, 64.0, opts.runs.unwrap_or(8))
+        (10_000usize, 64.0)
     };
-    let jobs = opts.jobs.unwrap_or_else(mis_core::auto_jobs);
-    let out = opts.out.as_deref().unwrap_or("BENCH_baselines.json");
+    let (runs, reps, jobs) = (opts.runs(4, 8), opts.reps(), opts.jobs());
 
     eprintln!("simbench[baselines]: building G({n}, d≈{mean_degree}) …");
     let graph = gnp_mean_degree(n, mean_degree);
     eprintln!(
-        "simbench[baselines]: {} nodes, {} edges, mean degree {:.1}; {} runs, {} jobs",
+        "simbench[baselines]: {} nodes, {} edges, mean degree {:.1}; {runs} runs × {reps} reps, {jobs} jobs",
         graph.node_count(),
         graph.edge_count(),
         graph.mean_degree(),
-        runs,
-        jobs
     );
 
-    let plan = |strategy: InboxStrategy, jobs: usize| {
+    let run_luby = |strategy: InboxStrategy, jobs: usize| {
         RunPlan::for_engine(
             MessageEngine::new(LubyPriorityFactory::new()).with_inbox_strategy(strategy),
             runs,
         )
         .with_master_seed(0xBA5E)
         .with_jobs(jobs)
+        .execute(&graph)
     };
-
-    // Warm-up, untimed.
-    let _ = plan(InboxStrategy::Arena, 1)
-        .with_master_seed(1)
-        .execute(&graph);
-
-    // Interleave the configurations and keep per-config minima: this box
-    // may be shared, and timing the strategies back to back would charge
-    // any slow system phase to whichever ran during it.
-    let reps = if opts.quick { 2 } else { 3 };
-    eprintln!("simbench[baselines]: Luby-priority workload (to termination, {reps} reps) …");
-    let (mut fresh_ms, mut arena_ms, mut arena_jobs_ms) = (f64::MAX, f64::MAX, f64::MAX);
-    let (mut fresh, mut arena, mut arena_parallel) = (None, None, None);
-    for _ in 0..reps {
-        fresh = Some(time_plan_min(
-            &plan(InboxStrategy::FreshVecs, 1),
-            &graph,
-            &mut fresh_ms,
-        ));
-        arena = Some(time_plan_min(
-            &plan(InboxStrategy::Arena, 1),
-            &graph,
-            &mut arena_ms,
-        ));
-        if jobs > 1 {
-            arena_parallel = Some(time_plan_min(
-                &plan(InboxStrategy::Arena, jobs),
-                &graph,
-                &mut arena_jobs_ms,
-            ));
-        }
-    }
-    let fresh = fresh.expect("at least one rep ran");
-    let arena = arena.expect("at least one rep ran");
-    let (arena_jobs_ms, arena_parallel) = if jobs > 1 {
-        (arena_jobs_ms, arena_parallel.expect("at least one rep ran"))
-    } else {
-        (arena_ms, arena.clone())
-    };
-    eprintln!("  fresh-vec 1-thread: {fresh_ms:.1} ms");
-    eprintln!("  arena     1-thread: {arena_ms:.1} ms");
-    if jobs > 1 {
-        eprintln!("  arena     {jobs}-thread: {arena_jobs_ms:.1} ms");
-    }
-
-    // Equivalence gate: the strategy and the worker count must not change
-    // a single record before any timing is reported.
-    if fresh != arena || arena != arena_parallel {
-        return Err("FATAL — inbox strategy or thread count changed the results".to_owned());
-    }
-
-    let arena_speedup = fresh_ms / arena_ms.max(1e-9);
-    let thread_speedup = arena_ms / arena_jobs_ms.max(1e-9);
-    eprintln!(
-        "simbench[baselines]: arena/fresh-vec {arena_speedup:.2}x single-thread; \
-         {jobs}-thread/1-thread {thread_speedup:.2}x"
-    );
+    eprintln!("simbench[baselines]: Luby-priority workload (to termination) …");
+    let [fresh, arena, arena_jobs] = time_point(
+        "the inbox strategy or the thread count",
+        reps,
+        [
+            ("fresh-vec 1-thread", &mut || run_luby(FreshVecs, 1)),
+            ("arena 1-thread", &mut || run_luby(Arena, 1)),
+            (&format!("arena {jobs}-thread"), &mut || {
+                run_luby(Arena, jobs)
+            }),
+        ],
+    )?;
 
     // Views workload — the same Luby-priority engine racing on the lazy
-    // line-graph view vs on a materialised L(G). Each timed pass rebuilds
+    // line-graph view vs on a materialised L(G). Each timed pass builds
     // its derived graph from the base CSR (exactly what a pre-view
     // reduction pays per workload), so the point measures the whole
     // derived-graph pipeline, not just the rounds.
-    let (vn, vdeg, view_runs) = if opts.quick {
-        (600usize, 8.0, opts.runs.unwrap_or(2))
+    let (vn, vdeg) = if opts.quick {
+        (600usize, 8.0)
     } else {
-        (3_000usize, 16.0, opts.runs.unwrap_or(4))
+        (3_000usize, 16.0)
     };
+    let view_runs = opts.runs(2, 4);
     eprintln!("simbench[baselines]: building views base G({vn}, d≈{vdeg}) …");
     let view_base = gnp_mean_degree(vn, vdeg);
     let line_nodes = view_base.edge_count();
@@ -466,92 +583,57 @@ fn run_baselines_suite(opts: &Options) -> Result<(), String> {
     let view_plan = RunPlan::for_engine(MessageEngine::new(LubyPriorityFactory::new()), view_runs)
         .with_master_seed(0x11E4)
         .with_jobs(1);
-    let (mut view_ms, mut mat_ms) = (f64::MAX, f64::MAX);
-    let (mut on_view, mut on_materialized) = (None, None);
-    for _ in 0..reps {
-        let started = Instant::now();
-        let view = LineGraphView::new(&view_base);
-        let report = view_plan.execute(&view);
-        view_ms = view_ms.min(started.elapsed().as_secs_f64() * 1e3);
-        on_view = Some(report);
+    let [on_materialized, on_view] = time_point(
+        "the lazy line-graph view",
+        reps,
+        [
+            ("materialized L(G)", &mut || {
+                view_plan.execute(&ops::line_graph(&view_base).0)
+            }),
+            ("lazy view", &mut || {
+                view_plan.execute(&LineGraphView::new(&view_base))
+            }),
+        ],
+    )?;
+    let (materialized_bytes, view_bytes) = line_graph_bytes(&view_base, line_edges);
 
-        let started = Instant::now();
-        let (lg, _edges) = ops::line_graph(&view_base);
-        let report = view_plan.execute(&lg);
-        mat_ms = mat_ms.min(started.elapsed().as_secs_f64() * 1e3);
-        on_materialized = Some(report);
-    }
-    let on_view = on_view.expect("at least one rep ran");
-    let on_materialized = on_materialized.expect("at least one rep ran");
-    eprintln!("  lazy view:         {view_ms:.1} ms");
-    eprintln!("  materialized L(G): {mat_ms:.1} ms");
-
-    // Equivalence gate: the graph representation must not change a single
-    // record — Luby on the lazy view and Luby on the materialised line
-    // graph are the same runs, bit for bit.
-    if on_view != on_materialized {
-        return Err("FATAL — the lazy view changed the results".to_owned());
-    }
-
-    let view_speedup = mat_ms / view_ms.max(1e-9);
-    // Derived-adjacency memory: the materialised CSR (two u32 entries per
-    // line edge plus offsets) vs the view's auxiliary indexing (canonical
-    // edge list + one u32 edge id per base half-edge + base offsets).
-    let materialized_adjacency_bytes = 2 * line_edges * 4 + (line_nodes + 1) * 8;
-    let view_aux_bytes =
-        line_nodes * 8 + 2 * view_base.edge_count() * 4 + (view_base.node_count() + 1) * 8;
-    let view_memory_ratio = materialized_adjacency_bytes as f64 / view_aux_bytes as f64;
-    eprintln!(
-        "simbench[baselines]: view/materialized {view_speedup:.2}x wall-clock, \
-         {view_memory_ratio:.1}x less derived-adjacency memory on Luby-matching"
-    );
-
-    let json = format!(
-        "{{\n  \"bench\": \"baselines\",\n  \"mode\": \"{mode}\",\n  \
-         \"graph\": {{ \"family\": \"gnp\", \"nodes\": {nodes}, \"edges\": {edges}, \"mean_degree\": {md:.2} }},\n  \
-         \"runs\": {runs},\n  \
-         \"luby_priority_workload\": {{\n    \"algorithm\": \"luby_priority\",\n    \
-         \"rounds_mean\": {rounds:.2},\n    \
-         \"fresh_vecs_1thread_ms\": {fresh:.3},\n    \"arena_1thread_ms\": {arena:.3},\n    \
-         \"speedup\": {aspeed:.3},\n    \
-         \"jobs\": {jobs},\n    \"arena_jobs_ms\": {ajobs:.3},\n    \"thread_speedup\": {tspeed:.3}\n  }},\n  \
-         \"views_workload\": {{\n    \"algorithm\": \"luby_priority\",\n    \"surface\": \"line_graph\",\n    \
-         \"base\": {{ \"nodes\": {vnodes}, \"edges\": {vedges} }},\n    \
-         \"line_graph\": {{ \"nodes\": {lnodes}, \"edges\": {ledges} }},\n    \
-         \"runs\": {vruns},\n    \"rounds_mean\": {vrounds:.2},\n    \
-         \"materialized_ms\": {vmat:.3},\n    \"view_ms\": {vview:.3},\n    \
-         \"speedup\": {vspeed:.3},\n    \
-         \"materialized_adjacency_bytes\": {vmbytes},\n    \"view_aux_bytes\": {vabytes},\n    \
-         \"memory_ratio\": {vmem:.3},\n    \"outcomes_identical\": true\n  }},\n  \
-         \"arena_speedup\": {aspeed:.3},\n  \
-         \"view_speedup\": {vspeed:.3},\n  \
-         \"outcomes_identical\": true\n}}\n",
-        mode = if opts.quick { "quick" } else { "full" },
-        nodes = graph.node_count(),
-        edges = graph.edge_count(),
-        md = graph.mean_degree(),
-        runs = runs,
-        rounds = fresh.rounds().mean(),
-        fresh = fresh_ms,
-        arena = arena_ms,
-        aspeed = arena_speedup,
-        jobs = jobs,
-        ajobs = arena_jobs_ms,
-        tspeed = thread_speedup,
-        vnodes = view_base.node_count(),
-        vedges = view_base.edge_count(),
-        lnodes = line_nodes,
-        ledges = line_edges,
-        vruns = view_runs,
-        vrounds = on_view.rounds().mean(),
-        vmat = mat_ms,
-        vview = view_ms,
-        vspeed = view_speedup,
-        vmbytes = materialized_adjacency_bytes,
-        vabytes = view_aux_bytes,
-        vmem = view_memory_ratio,
-    );
-    write_json(out, &json)
+    let arena_speedup = speedup(fresh.ms, arena.ms);
+    let view_speedup = speedup(on_materialized.ms, on_view.ms);
+    write_bench(
+        opts,
+        "baselines",
+        obj! {
+            "graph" => gnp_json(&graph),
+            "runs" => runs,
+            "luby_priority_workload" => obj! {
+                "algorithm" => "luby_priority",
+                "rounds_mean" => fresh.out.rounds().mean(),
+                "fresh_vecs_1thread_ms" => fresh.ms,
+                "arena_1thread_ms" => arena.ms,
+                "speedup" => arena_speedup,
+                "jobs" => jobs,
+                "arena_jobs_ms" => arena_jobs.ms,
+                "thread_speedup" => speedup(arena.ms, arena_jobs.ms),
+            },
+            "views_workload" => obj! {
+                "algorithm" => "luby_priority",
+                "surface" => "line_graph",
+                "base" => size_json(view_base.node_count(), view_base.edge_count()),
+                "line_graph" => size_json(line_nodes, line_edges),
+                "runs" => view_runs,
+                "rounds_mean" => on_view.out.rounds().mean(),
+                "materialized_ms" => on_materialized.ms,
+                "view_ms" => on_view.ms,
+                "speedup" => view_speedup,
+                "materialized_adjacency_bytes" => materialized_bytes,
+                "view_aux_bytes" => view_bytes,
+                "memory_ratio" => materialized_bytes as f64 / view_bytes as f64,
+                "outcomes_identical" => true,
+            },
+            "arena_speedup" => arena_speedup,
+            "view_speedup" => view_speedup,
+        },
+    )
 }
 
 /// The application suite: maximal matching via a materialised line graph
@@ -563,81 +645,41 @@ fn run_apps_suite(opts: &Options) -> Result<(), String> {
     // A base graph whose line graph dwarfs it: G(10k, d≈64) turns into a
     // ~320k-node line graph whose materialised adjacency holds ~40M
     // entries — the memory blow-up the lazy view exists to avoid.
-    let (n, mean_degree, runs) = if opts.quick {
-        (2_000usize, 16.0, opts.runs.unwrap_or(2))
+    let (n, mean_degree) = if opts.quick {
+        (2_000usize, 16.0)
     } else {
-        (10_000usize, 64.0, opts.runs.unwrap_or(4))
+        (10_000usize, 64.0)
     };
-    let jobs = opts.jobs.unwrap_or_else(mis_core::auto_jobs);
-    let out = opts.out.as_deref().unwrap_or("BENCH_apps.json");
+    let (runs, reps, jobs) = (opts.runs(2, 4), opts.reps(), opts.jobs());
 
     eprintln!("simbench[apps]: building G({n}, d≈{mean_degree}) …");
     let graph = gnp_mean_degree(n, mean_degree);
     let line_nodes = graph.edge_count();
-    let line_edges = {
-        let view = LineGraphView::new(&graph);
-        view.edge_count()
-    };
+    let line_edges = LineGraphView::new(&graph).edge_count();
     eprintln!(
-        "simbench[apps]: {} nodes, {} edges (line graph: {} nodes, {} edges); {} runs, {} jobs",
+        "simbench[apps]: {} nodes, {} edges (line graph: {line_nodes} nodes, {line_edges} edges); \
+         {runs} runs × {reps} reps, {jobs} jobs",
         graph.node_count(),
         graph.edge_count(),
-        line_nodes,
-        line_edges,
-        runs,
-        jobs
     );
+    let (materialized_bytes, view_bytes) = line_graph_bytes(&graph, line_edges);
 
-    // Size of the derived adjacency the materialised reduction allocates
-    // per run (CSR: two u32 entries per edge plus one usize offset per
-    // node) vs the view's auxiliary indexing (the canonical edge list plus
-    // one u32 edge id per base half-edge plus base offsets).
-    let materialized_adjacency_bytes = 2 * line_edges * 4 + (line_nodes + 1) * 8;
-    let view_aux_bytes = line_nodes * 8 + 2 * graph.edge_count() * 4 + (graph.node_count() + 1) * 8;
-
-    let plan = BatchPlan::new(0xA995, runs);
-    let seeds: Vec<u64> = (0..runs).map(|i| plan.run_seed(i)).collect();
-
-    type RunDigest = (Vec<NodeId>, u32);
-    let solve_materialized = |seed: u64| -> RunDigest {
-        let (lg, _edges) = ops::line_graph(&graph);
-        let r = solve_mis_with_config(&lg, &Algorithm::feedback(), seed, SimConfig::default())
-            .expect("feedback terminates on a fault-free network");
-        (r.mis().to_vec(), r.rounds())
-    };
-    let solve_view = |seed: u64| -> RunDigest {
-        let view = LineGraphView::new(&graph);
-        let r = solve_mis_with_config(&view, &Algorithm::feedback(), seed, SimConfig::default())
-            .expect("feedback terminates on a fault-free network");
-        (r.mis().to_vec(), r.rounds())
-    };
-
-    // Warm-up, untimed.
-    let _ = solve_view(1);
-
-    // Interleave the two reductions and keep per-path minima (the
-    // noise-robust estimator the other suites use). Each timed pass runs
-    // every seed, rebuilding its derived graph per run exactly as the
-    // application entry points do.
-    let reps = 2;
-    eprintln!("simbench[apps]: matching workload (feedback on L(G), {reps} reps × {runs} runs) …");
-    let (mut mat_ms, mut view_ms) = (f64::MAX, f64::MAX);
-    let (mut mat_digest, mut view_digest) = (None, None);
-    for _ in 0..reps {
-        let started = Instant::now();
-        let digest: Vec<RunDigest> = seeds.iter().map(|&s| solve_materialized(s)).collect();
-        mat_ms = mat_ms.min(started.elapsed().as_secs_f64() * 1e3);
-        mat_digest = Some(digest);
-
-        let started = Instant::now();
-        let digest: Vec<RunDigest> = seeds.iter().map(|&s| solve_view(s)).collect();
-        view_ms = view_ms.min(started.elapsed().as_secs_f64() * 1e3);
-        view_digest = Some(digest);
-    }
-    let mat_digest = mat_digest.expect("at least one rep ran");
-    let view_digest = view_digest.expect("at least one rep ran");
-    eprintln!("  materialized L(G): {mat_ms:.1} ms");
-    eprintln!("  lazy view:         {view_ms:.1} ms");
+    // Each timed pass runs every seed, building its derived graph per run
+    // exactly as the application entry points do.
+    let seeds = run_seeds(0xA995, runs);
+    eprintln!("simbench[apps]: matching workload (feedback on L(G)) …");
+    let [materialized, view] = time_point(
+        "the lazy line-graph view",
+        reps,
+        [
+            ("materialized L(G)", &mut || {
+                each_seed(&seeds, |s| feedback_digest(&ops::line_graph(&graph).0, s))
+            }),
+            ("lazy view", &mut || {
+                each_seed(&seeds, |s| feedback_digest(&LineGraphView::new(&graph), s))
+            }),
+        ],
+    )?;
 
     // Engine batch path: the records must be bit-identical for any worker
     // count, and match the single-run view path seed for seed.
@@ -646,53 +688,37 @@ fn run_apps_suite(opts: &Options) -> Result<(), String> {
             .with_master_seed(0xA995)
             .with_jobs(jobs)
     };
-    let (engine_solo_ms, engine_solo) = time_plan(&engine_plan(1), &graph);
-    let (engine_jobs_ms, engine_parallel) = if jobs > 1 {
-        let (ms, report) = time_plan(&engine_plan(jobs), &graph);
-        eprintln!("  engine {jobs}-thread:   {ms:.1} ms (1-thread {engine_solo_ms:.1} ms)");
-        (ms, report)
-    } else {
-        (engine_solo_ms, engine_solo.clone())
-    };
-
-    // Equivalence gate: the materialised reduction, the lazy view, and the
-    // engine batch path (at every worker count) must agree run for run
-    // before any timing is reported. The engine comparison checks the
-    // full MIS content (via an untimed outcome pass), not just sizes, so
-    // a divergence that happens to preserve cardinality still trips it.
-    let digests_match = mat_digest == view_digest;
-    let engine_outcomes = engine_plan(1).execute_outcomes(&graph);
-    let engine_matches = engine_solo == engine_parallel
-        && engine_outcomes
-            .iter()
-            .zip(&view_digest)
-            .all(|(out, (mis, rounds))| {
-                mis_core::engine::RunView::mis(out) == *mis
-                    && mis_core::engine::RunView::rounds(out) == *rounds
-            });
-    if !digests_match || !engine_matches {
-        return Err("FATAL — view, materialised path or thread count changed the results".into());
+    let [engine_solo, engine_jobs] = time_point(
+        "the thread count",
+        reps,
+        [
+            ("engine 1-thread", &mut || engine_plan(1).execute(&graph)),
+            (&format!("engine {jobs}-thread"), &mut || {
+                engine_plan(jobs).execute(&graph)
+            }),
+        ],
+    )?;
+    // The engine comparison checks the full MIS content (via an untimed
+    // outcome pass), not just sizes, so a divergence that happens to
+    // preserve cardinality still trips it.
+    let engine_matches_view = engine_plan(1)
+        .execute_outcomes(&graph)
+        .iter()
+        .zip(&view.out)
+        .all(|(out, (mis, rounds))| RunView::mis(out) == *mis && RunView::rounds(out) == *rounds);
+    if !engine_matches_view {
+        return Err("FATAL — the engine batch path changed the matching results".into());
     }
-
-    let view_speedup = mat_ms / view_ms.max(1e-9);
-    let memory_ratio = materialized_adjacency_bytes as f64 / view_aux_bytes as f64;
-    let thread_speedup = engine_solo_ms / engine_jobs_ms.max(1e-9);
-    let rounds_mean =
-        view_digest.iter().map(|(_, r)| f64::from(*r)).sum::<f64>() / runs.max(1) as f64;
-    eprintln!(
-        "simbench[apps]: view/materialized {view_speedup:.2}x wall-clock, \
-         {memory_ratio:.1}x less derived-adjacency memory; \
-         {jobs}-thread/1-thread {thread_speedup:.2}x"
-    );
 
     // Product-colouring point — Luby's reduction, one MIS on `G □ K_{Δ+1}`:
     // the lazy `ProductView` vs a materialised cartesian product, identical
     // seeds. The decoded colouring is verified proper before reporting.
-    let (pn, pdeg, pruns) = if opts.quick {
-        (300usize, 6.0, 2usize)
+    let (pn, pdeg) = if opts.quick {
+        (300usize, 6.0)
     } else {
-        (1_200usize, 8.0, 3usize)
+        (1_200usize, 8.0)
     };
+    let pruns = opts.runs(2, 3);
     let pgraph = gnp_mean_degree(pn, pdeg);
     let palette = pgraph.max_degree() as u32 + 1;
     let (product_nodes, product_edges) = {
@@ -703,69 +729,46 @@ fn run_apps_suite(opts: &Options) -> Result<(), String> {
         "simbench[apps]: product colouring on G({pn}, d≈{pdeg}) x K_{palette} \
          ({product_nodes} nodes, {product_edges} edges), {pruns} runs …"
     );
-    let pplan = BatchPlan::new(0xC010, pruns);
-    let pseeds: Vec<u64> = (0..pruns).map(|i| pplan.run_seed(i)).collect();
-    let solve_product_view = |seed: u64| -> RunDigest {
-        let view = ProductView::new(&pgraph, palette);
-        let r = solve_mis_with_config(&view, &Algorithm::feedback(), seed, SimConfig::default())
-            .expect("feedback terminates on a fault-free network");
-        (r.mis().to_vec(), r.rounds())
-    };
-    let solve_product_materialized = |seed: u64| -> RunDigest {
-        let product = ops::cartesian_product(&pgraph, &generators::complete(palette as usize));
-        let r = solve_mis_with_config(&product, &Algorithm::feedback(), seed, SimConfig::default())
-            .expect("feedback terminates on a fault-free network");
-        (r.mis().to_vec(), r.rounds())
-    };
-    let (mut pmat_ms, mut pview_ms) = (f64::MAX, f64::MAX);
-    let (mut pmat_digest, mut pview_digest) = (None, None);
-    for _ in 0..reps {
-        let started = Instant::now();
-        let digest: Vec<RunDigest> = pseeds
-            .iter()
-            .map(|&s| solve_product_materialized(s))
-            .collect();
-        pmat_ms = pmat_ms.min(started.elapsed().as_secs_f64() * 1e3);
-        pmat_digest = Some(digest);
-
-        let started = Instant::now();
-        let digest: Vec<RunDigest> = pseeds.iter().map(|&s| solve_product_view(s)).collect();
-        pview_ms = pview_ms.min(started.elapsed().as_secs_f64() * 1e3);
-        pview_digest = Some(digest);
-    }
-    let pmat_digest = pmat_digest.expect("at least one rep ran");
-    let pview_digest = pview_digest.expect("at least one rep ran");
-    eprintln!("  materialized product: {pmat_ms:.1} ms");
-    eprintln!("  lazy view:            {pview_ms:.1} ms");
-    // Gate: the surface must be invisible run for run, and the product MIS
-    // must decode to a complete proper colouring of the base graph.
+    let pseeds = run_seeds(0xC010, pruns);
+    let [pmaterialized, pview] = time_point(
+        "the product view",
+        reps,
+        [
+            ("materialized product", &mut || {
+                let complete = generators::complete(palette as usize);
+                each_seed(&pseeds, |s| {
+                    feedback_digest(&ops::cartesian_product(&pgraph, &complete), s)
+                })
+            }),
+            ("lazy view", &mut || {
+                each_seed(&pseeds, |s| {
+                    feedback_digest(&ProductView::new(&pgraph, palette), s)
+                })
+            }),
+        ],
+    )?;
+    // The product MIS must decode to a complete proper colouring of the
+    // base graph.
     let mut product_colors = vec![u32::MAX; pn];
-    for &node in &pview_digest[0].0 {
+    for &node in &pview.out[0].0 {
         product_colors[(node / palette) as usize] = node % palette;
     }
-    if pmat_digest != pview_digest
-        || product_colors.contains(&u32::MAX)
-        || !is_proper_coloring(&pgraph, &product_colors)
-    {
-        return Err("FATAL — the product view changed the colouring results".into());
+    if product_colors.contains(&u32::MAX) || !is_proper_coloring(&pgraph, &product_colors) {
+        return Err("FATAL — the product MIS decoded to an improper colouring".into());
     }
-    let product_speedup = pmat_ms / pview_ms.max(1e-9);
-    let product_rounds_mean =
-        pview_digest.iter().map(|(_, r)| f64::from(*r)).sum::<f64>() / pruns.max(1) as f64;
-    eprintln!("simbench[apps]: product view/materialized {product_speedup:.2}x wall-clock");
 
     // Iterated-colouring point — the phase sweep: lazy `InducedView`
     // phases (the shipping path) vs materialising each phase's
     // still-uncoloured subgraph, identical phase seeds through the same
     // SplitMix64 stream, so the colour classes must match exactly.
-    let (inn, ideg, iruns) = if opts.quick {
-        (240usize, 6.0, 2usize)
+    let (inn, ideg) = if opts.quick {
+        (240usize, 6.0)
     } else {
-        (900usize, 10.0, 3usize)
+        (900usize, 10.0)
     };
+    let iruns = opts.runs(2, 3);
     let igraph = gnp_mean_degree(inn, ideg);
-    let iplan = BatchPlan::new(0x17E2, iruns);
-    let iseeds: Vec<u64> = (0..iruns).map(|i| iplan.run_seed(i)).collect();
+    let iseeds = run_seeds(0x17E2, iruns);
     type ColorDigest = (Vec<u32>, u32, u32); // colours, colour count, rounds
     let sweep_view = |seed: u64| -> ColorDigest {
         let c = iterated_mis_coloring(&igraph, &Algorithm::feedback(), seed)
@@ -796,113 +799,72 @@ fn run_apps_suite(opts: &Options) -> Result<(), String> {
         (colors, color, rounds)
     };
     eprintln!("simbench[apps]: iterated colouring on G({inn}, d≈{ideg}), {iruns} runs …");
-    let (mut imat_ms, mut iview_ms) = (f64::MAX, f64::MAX);
-    let (mut imat_digest, mut iview_digest) = (None, None);
-    for _ in 0..reps {
-        let started = Instant::now();
-        let digest: Vec<ColorDigest> = iseeds.iter().map(|&s| sweep_materialized(s)).collect();
-        imat_ms = imat_ms.min(started.elapsed().as_secs_f64() * 1e3);
-        imat_digest = Some(digest);
-
-        let started = Instant::now();
-        let digest: Vec<ColorDigest> = iseeds.iter().map(|&s| sweep_view(s)).collect();
-        iview_ms = iview_ms.min(started.elapsed().as_secs_f64() * 1e3);
-        iview_digest = Some(digest);
+    let [imaterialized, iview] = time_point(
+        "the induced views",
+        reps,
+        [
+            ("materialized phases", &mut || {
+                each_seed(&iseeds, sweep_materialized)
+            }),
+            ("lazy views", &mut || each_seed(&iseeds, sweep_view)),
+        ],
+    )?;
+    if !is_proper_coloring(&igraph, &iview.out[0].0) {
+        return Err("FATAL — the phase sweep coloured the base graph improperly".into());
     }
-    let imat_digest = imat_digest.expect("at least one rep ran");
-    let iview_digest = iview_digest.expect("at least one rep ran");
-    eprintln!("  materialized phases: {imat_ms:.1} ms");
-    eprintln!("  lazy views:          {iview_ms:.1} ms");
-    // Gate: phase colour classes must agree run for run and colour the
-    // base graph properly.
-    if imat_digest != iview_digest || !is_proper_coloring(&igraph, &iview_digest[0].0) {
-        return Err("FATAL — the induced views changed the phase-sweep results".into());
-    }
-    let iterated_speedup = imat_ms / iview_ms.max(1e-9);
-    let phases_mean = iview_digest
-        .iter()
-        .map(|(_, p, _)| f64::from(*p))
-        .sum::<f64>()
-        / iruns.max(1) as f64;
-    let iterated_rounds_mean = iview_digest
-        .iter()
-        .map(|(_, _, r)| f64::from(*r))
-        .sum::<f64>()
-        / iruns.max(1) as f64;
-    eprintln!(
-        "simbench[apps]: iterated view/materialized {iterated_speedup:.2}x wall-clock, \
-         {phases_mean:.1} phases mean"
-    );
 
-    let json = format!(
-        "{{\n  \"bench\": \"apps\",\n  \"mode\": \"{mode}\",\n  \
-         \"graph\": {{ \"family\": \"gnp\", \"nodes\": {nodes}, \"edges\": {edges}, \"mean_degree\": {md:.2} }},\n  \
-         \"runs\": {runs},\n  \
-         \"matching_workload\": {{\n    \"algorithm\": \"feedback\",\n    \
-         \"line_graph\": {{ \"nodes\": {lnodes}, \"edges\": {ledges} }},\n    \
-         \"rounds_mean\": {rounds:.2},\n    \
-         \"materialized_ms\": {mat:.3},\n    \"view_ms\": {view:.3},\n    \
-         \"speedup\": {vspeed:.3},\n    \
-         \"materialized_adjacency_bytes\": {mbytes},\n    \"view_aux_bytes\": {vbytes},\n    \
-         \"memory_ratio\": {mratio:.3},\n    \
-         \"jobs\": {jobs},\n    \"engine_1thread_ms\": {esolo:.3},\n    \
-         \"engine_jobs_ms\": {ejobs:.3},\n    \"thread_speedup\": {tspeed:.3}\n  }},\n  \
-         \"product_coloring_workload\": {{\n    \"algorithm\": \"feedback\",\n    \
-         \"surface\": \"product_view\",\n    \
-         \"base\": {{ \"nodes\": {pnodes}, \"edges\": {pedges} }},\n    \
-         \"palette\": {palette},\n    \
-         \"product\": {{ \"nodes\": {prnodes}, \"edges\": {predges} }},\n    \
-         \"runs\": {pruns},\n    \"rounds_mean\": {prounds:.2},\n    \
-         \"materialized_ms\": {pmat:.3},\n    \"view_ms\": {pview:.3},\n    \
-         \"speedup\": {pspeed:.3},\n    \"outcomes_identical\": true\n  }},\n  \
-         \"iterated_coloring_workload\": {{\n    \"algorithm\": \"feedback\",\n    \
-         \"surface\": \"induced_view\",\n    \
-         \"base\": {{ \"nodes\": {inodes}, \"edges\": {iedges} }},\n    \
-         \"runs\": {iruns},\n    \"phases_mean\": {iphases:.2},\n    \
-         \"rounds_mean\": {irounds:.2},\n    \
-         \"materialized_ms\": {imat:.3},\n    \"view_ms\": {iview:.3},\n    \
-         \"speedup\": {ispeed:.3},\n    \"outcomes_identical\": true\n  }},\n  \
-         \"view_speedup\": {vspeed:.3},\n  \
-         \"memory_ratio\": {mratio:.3},\n  \
-         \"outcomes_identical\": true\n}}\n",
-        mode = if opts.quick { "quick" } else { "full" },
-        nodes = graph.node_count(),
-        edges = graph.edge_count(),
-        md = graph.mean_degree(),
-        runs = runs,
-        lnodes = line_nodes,
-        ledges = line_edges,
-        rounds = rounds_mean,
-        mat = mat_ms,
-        view = view_ms,
-        vspeed = view_speedup,
-        mbytes = materialized_adjacency_bytes,
-        vbytes = view_aux_bytes,
-        mratio = memory_ratio,
-        jobs = jobs,
-        esolo = engine_solo_ms,
-        ejobs = engine_jobs_ms,
-        tspeed = thread_speedup,
-        pnodes = pgraph.node_count(),
-        pedges = pgraph.edge_count(),
-        palette = palette,
-        prnodes = product_nodes,
-        predges = product_edges,
-        pruns = pruns,
-        prounds = product_rounds_mean,
-        pmat = pmat_ms,
-        pview = pview_ms,
-        pspeed = product_speedup,
-        inodes = igraph.node_count(),
-        iedges = igraph.edge_count(),
-        iruns = iruns,
-        iphases = phases_mean,
-        irounds = iterated_rounds_mean,
-        imat = imat_ms,
-        iview = iview_ms,
-        ispeed = iterated_speedup,
-    );
-    write_json(out, &json)
+    let view_speedup = speedup(materialized.ms, view.ms);
+    let memory_ratio = materialized_bytes as f64 / view_bytes as f64;
+    write_bench(
+        opts,
+        "apps",
+        obj! {
+            "graph" => gnp_json(&graph),
+            "runs" => runs,
+            "matching_workload" => obj! {
+                "algorithm" => "feedback",
+                "line_graph" => size_json(line_nodes, line_edges),
+                "rounds_mean" => mean_of(&view.out, |(_, rounds)| *rounds),
+                "materialized_ms" => materialized.ms,
+                "view_ms" => view.ms,
+                "speedup" => view_speedup,
+                "materialized_adjacency_bytes" => materialized_bytes,
+                "view_aux_bytes" => view_bytes,
+                "memory_ratio" => memory_ratio,
+                "jobs" => jobs,
+                "engine_1thread_ms" => engine_solo.ms,
+                "engine_jobs_ms" => engine_jobs.ms,
+                "thread_speedup" => speedup(engine_solo.ms, engine_jobs.ms),
+            },
+            "product_coloring_workload" => obj! {
+                "algorithm" => "feedback",
+                "surface" => "product_view",
+                "base" => size_json(pgraph.node_count(), pgraph.edge_count()),
+                "palette" => palette,
+                "product" => size_json(product_nodes, product_edges),
+                "runs" => pruns,
+                "rounds_mean" => mean_of(&pview.out, |(_, rounds)| *rounds),
+                "materialized_ms" => pmaterialized.ms,
+                "view_ms" => pview.ms,
+                "speedup" => speedup(pmaterialized.ms, pview.ms),
+                "outcomes_identical" => true,
+            },
+            "iterated_coloring_workload" => obj! {
+                "algorithm" => "feedback",
+                "surface" => "induced_view",
+                "base" => size_json(igraph.node_count(), igraph.edge_count()),
+                "runs" => iruns,
+                "phases_mean" => mean_of(&iview.out, |(_, phases, _)| *phases),
+                "rounds_mean" => mean_of(&iview.out, |(_, _, rounds)| *rounds),
+                "materialized_ms" => imaterialized.ms,
+                "view_ms" => iview.ms,
+                "speedup" => speedup(imaterialized.ms, iview.ms),
+                "outcomes_identical" => true,
+            },
+            "view_speedup" => view_speedup,
+            "memory_ratio" => memory_ratio,
+        },
+    )
 }
 
 /// Peak-RSS proxy: the process high-water mark (`VmHWM`, kB) from
@@ -917,19 +879,13 @@ fn peak_rss_kb() -> Option<u64> {
     })
 }
 
-/// Per-backend numbers for one scale point.
-struct BackendStats {
-    ms: f64,
-    adjacency_bytes: usize,
-}
+/// A scale point's shard directory, removed when dropped, so it goes on
+/// every exit from the point: an error, a failed gate or a panic.
+struct ShardDir(PathBuf);
 
-impl BackendStats {
-    fn bytes_per_node(&self, n: usize) -> f64 {
-        self.adjacency_bytes as f64 / n.max(1) as f64
-    }
-
-    fn rounds_per_sec(&self, rounds: u32) -> f64 {
-        f64::from(rounds) / (self.ms / 1e3).max(1e-9)
+impl Drop for ShardDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
     }
 }
 
@@ -945,12 +901,8 @@ impl BackendStats {
 /// and the compressed backend must beat CSR bytes/node by each point's
 /// floor (2× at the 10M tier) before anything is written.
 fn run_scale_suite(opts: &Options) -> Result<(), String> {
-    let out = opts.out.as_deref().unwrap_or("BENCH_scale.json");
-    let (rounds, reps) = if opts.quick {
-        (4u32, opts.runs.unwrap_or(1))
-    } else {
-        (8u32, opts.runs.unwrap_or(2))
-    };
+    let rounds = if opts.quick { 4u32 } else { 8u32 };
+    let (runs, reps) = (opts.runs(1, 1), opts.reps());
 
     /// One scale point: an in-RAM builder (the gate's reference), a
     /// streaming builder feeding the shard writer, and the compression
@@ -992,13 +944,13 @@ fn run_scale_suite(opts: &Options) -> Result<(), String> {
         });
     }
 
-    let plan = RunPlan::new(Algorithm::constant(0.5), 1)
+    let plan = RunPlan::new(Algorithm::constant(0.5), runs)
         .with_master_seed(0x5CA1E)
         .with_jobs(1)
         .with_config(
             SimConfig::default()
                 .with_max_rounds(rounds)
-                .with_kernel(PropagationKernel::Bitset)
+                .with_kernel(Bitset)
                 .with_rng_mode(RngMode::Counter),
         );
 
@@ -1007,11 +959,6 @@ fn run_scale_suite(opts: &Options) -> Result<(), String> {
         eprintln!("simbench[scale]: building {} in RAM …", point.label);
         let graph = (point.build)();
         let n = graph.node_count();
-        eprintln!(
-            "simbench[scale]: {} nodes, {} edges; {rounds} rounds × {reps} reps per backend",
-            n,
-            graph.edge_count()
-        );
 
         let started = Instant::now();
         let compressed = CompressedGraph::from_view(&graph);
@@ -1019,15 +966,16 @@ fn run_scale_suite(opts: &Options) -> Result<(), String> {
         eprintln!("  compressed in {compress_ms:.0} ms");
 
         // Disk backend: stream-generate the shards (no CSR on this path),
-        // then page them back through the block cache.
-        let dir = std::env::temp_dir().join(format!(
+        // then page them back through the block cache. `dir` is declared
+        // before `disk`, so the shards are closed before it is removed.
+        let dir = ShardDir(std::env::temp_dir().join(format!(
             "simbench-scale-{}-{}",
             std::process::id(),
             point.family
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
+        )));
+        let _ = std::fs::remove_dir_all(&dir.0);
         let started = Instant::now();
-        let mut writer = ShardWriter::create(&dir, n, DEFAULT_NODES_PER_SHARD)
+        let mut writer = ShardWriter::create(&dir.0, n, DEFAULT_NODES_PER_SHARD)
             .map_err(|e| format!("shard writer: {e}"))?;
         (point.stream)(&mut writer);
         let summary = writer.finish().map_err(|e| format!("shard writer: {e}"))?;
@@ -1042,111 +990,70 @@ fn run_scale_suite(opts: &Options) -> Result<(), String> {
                 point.label
             ));
         }
-        let disk = DiskGraph::open(&dir).map_err(|e| format!("disk graph: {e}"))?;
+        let disk = DiskGraph::open(&dir.0).map_err(|e| format!("disk graph: {e}"))?;
 
-        let mut csr = BackendStats {
-            ms: f64::INFINITY,
-            adjacency_bytes: graph.adjacency_bytes(),
-        };
-        let mut comp = BackendStats {
-            ms: f64::INFINITY,
-            adjacency_bytes: compressed.adjacency_bytes(),
-        };
-        let mut paged = BackendStats {
-            ms: f64::INFINITY,
-            adjacency_bytes: disk.adjacency_bytes(),
-        };
-        // Interleave the backends and keep per-backend minima, as the
-        // other suites do on this shared box.
-        let (mut on_csr, mut on_comp, mut on_disk) = (None, None, None);
-        for _ in 0..reps {
-            on_csr = Some(time_plan_min(&plan, &graph, &mut csr.ms));
-            on_comp = Some(time_plan_min(&plan, &compressed, &mut comp.ms));
-            on_disk = Some(time_plan_min(&plan, &disk, &mut paged.ms));
-        }
-        let on_csr = on_csr.expect("at least one rep ran");
-        let on_comp = on_comp.expect("at least one rep ran");
-        let on_disk = on_disk.expect("at least one rep ran");
+        eprintln!(
+            "simbench[scale]: {n} nodes, {} edges; {rounds} rounds × {runs} runs × {reps} reps per backend",
+            graph.edge_count()
+        );
+        let [on_csr, on_compressed, on_disk] = time_point(
+            &format!("the adjacency backend on {}", point.label),
+            reps,
+            [
+                ("csr", &mut || plan.execute(&graph)),
+                ("compressed", &mut || plan.execute(&compressed)),
+                ("disk", &mut || plan.execute(&disk)),
+            ],
+        )?;
         let cache = disk.cache_stats();
         let resident = disk.resident_bytes_estimate();
-        drop(disk);
-        let _ = std::fs::remove_dir_all(&dir);
 
-        // Gate 1: the backend must be invisible in the results, run for
-        // run, before any timing is reported.
-        if on_csr != on_comp || on_csr != on_disk {
-            return Err(format!(
-                "FATAL — adjacency backend changed the results on {}",
-                point.label
-            ));
-        }
-        // Gate 2: the compression floor. The 10M-node point pins the ≥2×
+        // The compression floor. The 10M-node point pins the ≥2×
         // adjacency-bytes claim of the scale tier.
-        let ratio = csr.bytes_per_node(n) / comp.bytes_per_node(n).max(1e-9);
+        let ratio = graph.adjacency_bytes() as f64 / compressed.adjacency_bytes() as f64;
         if ratio < point.ratio_floor {
             return Err(format!(
                 "FATAL — compressed adjacency is only {ratio:.2}x below CSR on {} (floor {:.1}x)",
                 point.label, point.ratio_floor
             ));
         }
-
         eprintln!(
-            "  csr        {:7.1} ms  {:6.2} B/node  {:9.1} rounds/s",
-            csr.ms,
-            csr.bytes_per_node(n),
-            csr.rounds_per_sec(rounds)
-        );
-        eprintln!(
-            "  compressed {:7.1} ms  {:6.2} B/node  {:9.1} rounds/s  ({ratio:.2}x fewer bytes)",
-            comp.ms,
-            comp.bytes_per_node(n),
-            comp.rounds_per_sec(rounds)
-        );
-        eprintln!(
-            "  disk       {:7.1} ms  {:6.2} B/node  {:9.1} rounds/s  \
-             ({} decode misses, {} hits, ~{:.1} MB resident)",
-            paged.ms,
-            paged.bytes_per_node(n),
-            paged.rounds_per_sec(rounds),
-            cache.misses,
+            "  {ratio:.2}x fewer adjacency bytes compressed; disk cache {} hits, {} misses, \
+             ~{:.1} MB resident",
             cache.hits,
+            cache.misses,
             resident as f64 / 1e6
         );
 
-        point_json.push(format!(
-            "{{\n      \"family\": \"{family}\",\n      \"nodes\": {nodes},\n      \
-             \"edges\": {edges},\n      \"rounds\": {rounds},\n      \
-             \"csr\": {{ \"adjacency_bytes\": {cb}, \"bytes_per_node\": {cbn:.3}, \
-             \"ms\": {cms:.3}, \"rounds_per_sec\": {crs:.3} }},\n      \
-             \"compressed\": {{ \"adjacency_bytes\": {ob}, \"bytes_per_node\": {obn:.3}, \
-             \"ms\": {oms:.3}, \"rounds_per_sec\": {ors:.3}, \"build_ms\": {obuild:.3} }},\n      \
-             \"disk\": {{ \"adjacency_bytes\": {db}, \"bytes_per_node\": {dbn:.3}, \
-             \"ms\": {dms:.3}, \"rounds_per_sec\": {drs:.3}, \"shards\": {dshards}, \
-             \"shard_write_ms\": {dwrite:.3}, \"resident_bytes_estimate\": {dres}, \
-             \"cache_hits\": {dhits}, \"cache_misses\": {dmiss} }},\n      \
-             \"compression_ratio\": {ratio:.3},\n      \"outcomes_identical\": true\n    }}",
-            family = point.family,
-            nodes = n,
-            edges = graph.edge_count(),
-            cb = csr.adjacency_bytes,
-            cbn = csr.bytes_per_node(n),
-            cms = csr.ms,
-            crs = csr.rounds_per_sec(rounds),
-            ob = comp.adjacency_bytes,
-            obn = comp.bytes_per_node(n),
-            oms = comp.ms,
-            ors = comp.rounds_per_sec(rounds),
-            obuild = compress_ms,
-            db = paged.adjacency_bytes,
-            dbn = paged.bytes_per_node(n),
-            dms = paged.ms,
-            drs = paged.rounds_per_sec(rounds),
-            dshards = summary.shard_count,
-            dwrite = shard_write_ms,
-            dres = resident,
-            dhits = cache.hits,
-            dmiss = cache.misses,
-        ));
+        let backend = |adjacency_bytes: usize, ms: f64| {
+            obj! {
+                "adjacency_bytes" => adjacency_bytes,
+                "bytes_per_node" => adjacency_bytes as f64 / n.max(1) as f64,
+                "ms" => ms,
+                "rounds_per_sec" => f64::from(rounds) * runs as f64 / (ms / 1e3).max(1e-9),
+            }
+        };
+        let mut compressed_json = backend(compressed.adjacency_bytes(), on_compressed.ms);
+        compressed_json.extend(obj! { "build_ms" => compress_ms });
+        let mut disk_json = backend(disk.adjacency_bytes(), on_disk.ms);
+        disk_json.extend(obj! {
+            "shards" => summary.shard_count,
+            "shard_write_ms" => shard_write_ms,
+            "resident_bytes_estimate" => resident,
+            "cache_hits" => cache.hits,
+            "cache_misses" => cache.misses,
+        });
+        point_json.push(Json::from(obj! {
+            "family" => point.family,
+            "nodes" => n,
+            "edges" => graph.edge_count(),
+            "rounds" => rounds,
+            "csr" => backend(graph.adjacency_bytes(), on_csr.ms),
+            "compressed" => compressed_json,
+            "disk" => disk_json,
+            "compression_ratio" => ratio,
+            "outcomes_identical" => true,
+        }));
     }
 
     let peak_kb = peak_rss_kb().unwrap_or(0);
@@ -1154,22 +1061,19 @@ fn run_scale_suite(opts: &Options) -> Result<(), String> {
         "simbench[scale]: peak RSS {:.1} MB (VmHWM)",
         peak_kb as f64 / 1e3
     );
-
-    let json = format!(
-        "{{\n  \"bench\": \"scale\",\n  \"mode\": \"{mode}\",\n  \
-         \"algorithm\": \"constant(0.5)\",\n  \"rng\": \"counter\",\n  \
-         \"kernel\": \"bitset\",\n  \"reps\": {reps},\n  \
-         \"cache_blocks\": {cache_blocks},\n  \
-         \"peak_rss_kb\": {peak_kb},\n  \
-         \"points\": [\n    {points}\n  ],\n  \
-         \"outcomes_identical\": true\n}}\n",
-        mode = if opts.quick { "quick" } else { "full" },
-        reps = reps,
-        cache_blocks = DEFAULT_CACHE_BLOCKS,
-        peak_kb = peak_kb,
-        points = point_json.join(",\n    "),
-    );
-    write_json(out, &json)
+    write_bench(
+        opts,
+        "scale",
+        obj! {
+            "algorithm" => "constant(0.5)",
+            "rng" => "counter",
+            "kernel" => "bitset",
+            "reps" => reps,
+            "cache_blocks" => DEFAULT_CACHE_BLOCKS,
+            "peak_rss_kb" => peak_kb,
+            "points" => point_json,
+        },
+    )
 }
 
 fn main() -> ExitCode {
@@ -1198,5 +1102,75 @@ fn main() -> ExitCode {
             eprintln!("simbench: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::cell::RefCell;
+    use std::time::Duration;
+
+    #[test]
+    fn time_point_interleaves_reps_and_keeps_minimum_and_last_output() {
+        let log = RefCell::new(Vec::new());
+        let (mut a_calls, mut b_calls) = (0u32, 0u32);
+        let [a, b] = time_point(
+            "the test",
+            3,
+            [
+                ("a", &mut || {
+                    a_calls += 1;
+                    log.borrow_mut().push('a');
+                    // Only the first rep is slow: the minimum skips it.
+                    if a_calls == 1 {
+                        std::thread::sleep(Duration::from_millis(60));
+                    }
+                    a_calls
+                }),
+                ("b", &mut || {
+                    b_calls += 1;
+                    log.borrow_mut().push('b');
+                    std::thread::sleep(Duration::from_millis(5));
+                    b_calls
+                }),
+            ],
+        )
+        .expect("equal last outputs pass the gate");
+        assert_eq!(log.into_inner(), ['a', 'b', 'a', 'b', 'a', 'b']);
+        assert_eq!((a.out, b.out), (3, 3), "each result is its last output");
+        assert!(a.ms < 60.0, "a's minimum is a fast rep: {} ms", a.ms);
+        assert!(b.ms >= 5.0, "b's time covers its run: {} ms", b.ms);
+    }
+
+    #[test]
+    fn time_point_fails_when_the_last_outputs_differ() {
+        let err = time_point(
+            "the test configuration",
+            2,
+            [("one", &mut || 1), ("two", &mut || 2)],
+        )
+        .expect_err("different outputs fail the gate");
+        assert_eq!(err, "FATAL — the test configuration changed the results");
+    }
+
+    #[test]
+    fn json_renders_integers_measurements_order_and_nesting() {
+        let doc = Json::from(obj! {
+            "zeta" => u64::MAX,
+            "alpha" => 2.0,
+            "ms" => 0.12345,
+            "label" => "gnp",
+            "points" => vec![
+                Json::from(obj! { "nodes" => 7usize, "ok" => true }),
+                Json::from(vec![Json::from(1u32)]),
+            ],
+        });
+        assert_eq!(
+            doc.to_string(),
+            "{\n  \"zeta\": 18446744073709551615,\n  \"alpha\": 2.000,\n  \"ms\": 0.123,\n  \
+             \"label\": \"gnp\",\n  \"points\": [\n    {\n      \"nodes\": 7,\n      \
+             \"ok\": true\n    },\n    [\n      1\n    ]\n  ]\n}"
+        );
     }
 }

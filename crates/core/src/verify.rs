@@ -10,7 +10,7 @@ use core::fmt;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use mis_graph::{GraphView, NodeId};
+use mis_graph::{GraphView, NeighborCursor, NodeId};
 
 /// A violation of the maximal-independent-set conditions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,9 +79,10 @@ pub fn check_mis<G: GraphView + ?Sized>(g: &G, set: &[NodeId]) -> Result<(), Mis
         }
         member[v as usize] = true;
     }
+    let mut cursor = g.cursor();
     for &v in set {
         let mut offender = None;
-        let _ = g.try_for_each_neighbor(v, |u| {
+        let _ = cursor.try_for_each_neighbor(v, |u| {
             if member[u as usize] {
                 offender = Some(u);
                 core::ops::ControlFlow::Break(())
@@ -99,7 +100,7 @@ pub fn check_mis<G: GraphView + ?Sized>(g: &G, set: &[NodeId]) -> Result<(), Mis
     for v in 0..n as NodeId {
         if !member[v as usize] {
             let mut covered = false;
-            let _ = g.try_for_each_neighbor(v, |u| {
+            let _ = cursor.try_for_each_neighbor(v, |u| {
                 if member[u as usize] {
                     covered = true;
                     core::ops::ControlFlow::Break(())
@@ -291,6 +292,27 @@ mod tests {
                 assert!(check_mis(&g, &mis).is_ok());
             }
         }
+    }
+
+    #[test]
+    fn check_mis_reads_a_disk_graph_once_per_block_and_pass() {
+        // 300 nodes fill ⌈300/64⌉ = 5 blocks, each holding members and
+        // non-members; one lookup per node would cost 300.
+        let g = generators::grid2d(15, 20);
+        let dir = std::env::temp_dir().join(format!("mis-core-verify-{}", std::process::id()));
+        mis_graph::stream::write_sharded_from_view(&dir, &g, 128).expect("write shards");
+        let disk = mis_graph::DiskGraph::open(&dir).expect("open shard directory");
+        let mis = greedy_mis(&g);
+        let lookups = |s: mis_graph::stream::DiskCacheStats| s.hits + s.misses;
+        let before = lookups(disk.cache_stats());
+        let on_disk = check_mis(&disk, &mis);
+        let added = lookups(disk.cache_stats()) - before;
+        let uncovered = check_mis(&disk, &mis[1..]);
+        drop(disk);
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(on_disk, Ok(()));
+        assert_eq!(added, 10, "cache lookups of the two passes");
+        assert_eq!(uncovered, check_mis(&g, &mis[1..]));
     }
 
     #[test]
