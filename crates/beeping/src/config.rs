@@ -108,9 +108,11 @@ pub enum PropagationKernel {
     Scalar,
     /// Packed `u64` bitset kernel (the default): beeps live one bit per
     /// node, and each exchange picks push or pull direction from the beep
-    /// density — pushing is the scalar kernel's loop, pulling walks the
-    /// CSR adjacency word-at-a-time with an early exit on the first
-    /// beeping word, split across [`SimConfig::shards`] workers.
+    /// density — pushing is the scalar kernel's loop, pulling reads each
+    /// listener's neighbours through a cursor of any
+    /// [`GraphView`](mis_graph::GraphView) and tests their beep bits
+    /// word-at-a-time with an early exit on the first beeping word, split
+    /// across [`SimConfig::shards`] workers.
     ///
     /// With [`RngMode::Counter`], the bitset kernel also runs lossy
     /// (`message_loss > 0`) configurations: counter-keyed loss draws are

@@ -103,6 +103,70 @@ pub fn mix(seed: u64, domain: u64, a: u64, b: u64, c: u64) -> u64 {
     splitmix64(h ^ c)
 }
 
+/// A 64-bit FNV-1a hasher: the content digest behind replay
+/// fingerprints (`mis_core::outcome_digest`) and `mis-serve`'s graph
+/// digests and cache keys. Integers are fed little-endian, so a digest is
+/// the same on every platform.
+///
+/// # Examples
+///
+/// ```
+/// use mis_beeping::rng::Fnv1a;
+///
+/// assert_eq!(Fnv1a::new().finish(), 0xcbf2_9ce4_8422_2325);
+/// let mut h = Fnv1a::new();
+/// h.write(b"a");
+/// assert_eq!(h.finish(), 0xaf63_dc4c_8601_ec8c);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    /// A hasher at the FNV-1a offset basis, having hashed nothing.
+    #[must_use]
+    pub const fn new() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+
+    /// Hashes one byte.
+    #[inline]
+    pub fn write_u8(&mut self, byte: u8) {
+        self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+
+    /// Hashes `bytes` in order.
+    #[inline]
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u8(b);
+        }
+    }
+
+    /// Hashes the 4 little-endian bytes of `x`.
+    #[inline]
+    pub fn write_u32(&mut self, x: u32) {
+        self.write(&x.to_le_bytes());
+    }
+
+    /// Hashes the 8 little-endian bytes of `x`.
+    #[inline]
+    pub fn write_u64(&mut self, x: u64) {
+        self.write(&x.to_le_bytes());
+    }
+
+    /// The digest of everything hashed so far.
+    #[must_use]
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 /// Maps 64 random bits to a uniform `f64` in `[0, 1)` (the standard
 /// 53-bit mantissa construction).
 #[must_use]
@@ -193,6 +257,24 @@ mod tests {
         for t in 0..256 {
             assert!(seen.insert(trial_seed(1, t)));
         }
+    }
+
+    #[test]
+    fn pinned_fnv1a_vectors() {
+        let digest = |bytes: &[u8]| {
+            let mut h = Fnv1a::new();
+            h.write(bytes);
+            h.finish()
+        };
+        // The published FNV-1a 64 test vectors.
+        assert_eq!(digest(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(digest(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(digest(b"foobar"), 0x8594_4171_f739_67e8);
+        // Integers are hashed as their little-endian bytes.
+        let mut h = Fnv1a::default();
+        h.write_u32(0x0403_0201);
+        h.write_u64(0x0c0b_0a09_0807_0605);
+        assert_eq!(h.finish(), digest(&[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12]));
     }
 
     // ---- Stream pins: replay artifacts (the committed fuzz corpus, the

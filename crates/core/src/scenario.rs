@@ -39,7 +39,7 @@ use std::sync::Arc;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use mis_beeping::rng::splitmix64;
+use mis_beeping::rng::{splitmix64, Fnv1a};
 use mis_beeping::{NodeStatus, RunOutcome, SimConfig};
 use mis_graph::GraphView;
 
@@ -120,38 +120,24 @@ impl AdversaryReport {
 /// equal digests and equal rounds are byte-identical for replay purposes.
 #[must_use]
 pub fn outcome_digest(outcome: &RunOutcome) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    fn eat(h: u64, byte: u8) -> u64 {
-        (h ^ u64::from(byte)).wrapping_mul(PRIME)
-    }
-    fn eat_u32(mut h: u64, x: u32) -> u64 {
-        for b in x.to_le_bytes() {
-            h = eat(h, b);
-        }
-        h
-    }
-    let mut h = OFFSET;
+    let mut h = Fnv1a::new();
     for s in outcome.statuses() {
-        h = eat(
-            h,
-            match s {
-                NodeStatus::Active => 0,
-                NodeStatus::InMis => 1,
-                NodeStatus::Covered => 2,
-                NodeStatus::Asleep => 3,
-            },
-        );
+        h.write_u8(match s {
+            NodeStatus::Active => 0,
+            NodeStatus::InMis => 1,
+            NodeStatus::Covered => 2,
+            NodeStatus::Asleep => 3,
+        });
     }
-    h = eat(h, u8::from(outcome.terminated()));
-    h = eat_u32(h, outcome.rounds());
+    h.write_u8(u8::from(outcome.terminated()));
+    h.write_u32(outcome.rounds());
     for &s in &outcome.metrics().signals {
-        h = eat_u32(h, s);
+        h.write_u32(s);
     }
     for &b in &outcome.metrics().beeps {
-        h = eat_u32(h, b);
+        h.write_u32(b);
     }
-    h
+    h.finish()
 }
 
 /// Generation-based worst-case search: mutate scenario specs, evaluate

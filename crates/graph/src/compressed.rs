@@ -45,10 +45,9 @@
 //! ```
 
 use core::fmt;
-use core::ops::ControlFlow;
+use core::ops::{ControlFlow, Range};
 
-use crate::view::debug_check_overrides;
-use crate::{Graph, GraphView, NodeId, PerNode};
+use crate::{Graph, GraphView, NeighborCursor, NodeId, PerNode};
 
 /// Number of consecutive nodes grouped into one compressed block.
 pub const BLOCK_NODES: usize = 64;
@@ -120,8 +119,8 @@ pub(crate) fn encode_adjacency(v: NodeId, neighbors: &[NodeId], payload: &mut Ve
 /// The one block-sequence encoder: pushes consecutive nodes' sorted
 /// neighbour lists into the open block (directory plus payload), seals it
 /// into `data` every [`BLOCK_NODES`] nodes, and keeps the running degree
-/// sum and maximum degree. Behind [`CompressedGraphBuilder`] and both shard
-/// writers of [`stream`](crate::stream).
+/// sum and maximum degree. Behind [`CompressedGraph::from_view`] and both
+/// shard writers of [`stream`](crate::stream).
 #[derive(Debug)]
 pub(crate) struct BlockEncoder {
     dir: Vec<u32>,
@@ -162,6 +161,39 @@ impl BlockEncoder {
         }
     }
 
+    /// Pushes the neighbour lists of `nodes`, read in order through
+    /// `cursor`, after checking each against the adjacency contract of a
+    /// graph of `node_count` nodes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a list is not strictly ascending or holds a self-loop or
+    /// a node out of range.
+    pub(crate) fn push_from<C: NeighborCursor>(
+        &mut self,
+        cursor: &mut C,
+        nodes: Range<NodeId>,
+        node_count: usize,
+    ) {
+        let mut neighbors: Vec<NodeId> = Vec::new();
+        for v in nodes {
+            neighbors.clear();
+            cursor.for_each_neighbor(v, |u| {
+                assert!(u != v, "self-loop at node {v}");
+                assert!(
+                    (u as usize) < node_count,
+                    "neighbour {u} out of range for graph with {node_count} nodes"
+                );
+                assert!(
+                    neighbors.last().is_none_or(|&p| u > p),
+                    "neighbour list of node {v} must be strictly ascending"
+                );
+                neighbors.push(u);
+            });
+            self.push(v, &neighbors);
+        }
+    }
+
     /// Appends the open block to `data`, padded to 8 bytes, and records
     /// its end offset. No-op when the open block is empty, so it also
     /// flushes a partial last block.
@@ -188,27 +220,17 @@ impl BlockEncoder {
     }
 }
 
-/// The degree sum and maximum degree of one validated block.
-#[derive(Debug, PartialEq, Eq)]
-pub(crate) struct BlockStats {
-    /// Sum of the block's degrees.
-    pub(crate) degree_sum: usize,
-    /// Largest degree in the block.
-    pub(crate) max_degree: usize,
-}
-
 /// Validates a sealed block covering `span` nodes starting at global id
 /// `base` in one pass over its bytes, checking its layout and the
 /// [`GraphView`] adjacency contract (ascending lists, no self-loops,
-/// endpoints below `node_count`). Builds nothing but the degree statistics
-/// `load_sharded` cross-checks against `meta.bin`; a [`BlockReader`] then
+/// endpoints below `node_count`). Builds nothing; a [`BlockReader`] then
 /// reads the validated bytes in place.
 pub(crate) fn validate_block(
     bytes: &[u8],
     base: NodeId,
     span: usize,
     node_count: usize,
-) -> Result<BlockStats, String> {
+) -> Result<(), String> {
     let width = match bytes.first() {
         Some(&w @ (2 | 4)) => w as usize,
         Some(&w) => return Err(format!("bad directory width {w}")),
@@ -217,10 +239,6 @@ pub(crate) fn validate_block(
     let payload = bytes
         .get(1 + span * width..)
         .ok_or("block shorter than its directory")?;
-    let mut stats = BlockStats {
-        degree_sum: 0,
-        max_degree: 0,
-    };
     for slot in 0..span {
         let v = i64::from(base + slot as NodeId);
         let mut pos = directory_offset(bytes, width, slot);
@@ -244,13 +262,8 @@ pub(crate) fn validate_block(
             }
             prev = Some(u);
         }
-        // Each of the `degree` varints took a byte of `payload`, so the
-        // degree fits a `usize`.
-        let degree = degree as usize;
-        stats.degree_sum += degree;
-        stats.max_degree = stats.max_degree.max(degree);
     }
-    Ok(stats)
+    Ok(())
 }
 
 /// Payload offset of the block-local `slot` in a block whose directory
@@ -336,38 +349,39 @@ pub struct CompressedGraph {
 }
 
 impl CompressedGraph {
-    /// Compresses any [`GraphView`] (CSR graph, lazy view, …) into block
-    /// form. The encoder is deterministic: structurally equal inputs
-    /// produce byte-equal compressed graphs.
+    /// Compresses any [`GraphView`] (CSR graph, lazy view, paged
+    /// [`DiskGraph`](crate::DiskGraph), …) into block form, reading it
+    /// through one cursor, so a shard directory loads into RAM as
+    /// `CompressedGraph::from_view(&DiskGraph::open(dir)?)` with one cache
+    /// lookup per block. The encoder is deterministic: structurally equal
+    /// inputs produce byte-equal compressed graphs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the view breaks the adjacency contract: more nodes than
+    /// the `u32` index space, a neighbour list that is not strictly
+    /// ascending or holds a self-loop or a node out of range, or lists
+    /// that are not symmetric (odd degree sum).
     pub fn from_view<G: GraphView + ?Sized>(g: &G) -> Self {
-        let mut builder = CompressedGraphBuilder::new(g.node_count());
-        let mut scratch: Vec<NodeId> = Vec::new();
-        for v in 0..g.node_count() as NodeId {
-            scratch.clear();
-            g.for_each_neighbor(v, |u| scratch.push(u));
-            builder.push_node(&scratch);
-        }
-        builder.finish()
-    }
-
-    /// Assembles a graph from already-encoded parts (the builder and the
-    /// shard loader).
-    pub(crate) fn from_parts(
-        node_count: usize,
-        edge_count: usize,
-        max_degree: usize,
-        block_starts: Vec<u64>,
-        data: Vec<u8>,
-    ) -> Self {
-        let g = Self {
+        let node_count = g.node_count();
+        assert!(
+            node_count <= u32::MAX as usize,
+            "node count exceeds u32 index space"
+        );
+        let mut encoder = BlockEncoder::new();
+        encoder.push_from(&mut g.cursor(), 0..node_count as NodeId, node_count);
+        encoder.seal();
+        assert!(
+            encoder.degree_sum.is_multiple_of(2),
+            "neighbour lists are not symmetric (odd degree sum)"
+        );
+        Self {
             node_count,
-            edge_count,
-            max_degree,
-            block_starts,
-            data,
-        };
-        debug_check_overrides(&g);
-        g
+            edge_count: encoder.degree_sum / 2,
+            max_degree: encoder.max_degree,
+            block_starts: encoder.block_starts,
+            data: encoder.data,
+        }
     }
 
     /// Number of nodes.
@@ -481,116 +495,6 @@ impl fmt::Debug for CompressedGraph {
 impl From<&Graph> for CompressedGraph {
     fn from(g: &Graph) -> Self {
         Self::from_view(g)
-    }
-}
-
-/// Streaming constructor for [`CompressedGraph`]: push each node's sorted
-/// neighbour list in ascending node order, then [`finish`](Self::finish).
-/// Used by [`CompressedGraph::from_view`], and usable directly when
-/// adjacency is produced a node at a time.
-///
-/// # Examples
-///
-/// ```
-/// use mis_graph::{CompressedGraphBuilder, GraphView};
-///
-/// let mut b = CompressedGraphBuilder::new(3); // path 0-1-2
-/// b.push_node(&[1]);
-/// b.push_node(&[0, 2]);
-/// b.push_node(&[1]);
-/// let g = b.finish();
-/// assert_eq!(g.edge_count(), 2);
-/// assert_eq!(g.neighbors_vec(1), vec![0, 2]);
-/// ```
-#[derive(Debug)]
-pub struct CompressedGraphBuilder {
-    node_count: usize,
-    next_node: usize,
-    encoder: BlockEncoder,
-}
-
-impl CompressedGraphBuilder {
-    /// Creates a builder for a graph with `node_count` nodes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node_count` exceeds the `u32` index space.
-    #[must_use]
-    pub fn new(node_count: usize) -> Self {
-        assert!(
-            node_count <= u32::MAX as usize,
-            "node count exceeds u32 index space"
-        );
-        Self {
-            node_count,
-            next_node: 0,
-            encoder: BlockEncoder::new(),
-        }
-    }
-
-    /// Encodes the next node's neighbour list. Lists must be pushed for
-    /// nodes `0, 1, …, n − 1` in order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more than `node_count` lists are pushed or the list
-    /// violates the adjacency contract (unsorted, duplicate, self-loop or
-    /// out-of-range entries).
-    pub fn push_node(&mut self, neighbors: &[NodeId]) {
-        assert!(
-            self.next_node < self.node_count,
-            "pushed more neighbour lists than nodes"
-        );
-        let v = self.next_node as NodeId;
-        let mut prev: Option<NodeId> = None;
-        for &u in neighbors {
-            assert!(u != v, "self-loop at node {v}");
-            assert!(
-                (u as usize) < self.node_count,
-                "neighbour {u} out of range for graph with {} nodes",
-                self.node_count
-            );
-            assert!(
-                prev.is_none_or(|p| u > p),
-                "neighbour list of node {v} must be strictly ascending"
-            );
-            prev = Some(u);
-        }
-        self.encoder.push(v, neighbors);
-        self.next_node += 1;
-    }
-
-    /// Seals the final block and returns the finished graph.
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than `node_count` lists were pushed, or if the
-    /// pushed lists were not symmetric (odd degree sum).
-    #[must_use]
-    pub fn finish(mut self) -> CompressedGraph {
-        assert_eq!(
-            self.next_node, self.node_count,
-            "pushed fewer neighbour lists than nodes"
-        );
-        self.encoder.seal();
-        let BlockEncoder {
-            data,
-            block_starts,
-            degree_sum,
-            max_degree,
-            ..
-        } = self.encoder;
-        assert!(
-            degree_sum.is_multiple_of(2),
-            "neighbour lists are not symmetric (odd degree sum)"
-        );
-        CompressedGraph::from_parts(
-            self.node_count,
-            degree_sum / 2,
-            max_degree,
-            block_starts,
-            data,
-        )
     }
 }
 
@@ -735,11 +639,8 @@ mod tests {
             let base = (b * BLOCK_NODES) as NodeId;
             let span = c.block_span(b);
             let bytes = c.block_bytes(b);
-            let stats = validate_block(bytes, base, span, c.node_count()).unwrap();
+            validate_block(bytes, base, span, c.node_count()).unwrap();
             let nodes = base..base + span as NodeId;
-            let degrees: Vec<usize> = nodes.clone().map(|v| g.degree(v)).collect();
-            assert_eq!(stats.degree_sum, degrees.iter().sum::<usize>());
-            assert_eq!(stats.max_degree, degrees.iter().copied().max().unwrap());
             let reader = BlockReader::new(bytes, span);
             for v in nodes {
                 let mut seen = Vec::new();
@@ -806,25 +707,54 @@ mod tests {
         );
     }
 
-    #[test]
-    #[should_panic(expected = "ascending")]
-    fn builder_rejects_unsorted_list() {
-        let mut b = CompressedGraphBuilder::new(3);
-        b.push_node(&[2, 1]);
+    /// A view over the given neighbour lists, valid or not.
+    struct Lists(Vec<Vec<NodeId>>);
+
+    impl GraphView for Lists {
+        type Cursor<'a> = PerNode<'a, Self>;
+
+        fn cursor(&self) -> PerNode<'_, Self> {
+            PerNode::new(self)
+        }
+
+        fn node_count(&self) -> usize {
+            self.0.len()
+        }
+
+        fn degree(&self, v: NodeId) -> usize {
+            self.0[v as usize].len()
+        }
+
+        fn try_for_each_neighbor<F>(&self, v: NodeId, mut f: F) -> ControlFlow<()>
+        where
+            F: FnMut(NodeId) -> ControlFlow<()>,
+        {
+            self.0[v as usize].iter().try_for_each(|&u| f(u))
+        }
     }
 
     #[test]
-    #[should_panic(expected = "self-loop")]
-    fn builder_rejects_self_loop() {
-        let mut b = CompressedGraphBuilder::new(3);
-        b.push_node(&[0]);
+    #[should_panic(expected = "neighbour list of node 0 must be strictly ascending")]
+    fn from_view_rejects_unsorted_list() {
+        let _ = CompressedGraph::from_view(&Lists(vec![vec![2, 1], vec![0], vec![0]]));
     }
 
     #[test]
-    #[should_panic(expected = "fewer neighbour lists")]
-    fn builder_rejects_missing_nodes() {
-        let b = CompressedGraphBuilder::new(3);
-        let _ = b.finish();
+    #[should_panic(expected = "self-loop at node 1")]
+    fn from_view_rejects_self_loop() {
+        let _ = CompressedGraph::from_view(&Lists(vec![vec![], vec![1], vec![]]));
+    }
+
+    #[test]
+    #[should_panic(expected = "neighbour 3 out of range for graph with 3 nodes")]
+    fn from_view_rejects_out_of_range_neighbour() {
+        let _ = CompressedGraph::from_view(&Lists(vec![vec![3], vec![], vec![]]));
+    }
+
+    #[test]
+    #[should_panic(expected = "neighbour lists are not symmetric (odd degree sum)")]
+    fn from_view_rejects_asymmetric_lists() {
+        let _ = CompressedGraph::from_view(&Lists(vec![vec![1], vec![], vec![]]));
     }
 
     #[test]

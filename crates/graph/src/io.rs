@@ -284,6 +284,44 @@ pub fn parse_dimacs_strict(text: &str) -> Result<Graph, GraphError> {
     Ok(g)
 }
 
+/// The node and edge counts `(n, m)` that a DIMACS document's problem line
+/// declares, read through the lexer of [`parse_dimacs`] without building
+/// anything: the lines before the problem line are checked as
+/// [`parse_dimacs`] checks them, and the scan stops at the problem line.
+/// A caller that caps the node count checks it here, before the parser
+/// allocates anything sized by it.
+///
+/// # Errors
+///
+/// Returns what [`parse_dimacs`] returns for the lines up to and
+/// including the problem line, and [`GraphError::Parse`] when the
+/// document has no problem line.
+///
+/// # Examples
+///
+/// ```
+/// use mis_graph::io::dimacs_problem;
+///
+/// assert_eq!(dimacs_problem("c big\np edge 20000000 0\n")?, (20_000_000, 0));
+/// assert!(dimacs_problem("c no problem line\n").is_err());
+/// # Ok::<(), mis_graph::GraphError>(())
+/// ```
+pub fn dimacs_problem(text: &str) -> Result<(usize, usize), GraphError> {
+    for (idx, raw) in text.lines().enumerate() {
+        if let DimacsLine::Problem { nodes, edges } = parse_dimacs_line(idx + 1, raw, None)? {
+            return Ok((nodes, edges));
+        }
+    }
+    Err(missing_problem_line())
+}
+
+fn missing_problem_line() -> GraphError {
+    GraphError::Parse {
+        line: 0,
+        reason: "missing problem line".into(),
+    }
+}
+
 /// One classified DIMACS line, as produced by [`parse_dimacs_line`].
 enum DimacsLine {
     /// A comment or blank line.
@@ -398,10 +436,7 @@ fn parse_dimacs_inner(text: &str) -> Result<(Graph, usize), GraphError> {
             DimacsLine::Edge(u, v) => edges.push((u, v)),
         }
     }
-    let n = node_count.ok_or_else(|| GraphError::Parse {
-        line: 0,
-        reason: "missing problem line".into(),
-    })?;
+    let n = node_count.ok_or_else(missing_problem_line)?;
     Graph::from_edges(n, edges).map(|g| (g, declared_edges))
 }
 
@@ -417,8 +452,7 @@ fn parse_dimacs_inner(text: &str) -> Result<(Graph, usize), GraphError> {
 /// so a lying header should fail loudly, as in [`parse_dimacs_strict`].
 ///
 /// The resulting directory is read back with
-/// [`CompressedGraph::load_sharded`](crate::CompressedGraph::load_sharded)
-/// or [`DiskGraph::open`](crate::DiskGraph::open).
+/// [`DiskGraph::open`](crate::DiskGraph::open).
 ///
 /// # Errors
 ///
@@ -434,7 +468,7 @@ fn parse_dimacs_inner(text: &str) -> Result<(Graph, usize), GraphError> {
 /// # Examples
 ///
 /// ```
-/// use mis_graph::{generators, io, CompressedGraph};
+/// use mis_graph::{generators, io, CompressedGraph, DiskGraph};
 /// use std::io::BufReader;
 ///
 /// let g = generators::torus2d(5, 5);
@@ -442,7 +476,7 @@ fn parse_dimacs_inner(text: &str) -> Result<(Graph, usize), GraphError> {
 /// let text = io::to_dimacs(&g);
 /// let summary = io::parse_dimacs_streaming(BufReader::new(text.as_bytes()), &dir, 64)?;
 /// assert_eq!(summary.edge_count, g.edge_count());
-/// let back = CompressedGraph::load_sharded(&dir)?;
+/// let back = CompressedGraph::from_view(&DiskGraph::open(&dir)?);
 /// assert_eq!(back, CompressedGraph::from_view(&g));
 /// # std::fs::remove_dir_all(&dir).ok();
 /// # Ok::<(), mis_graph::StreamError>(())
@@ -475,10 +509,7 @@ pub fn parse_dimacs_streaming<R: BufRead>(
             }
         }
     }
-    let writer = writer.ok_or(GraphError::Parse {
-        line: 0,
-        reason: "missing problem line".into(),
-    })?;
+    let writer = writer.ok_or_else(missing_problem_line)?;
     let summary = writer.finish()?;
     if summary.edge_count != declared_edges {
         return Err(GraphError::EdgeCountMismatch {
@@ -758,7 +789,8 @@ mod tests {
             let summary = stream(&to_dimacs(&g), &dir).unwrap();
             assert_eq!(summary.node_count, g.node_count(), "{label}");
             assert_eq!(summary.edge_count, g.edge_count(), "{label}");
-            let back = crate::CompressedGraph::load_sharded(&dir.0).unwrap();
+            let disk = crate::DiskGraph::open(&dir.0).unwrap();
+            let back = crate::CompressedGraph::from_view(&disk);
             assert_eq!(back, crate::CompressedGraph::from_view(&g), "{label}");
         }
     }

@@ -54,7 +54,7 @@ pub mod stream;
 pub mod view;
 
 pub use builder::GraphBuilder;
-pub use compressed::{CompressedGraph, CompressedGraphBuilder};
+pub use compressed::CompressedGraph;
 pub use error::GraphError;
 pub use graph::{EdgeIter, Graph, NodeIter};
 pub use stream::{DiskCursor, DiskGraph, ShardWriter, ShardedGraphSummary, StreamError};

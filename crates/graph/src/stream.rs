@@ -9,17 +9,19 @@
 //! [`compressed`](crate::compressed) — peak memory is one shard's
 //! half-edges, never the whole graph. [`write_sharded_from_view`] writes a
 //! graph already in RAM. Both writers run one loop that encodes each shard
-//! with the block encoder behind [`CompressedGraph`], writes its file, and
-//! writes `meta.bin` last. The resulting directory can then be
+//! with the block encoder behind
+//! [`CompressedGraph`](crate::CompressedGraph), writes its file, and
+//! writes `meta.bin` last.
 //!
-//! * loaded fully into RAM as a [`CompressedGraph`]
-//!   ([`CompressedGraph::load_sharded`]), or
-//! * served page-by-page by [`DiskGraph`], which keeps only an LRU cache of
-//!   sealed blocks resident — graphs larger than RAM stream through a run.
-//!   Each block is validated in one pass over its bytes when it is read
-//!   from disk, and its nodes are then read in place; a pass over many
-//!   nodes reads through one [`DiskCursor`], which keeps its current
-//!   block, so the nodes of one block cost one cache lookup.
+//! [`DiskGraph`] is the one reader of the format. It serves the directory
+//! page by page, keeping only an LRU cache of sealed blocks resident, so
+//! graphs larger than RAM stream through a run. Each block is validated in
+//! one pass over its bytes when it is read from disk, and its nodes are
+//! then read in place; a pass over many nodes reads through one
+//! [`DiskCursor`], which keeps its current block, so the nodes of one
+//! block cost one cache lookup. A directory that fits in RAM after all is
+//! loaded as `CompressedGraph::from_view(&DiskGraph::open(dir)?)`, one
+//! cache lookup per block.
 //!
 //! Everything here is `std::fs` only — no external dependencies.
 //!
@@ -28,24 +30,25 @@
 //! A sharded graph is a directory:
 //!
 //! ```text
-//! meta.bin          magic "MISGRPH1", version, node/edge counts,
+//! meta.bin          magic "MISGRPH1", version 2, node/edge counts,
 //!                   max degree, nodes per shard, shard count  (u64 LE)
 //! shard-00000.bin   magic "MISSHRD1", shard id, first node, node span,
-//!                   block count, block offset table, sealed blocks
+//!                   degree sum, max degree, block count  (u64 LE),
+//!                   block offset table, sealed blocks
 //! shard-00001.bin   …
 //! ```
 //!
 //! Shard files hold word-aligned blocks in the exact byte format of
-//! [`CompressedGraph`], so loading is
-//! concatenation, not transcoding. `nodes_per_shard` must be a positive
-//! multiple of the block size so shard boundaries coincide with block
-//! boundaries. Both readers check every shard header at open, block
-//! offsets included: they must start at 0, ascend and end within the
-//! file.
+//! [`CompressedGraph`](crate::CompressedGraph). `nodes_per_shard` must be
+//! a positive multiple of the block size so shard boundaries coincide with
+//! block boundaries. [`DiskGraph::open`] checks every shard header, block
+//! offsets included (they must start at 0, ascend and end within the
+//! file), and that the shards' degree sums add up to twice `meta.bin`'s
+//! edge count and their maximum degrees peak at its Δ.
 //!
 //! # Examples
 //!
-//! Stream a torus to shards and read it back both ways:
+//! Stream a torus to shards, page it, and load it into RAM:
 //!
 //! ```no_run
 //! use mis_graph::{generators, CompressedGraph, DiskGraph, GraphView, ShardWriter};
@@ -56,8 +59,8 @@
 //! let summary = w.finish()?;
 //! assert_eq!(summary.edge_count, 2 * 900);
 //!
-//! let in_ram = CompressedGraph::load_sharded(&dir)?;
 //! let paged = DiskGraph::open(&dir)?;
+//! let in_ram = CompressedGraph::from_view(&paged);
 //! assert_eq!(in_ram.edge_count(), paged.edge_count());
 //! # Ok::<(), mis_graph::StreamError>(())
 //! ```
@@ -70,12 +73,11 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use crate::compressed::{validate_block, BlockEncoder, BlockReader, BLOCK_NODES};
-use crate::view::debug_check_overrides;
-use crate::{CompressedGraph, GraphError, GraphView, NeighborCursor, NodeId};
+use crate::{GraphError, GraphView, NeighborCursor, NodeId};
 
 const META_MAGIC: &[u8; 8] = b"MISGRPH1";
 const SHARD_MAGIC: &[u8; 8] = b"MISSHRD1";
-const META_VERSION: u64 = 1;
+const META_VERSION: u64 = 2;
 
 /// Default shard granularity: 2²⁰ nodes (a multiple of the block size).
 pub const DEFAULT_NODES_PER_SHARD: usize = 1 << 20;
@@ -198,6 +200,8 @@ fn write_shard_file(
     write_u64(&mut f, shard_id as u64)?;
     write_u64(&mut f, first_node as u64)?;
     write_u64(&mut f, node_span as u64)?;
+    write_u64(&mut f, encoder.degree_sum as u64)?;
+    write_u64(&mut f, encoder.max_degree as u64)?;
     write_u64(&mut f, (encoder.block_starts.len() - 1) as u64)?;
     for &off in &encoder.block_starts {
         write_u64(&mut f, off)?;
@@ -459,9 +463,10 @@ impl fmt::Debug for ShardWriter {
 }
 
 /// Writes an already-resident [`GraphView`] to the sharded format without
-/// spill files: each shard is encoded straight from the view, through the
-/// same shard loop as [`ShardWriter::finish`]. Produces byte-identical
-/// files to streaming the same graph's edges through a [`ShardWriter`].
+/// spill files: each shard is encoded straight from the view, read through
+/// one cursor, in the same shard loop as [`ShardWriter::finish`]. Produces
+/// byte-identical files to streaming the same graph's edges through a
+/// [`ShardWriter`].
 ///
 /// # Errors
 ///
@@ -470,7 +475,8 @@ impl fmt::Debug for ShardWriter {
 /// # Panics
 ///
 /// Panics if `nodes_per_shard` is zero or not a multiple of the block
-/// size.
+/// size, or if a neighbour list breaks the adjacency contract, as in
+/// [`CompressedGraph::from_view`](crate::CompressedGraph::from_view).
 pub fn write_sharded_from_view<G: GraphView + ?Sized>(
     dir: impl AsRef<Path>,
     g: &G,
@@ -480,16 +486,16 @@ pub fn write_sharded_from_view<G: GraphView + ?Sized>(
         nodes_per_shard > 0 && nodes_per_shard.is_multiple_of(BLOCK_NODES),
         "nodes_per_shard must be a positive multiple of {BLOCK_NODES}"
     );
+    let node_count = g.node_count();
     let dir = dir.as_ref();
     fs::create_dir_all(dir)?;
-    let mut neighbors: Vec<NodeId> = Vec::new();
-    write_shards(dir, g.node_count(), nodes_per_shard, |first, span, enc| {
-        for v in first..first + span {
-            let v = v as NodeId;
-            neighbors.clear();
-            g.for_each_neighbor(v, |u| neighbors.push(u));
-            enc.push(v, &neighbors);
-        }
+    let mut cursor = g.cursor();
+    write_shards(dir, node_count, nodes_per_shard, |first, span, enc| {
+        enc.push_from(
+            &mut cursor,
+            first as NodeId..(first + span) as NodeId,
+            node_count,
+        );
         Ok(())
     })
 }
@@ -538,16 +544,24 @@ fn read_meta(dir: &Path) -> Result<MetaFile, StreamError> {
     })
 }
 
+/// What a shard header records past its identity fields: the degree sum
+/// and maximum degree its writer sealed, and its block offsets.
+struct ShardHeader {
+    degree_sum: u64,
+    max_degree: u64,
+    block_starts: Vec<u64>,
+}
+
 /// Reads one shard header (magic through the offset table), leaving the
-/// file positioned at the start of the block data. Returns the offsets,
-/// checked to start at 0, ascend and end within the file.
+/// file positioned at the start of the block data. The offsets are checked
+/// to start at 0, ascend and end within the file.
 fn read_shard_header(
     f: &mut File,
     path: &Path,
     shard_id: usize,
     expect_first: usize,
     expect_span: usize,
-) -> Result<Vec<u64>, StreamError> {
+) -> Result<ShardHeader, StreamError> {
     let mut magic = [0u8; 8];
     f.read_exact(&mut magic)?;
     if &magic != SHARD_MAGIC {
@@ -562,86 +576,40 @@ fn read_shard_header(
     if read_u64(f)? as usize != expect_span {
         return Err(format_err(path, "node-span mismatch"));
     }
+    let degree_sum = read_u64(f)?;
+    let max_degree = read_u64(f)?;
     let block_count = read_u64(f)? as usize;
     if block_count != expect_span.div_ceil(BLOCK_NODES) {
         return Err(format_err(path, "block count disagrees with node span"));
     }
-    let mut offsets = Vec::with_capacity(block_count + 1);
+    let mut block_starts = Vec::with_capacity(block_count + 1);
     for _ in 0..=block_count {
-        offsets.push(read_u64(f)?);
+        block_starts.push(read_u64(f)?);
     }
-    // `load_sharded` concatenates shards assuming their data starts with
-    // block 0; `DiskGraph` would read a shifted layout correctly.
-    if offsets[0] != 0 {
+    // The writer puts block 0 at the start of the data: any other first
+    // offset is a corrupt table.
+    if block_starts[0] != 0 {
         return Err(format_err(path, "first block offset is not 0"));
     }
-    for pair in offsets.windows(2) {
+    for pair in block_starts.windows(2) {
         if pair[0] > pair[1] {
             return Err(format_err(path, "block offsets not ascending"));
         }
     }
-    // Both readers size buffers from these offsets: a corrupt one must
+    // A miss sizes its read buffer from these offsets: a corrupt one must
     // fail here, not as an allocation abort or a mid-run read panic.
     let data_len = f.metadata()?.len().saturating_sub(f.stream_position()?);
-    if *offsets.last().expect("offsets never empty") > data_len {
+    if *block_starts.last().expect("offsets never empty") > data_len {
         return Err(format_err(
             path,
             "block offsets run past the end of the file",
         ));
     }
-    Ok(offsets)
-}
-
-impl CompressedGraph {
-    /// Loads a shard directory fully into RAM, validating every block
-    /// against the adjacency contract and the `meta.bin` header facts.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StreamError::Io`] for filesystem failures and
-    /// [`StreamError::Format`] for malformed or corrupt directories.
-    pub fn load_sharded(dir: impl AsRef<Path>) -> Result<Self, StreamError> {
-        let dir = dir.as_ref();
-        let meta = read_meta(dir)?;
-        let mut data: Vec<u8> = Vec::new();
-        let mut block_starts: Vec<u64> = vec![0];
-        let mut degree_sum = 0u64;
-        let mut max_degree = 0usize;
-        for s in 0..meta.shard_count {
-            let path = shard_path(dir, s);
-            let first = s * meta.nodes_per_shard;
-            let span = meta.nodes_per_shard.min(meta.node_count - first);
-            let mut f = File::open(&path)?;
-            let offsets = read_shard_header(&mut f, &path, s, first, span)?;
-            let base_len = data.len() as u64;
-            let shard_bytes = *offsets.last().expect("offsets never empty");
-            data.resize((base_len + shard_bytes) as usize, 0);
-            f.read_exact(&mut data[base_len as usize..])?;
-            for (b, pair) in offsets.windows(2).enumerate() {
-                let block_base = (first + b * BLOCK_NODES) as NodeId;
-                let block_span = (span - b * BLOCK_NODES).min(BLOCK_NODES);
-                let bytes = &data[(base_len + pair[0]) as usize..(base_len + pair[1]) as usize];
-                let stats = validate_block(bytes, block_base, block_span, meta.node_count)
-                    .map_err(|reason| format_err(&path, format!("block {b}: {reason}")))?;
-                degree_sum += stats.degree_sum as u64;
-                max_degree = max_degree.max(stats.max_degree);
-                block_starts.push(base_len + pair[1]);
-            }
-        }
-        if degree_sum != 2 * meta.edge_count as u64 || max_degree != meta.max_degree {
-            return Err(format_err(
-                &meta_path(dir),
-                "header stats disagree with block contents",
-            ));
-        }
-        Ok(CompressedGraph::from_parts(
-            meta.node_count,
-            meta.edge_count,
-            meta.max_degree,
-            block_starts,
-            data,
-        ))
-    }
+    Ok(ShardHeader {
+        degree_sum,
+        max_degree,
+        block_starts,
+    })
 }
 
 struct DiskShard {
@@ -779,11 +747,11 @@ pub struct DiskCacheStats {
 /// stays on disk and only an LRU cache of sealed blocks (64 nodes each)
 /// is resident, so graphs larger than RAM stream through a simulation.
 ///
-/// A miss reads the block's bytes and validates them in one pass (every
-/// check [`CompressedGraph::load_sharded`] runs), re-reads after eviction
-/// included; nodes are then read in place from the cached bytes. A hit
-/// moves the block to the head of an index-linked recency list, and a
-/// miss evicts its tail, both in O(1). Per-node calls look the block up
+/// A miss reads the block's bytes and validates them in one pass (layout,
+/// ascending lists, no self-loops, endpoints in range), re-reads after
+/// eviction included; nodes are then read in place from the cached bytes.
+/// A hit moves the block to the head of an index-linked recency list, and
+/// a miss evicts its tail, both in O(1). Per-node calls look the block up
 /// each time; a [`DiskCursor`] from [`cursor`](GraphView::cursor) keeps
 /// its current block, so the simulators' passes pay one lookup per run of
 /// reads inside a block.
@@ -791,7 +759,8 @@ pub struct DiskCacheStats {
 /// Implements [`GraphView`], so kernels, engines, views and the sharded
 /// batch machinery run on it unchanged. `edge_count`/`max_degree` come
 /// from the `meta.bin` header in O(1) rather than the trait's degree-scan
-/// defaults.
+/// defaults; [`open`](Self::open) checks them against the degree sums and
+/// maxima of the shard headers.
 ///
 /// Shard headers are validated at [`open`](Self::open); an I/O failure or
 /// corrupt block encountered **mid-run** panics, since [`GraphView`]
@@ -809,7 +778,10 @@ pub struct DiskGraph {
 
 impl DiskGraph {
     /// Opens a shard directory, validating `meta.bin` and every shard
-    /// header (each block's payload is validated whenever it is read).
+    /// header, in O(shards) and without reading a block (each block's
+    /// payload is validated whenever it is read). The shards' degree sums
+    /// must add up to twice `meta.bin`'s edge count and their maximum
+    /// degrees must peak at its Δ.
     ///
     /// # Errors
     ///
@@ -821,12 +793,19 @@ impl DiskGraph {
         let mut shards = Vec::with_capacity(meta.shard_count);
         let mut files = Vec::with_capacity(meta.shard_count);
         let mut adjacency_bytes = 0u64;
+        let mut degree_sum = 0u64;
+        let mut max_degree = 0u64;
         for s in 0..meta.shard_count {
             let path = shard_path(dir, s);
             let first = s * meta.nodes_per_shard;
             let span = meta.nodes_per_shard.min(meta.node_count - first);
             let mut f = File::open(&path)?;
-            let block_starts = read_shard_header(&mut f, &path, s, first, span)?;
+            let header = read_shard_header(&mut f, &path, s, first, span)?;
+            degree_sum = degree_sum
+                .checked_add(header.degree_sum)
+                .ok_or_else(|| format_err(&path, "degree sums overflow u64"))?;
+            max_degree = max_degree.max(header.max_degree);
+            let block_starts = header.block_starts;
             let data_start = f.stream_position()?;
             adjacency_bytes +=
                 block_starts.last().expect("offsets never empty") + block_starts.len() as u64 * 8;
@@ -837,7 +816,17 @@ impl DiskGraph {
             });
             files.push(f);
         }
-        let g = Self {
+        // `edge_count` and `max_degree` are served from `meta.bin`, so
+        // they must agree with what the writer sealed into the shards.
+        if (meta.edge_count as u64).checked_mul(2) != Some(degree_sum)
+            || meta.max_degree as u64 != max_degree
+        {
+            return Err(format_err(
+                &meta_path(dir),
+                "edge count or max degree disagrees with the shard headers",
+            ));
+        }
+        Ok(Self {
             node_count: meta.node_count,
             edge_count: meta.edge_count,
             max_degree: meta.max_degree,
@@ -855,18 +844,7 @@ impl DiskGraph {
                 hits: 0,
                 misses: 0,
             }),
-        };
-        debug_check_overrides(&g);
-        // The debug cross-check warms the cache; start callers from a
-        // clean slate so stats and residency are deterministic across
-        // debug and release builds.
-        {
-            let mut st = g.state.lock().expect("disk graph lock");
-            st.evict_to(0);
-            st.hits = 0;
-            st.misses = 0;
-        }
-        Ok(g)
+        })
     }
 
     /// Sets the cache capacity in sealed blocks (≥ 1), evicting the least
@@ -1092,7 +1070,7 @@ impl fmt::Debug for DiskGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{generators, Graph};
+    use crate::{generators, CompressedGraph, Graph};
     use rand::{rngs::SmallRng, SeedableRng};
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -1140,23 +1118,31 @@ mod tests {
     }
 
     #[test]
-    fn round_trips_through_both_readers() {
+    fn round_trips_paged_and_loaded_into_ram() {
         let mut rng = SmallRng::seed_from_u64(0x5CA1E);
         let graphs = [
             ("gnp", generators::gnp(300, 0.05, &mut rng)),
             ("torus", generators::torus2d(10, 13)),
             ("star", generators::star(200)),
             ("edgeless", Graph::empty(100)),
+            ("empty", Graph::empty(0)),
         ];
         for (label, g) in &graphs {
             let tmp = TempDir::new(label);
             let summary = stream_graph(g, tmp.path(), 128);
             assert_eq!(summary.edge_count, g.edge_count(), "{label}");
             assert_eq!(summary.max_degree, g.max_degree(), "{label}");
-            let compressed = CompressedGraph::load_sharded(tmp.path()).unwrap();
-            assert_view_matches_graph(&compressed, g, label);
-            let disk = DiskGraph::open(tmp.path()).unwrap().with_cache_blocks(2);
-            assert_view_matches_graph(&disk, g, label);
+            let disk = DiskGraph::open(tmp.path()).unwrap();
+            assert_eq!(disk.cache_stats(), DiskCacheStats::default(), "{label}");
+            // Loading into RAM reads each block once, through one cursor,
+            // and encodes the bytes the CSR graph encodes to.
+            let loaded = CompressedGraph::from_view(&disk);
+            let stats = disk.cache_stats();
+            let blocks = g.node_count().div_ceil(BLOCK_NODES) as u64;
+            assert_eq!(stats.hits + stats.misses, blocks, "{label}: lookups");
+            assert_eq!(loaded, CompressedGraph::from_view(g), "{label}");
+            assert_view_matches_graph(&loaded, g, label);
+            assert_view_matches_graph(&disk.with_cache_blocks(2), g, label);
         }
     }
 
@@ -1200,7 +1186,7 @@ mod tests {
         w.add_edge(2, 3);
         let summary = w.finish().unwrap();
         assert_eq!(summary.edge_count, 2);
-        let g = CompressedGraph::load_sharded(tmp.path()).unwrap();
+        let g = DiskGraph::open(tmp.path()).unwrap();
         assert_eq!(g.neighbors_vec(1), vec![0]);
     }
 
@@ -1253,7 +1239,6 @@ mod tests {
         let meta = fs::read(meta_path(tmp.path())).unwrap();
         fs::write(meta_path(tmp.path()), &meta[..16]).unwrap();
         assert!(DiskGraph::open(tmp.path()).is_err());
-        assert!(CompressedGraph::load_sharded(tmp.path()).is_err());
         fs::write(meta_path(tmp.path()), &meta).unwrap();
 
         // Flip the shard magic.
@@ -1267,19 +1252,24 @@ mod tests {
         ));
         bytes[0] ^= 0xff;
 
-        // Corrupt a block payload: load_sharded validates and rejects.
+        // Corrupt a block payload: open reads no block, and the first read
+        // of the block validates it and panics.
         let last = bytes.len() - 9;
         bytes[last] = 0xff;
         fs::write(&shard, &bytes).unwrap();
-        assert!(CompressedGraph::load_sharded(tmp.path()).is_err());
+        let disk = DiskGraph::open(tmp.path()).unwrap();
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| disk.degree(0)))
+            .expect_err("a corrupt block was read");
+        let message = panic.downcast_ref::<String>().expect("a formatted panic");
+        assert!(message.starts_with("corrupt shard block 0"), "{message}");
 
         // Block offsets out of range: a last offset of 2^56, a data section
-        // cut short, and offsets shifted by 8 over 8 inserted bytes. Both
-        // readers reject each at open, instead of sizing a buffer from it,
-        // panicking mid-run, or (`load_sharded`) misreading the blocks.
+        // cut short, and offsets shifted by 8 over 8 inserted bytes. Open
+        // rejects each, instead of sizing a buffer from it or panicking
+        // mid-run.
         stream_graph(&g, tmp.path(), 64);
         let valid = fs::read(&shard).unwrap();
-        let table = 8 + 4 * 8; // magic and 4 header words; then offsets 0, 1
+        let table = 8 + 6 * 8; // magic and 6 header words; then offsets 0, 1
         let mut huge = valid.clone();
         huge[table + 8..table + 16].copy_from_slice(&(1u64 << 56).to_le_bytes());
         let mut shifted = valid.clone();
@@ -1291,10 +1281,6 @@ mod tests {
         for corrupt in [&huge[..], &valid[..valid.len() - 8], &shifted[..]] {
             fs::write(&shard, corrupt).unwrap();
             assert!(matches!(
-                CompressedGraph::load_sharded(tmp.path()),
-                Err(StreamError::Format { .. })
-            ));
-            assert!(matches!(
                 DiskGraph::open(tmp.path()),
                 Err(StreamError::Format { .. })
             ));
@@ -1302,6 +1288,59 @@ mod tests {
 
         // Missing directory entirely.
         assert!(DiskGraph::open(tmp.path().join("nope")).is_err());
+    }
+
+    /// Overwrites the little-endian `u64` at byte `at` of `path`.
+    fn overwrite_u64(path: &Path, at: usize, value: u64) {
+        let mut bytes = fs::read(path).unwrap();
+        bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+        fs::write(path, bytes).unwrap();
+    }
+
+    #[test]
+    fn open_rejects_header_statistics_that_disagree() {
+        // Byte offsets of meta.bin's edge count and Δ (after the magic,
+        // version and node count), and of a shard header's degree sum and
+        // maximum degree (after the magic, id, first node and node span).
+        const META_EDGES: usize = 8 + 2 * 8;
+        const META_DELTA: usize = 8 + 3 * 8;
+        const SHARD_SUM: usize = 8 + 3 * 8;
+        const SHARD_MAX: usize = 8 + 4 * 8;
+        let rejected = |dir: &Path| matches!(DiskGraph::open(dir), Err(StreamError::Format { .. }));
+        // torus2d(8, 8) in one shard: 128 edges, Δ = 4.
+        let tmp = TempDir::new("stats");
+        let g = generators::torus2d(8, 8);
+        let (meta, shard) = (meta_path(tmp.path()), shard_path(tmp.path(), 0));
+        let cases: [(&Path, usize, u64); 7] = [
+            (&meta, META_DELTA, 1000),
+            (&meta, META_DELTA, 3),
+            (&meta, META_EDGES, 129),
+            (&meta, META_EDGES, (1 << 63) + 128), // twice it wraps to 256
+            (&shard, SHARD_SUM, 258),
+            (&shard, SHARD_SUM, u64::MAX),
+            (&shard, SHARD_MAX, 5),
+        ];
+        for (path, at, value) in cases {
+            stream_graph(&g, tmp.path(), 64);
+            let disk = DiskGraph::open(tmp.path()).unwrap();
+            assert_eq!((disk.edge_count(), disk.max_degree()), (128, 4));
+            overwrite_u64(path, at, value);
+            assert!(rejected(tmp.path()), "{} at {at} = {value}", path.display());
+        }
+
+        // torus2d(8, 16) in two shards of degree sum 256 each: sums that
+        // overflow u64 when added, once to a wrong total and once wrapping
+        // round to the right one.
+        let tmp = TempDir::new("stats-overflow");
+        let g = generators::torus2d(8, 16);
+        let shards = [shard_path(tmp.path(), 0), shard_path(tmp.path(), 1)];
+        for sums in [[256, u64::MAX - 100], [1 << 63, (1 << 63) + 512]] {
+            stream_graph(&g, tmp.path(), 64);
+            for (shard, sum) in shards.iter().zip(sums) {
+                overwrite_u64(shard, SHARD_SUM, sum);
+            }
+            assert!(rejected(tmp.path()), "degree sums {sums:?}");
+        }
     }
 
     #[test]
@@ -1456,7 +1495,7 @@ mod tests {
                                         // handle reads the new bytes.
         let shard = shard_path(tmp.path(), 0);
         let mut bytes = fs::read(&shard).unwrap();
-        let data_start = 8 + 4 * 8 + 5 * 8; // magic, 4 header words, 5 offsets
+        let data_start = 8 + 6 * 8 + 5 * 8; // magic, 6 header words, 5 offsets
         bytes[data_start] = 3;
         fs::write(&shard, &bytes).unwrap();
         let _ = disk.degree(1);
@@ -1468,10 +1507,9 @@ mod tests {
         let w = ShardWriter::create(tmp.path(), 0, 64).unwrap();
         let summary = w.finish().unwrap();
         assert_eq!(summary.shard_count, 0);
-        let g = CompressedGraph::load_sharded(tmp.path()).unwrap();
-        assert!(g.is_empty());
         let disk = DiskGraph::open(tmp.path()).unwrap();
         assert_eq!(GraphView::edge_count(&disk), 0);
+        assert!(CompressedGraph::from_view(&disk).is_empty());
     }
 
     #[test]

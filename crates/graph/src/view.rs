@@ -292,33 +292,6 @@ impl<G: GraphView + ?Sized> NeighborCursor for PerNode<'_, G> {
     }
 }
 
-/// Asserts a view's stored `edge_count`/`max_degree` against the trait's
-/// degree-sum and degree-scan defaults — the guard that keeps the O(1)
-/// overrides of [`CompressedGraph`](crate::CompressedGraph) and
-/// [`DiskGraph`](crate::DiskGraph) honest. Runs in debug builds on graphs
-/// of at most 4096 nodes; release builds pay nothing.
-pub(crate) fn debug_check_overrides<G: GraphView + ?Sized>(g: &G) {
-    if cfg!(debug_assertions) && g.node_count() <= 4096 {
-        let (mut total, mut max) = (0usize, 0usize);
-        let mut cursor = g.cursor();
-        for v in 0..g.node_count() as NodeId {
-            let d = cursor.degree(v);
-            total += d;
-            max = max.max(d);
-        }
-        assert_eq!(
-            g.edge_count(),
-            total / 2,
-            "stored edge_count disagrees with the degree-sum default"
-        );
-        assert_eq!(
-            g.max_degree(),
-            max,
-            "stored max_degree disagrees with the degree-scan default"
-        );
-    }
-}
-
 impl GraphView for Graph {
     type Cursor<'a>
         = PerNode<'a, Self>

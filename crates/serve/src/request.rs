@@ -9,17 +9,19 @@
 //! canonical form of the family's parameters is kept here, beside the rest
 //! of the cache key.
 //!
-//! The cache key is `fnv1a64(canonical request JSON)`, where the canonical
-//! form embeds a **digest of the built graph** rather than the graph spec:
-//! a DIMACS upload and a generator spec that produce the same adjacency
-//! structure hit the same entry. See [`cache_key`].
+//! The cache key is the FNV-1a digest ([`Fnv1a`]) of the canonical
+//! request JSON, where the canonical form embeds a **digest of the built
+//! graph** rather than the graph spec: a DIMACS upload and a generator
+//! spec that produce the same adjacency structure hit the same entry. See
+//! [`cache_key`].
 
 use mis_baselines::Family;
 use mis_beeping::json::Json;
+use mis_beeping::rng::Fnv1a;
 use mis_beeping::{FaultPlan, PropagationKernel, RngMode, SimConfig};
 use mis_core::Algorithm;
 use mis_graph::backend::Backend;
-use mis_graph::{generators, io, Graph, GraphView};
+use mis_graph::{generators, io, Graph, GraphError, GraphView};
 use rand::{rngs::SmallRng, SeedableRng};
 
 /// Largest accepted node count for generated and uploaded graphs.
@@ -215,12 +217,16 @@ impl GraphSpec {
     }
 
     /// Builds the concrete CSR graph, enforcing the [`MAX_NODES`] and
-    /// [`MAX_EDGES`] caps before any generator runs.
+    /// [`MAX_EDGES`] caps and each generator's shape condition before any
+    /// generator runs, and a DIMACS upload's declared node count before
+    /// anything sized by it is allocated.
     ///
     /// # Errors
     ///
-    /// `bad_graph` for node or edge counts over the caps or malformed
-    /// DIMACS text (including self-loop edges, which the parser rejects).
+    /// `bad_graph` for node or edge counts over the caps, shapes a
+    /// generator does not accept (a cycle below 3 nodes, an empty star, a
+    /// torus side below 3) or malformed DIMACS text (including self-loop
+    /// edges, which the parser rejects).
     pub fn build(&self) -> Result<Graph, RequestError> {
         let cap = |n: usize| {
             if n > MAX_NODES {
@@ -232,6 +238,14 @@ impl GraphSpec {
                 Ok(n)
             }
         };
+        let require = |holds: bool, condition: &str| {
+            if holds {
+                Ok(())
+            } else {
+                Err(RequestError::new("bad_graph", condition))
+            }
+        };
+        let bad_dimacs = |e: GraphError| RequestError::new("bad_graph", e.to_string());
         self.check_edges()?;
         Ok(match self {
             GraphSpec::Gnp { n, p, graph_seed } => {
@@ -243,20 +257,29 @@ impl GraphSpec {
             }
             GraphSpec::Torus2d { rows, cols } => {
                 cap(rows.saturating_mul(*cols))?;
+                require(
+                    *rows >= 3 && *cols >= 3,
+                    "torus2d needs rows and cols of at least 3",
+                )?;
                 generators::torus2d(*rows, *cols)
             }
-            GraphSpec::Cycle { n } => generators::cycle(cap(*n)?),
+            GraphSpec::Cycle { n } => {
+                require(*n >= 3, "cycle needs n of at least 3")?;
+                generators::cycle(cap(*n)?)
+            }
             GraphSpec::Path { n } => generators::path(cap(*n)?),
             GraphSpec::Complete { n } => generators::complete(cap(*n)?),
-            GraphSpec::Star { n } => generators::star(cap(*n)?),
+            GraphSpec::Star { n } => {
+                require(*n >= 1, "star needs n of at least 1")?;
+                generators::star(cap(*n)?)
+            }
             GraphSpec::RandomTree { n, graph_seed } => {
                 generators::random_tree(cap(*n)?, &mut SmallRng::seed_from_u64(*graph_seed))
             }
             GraphSpec::Dimacs { text } => {
-                let g = io::parse_dimacs(text)
-                    .map_err(|e| RequestError::new("bad_graph", e.to_string()))?;
-                cap(g.node_count())?;
-                g
+                let (nodes, _) = io::dimacs_problem(text).map_err(bad_dimacs)?;
+                cap(nodes)?;
+                io::parse_dimacs(text).map_err(bad_dimacs)?
             }
         })
     }
@@ -564,44 +587,31 @@ fn req_probability(j: &Json, key: &str) -> Result<f64, RequestError> {
 
 // ---- Content addressing ---------------------------------------------------
 
-const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET_BASIS;
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 /// FNV-1a digest of a graph's adjacency structure: node count, then each
 /// node's degree followed by its ascending neighbour list. The
 /// degree-prefix makes the byte stream a prefix code, so distinct
 /// adjacency structures cannot collide by concatenation.
 #[must_use]
 pub fn graph_digest<G: GraphView + ?Sized>(g: &G) -> u64 {
-    let mut h = FNV_OFFSET_BASIS;
-    let mut eat = |v: u64| {
-        for b in v.to_le_bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-        }
-    };
-    eat(g.node_count() as u64);
+    let mut h = Fnv1a::new();
+    h.write_u64(g.node_count() as u64);
     for v in 0..g.node_count() as u32 {
-        eat(g.degree(v) as u64);
-        g.for_each_neighbor(v, |u| eat(u64::from(u)));
+        h.write_u64(g.degree(v) as u64);
+        g.for_each_neighbor(v, |u| h.write_u64(u64::from(u)));
     }
-    h
+    h.finish()
 }
 
 /// The content address of `request` run on `graph`: 16 lowercase hex
-/// digits of `fnv1a64(canonical request JSON)`. Everything that can change
-/// a payload byte is inside the canonical form; nothing else is.
+/// digits of the FNV-1a digest of the canonical request JSON. Everything
+/// that can change a payload byte is inside the canonical form; nothing
+/// else is.
 #[must_use]
 pub fn cache_key<G: GraphView + ?Sized>(request: &RunRequest, graph: &G) -> String {
     let canonical = request.canonical_json(graph_digest(graph)).render();
-    format!("{:016x}", fnv1a64(canonical.as_bytes()))
+    let mut h = Fnv1a::new();
+    h.write(canonical.as_bytes());
+    format!("{:016x}", h.finish())
 }
 
 #[cfg(test)]
@@ -767,6 +777,56 @@ mod tests {
         .unwrap_err();
         assert_eq!(err.code, "bad_graph");
         assert!(err.message.contains("self-loop") || err.message.contains("loop"));
+    }
+
+    #[test]
+    fn shapes_the_generators_reject_are_bad_graphs() {
+        for (spec, condition) in [
+            (GraphSpec::Cycle { n: 2 }, "cycle needs n of at least 3"),
+            (GraphSpec::Star { n: 0 }, "star needs n of at least 1"),
+            (
+                GraphSpec::Torus2d { rows: 2, cols: 5 },
+                "torus2d needs rows and cols of at least 3",
+            ),
+            (
+                GraphSpec::Torus2d { rows: 5, cols: 2 },
+                "torus2d needs rows and cols of at least 3",
+            ),
+        ] {
+            let err = spec.build().unwrap_err();
+            assert_eq!((err.code, err.message.as_str()), ("bad_graph", condition));
+        }
+        // The smallest accepted shapes still build.
+        assert_eq!(GraphSpec::Cycle { n: 3 }.build().unwrap().edge_count(), 3);
+        assert_eq!(GraphSpec::Star { n: 1 }.build().unwrap().node_count(), 1);
+        let torus = GraphSpec::Torus2d { rows: 3, cols: 3 }.build().unwrap();
+        assert_eq!(torus.edge_count(), 18);
+    }
+
+    #[test]
+    fn dimacs_node_count_is_capped_from_the_problem_line() {
+        // The count is checked before any edge line is parsed, so the cap
+        // is reported ahead of the self-loop on line 2.
+        for text in [
+            format!("c over the cap\np edge {} 0\n", MAX_NODES + 1),
+            format!("p edge {} 1\ne 1 1\n", MAX_NODES + 1),
+        ] {
+            let err = GraphSpec::Dimacs { text }.build().unwrap_err();
+            assert_eq!(err.code, "bad_graph");
+            assert!(err.message.contains("2000000-node cap"), "{}", err.message);
+        }
+        // A document without a problem line is still a parse error.
+        let err = GraphSpec::Dimacs {
+            text: "c nothing\n".to_owned(),
+        }
+        .build()
+        .unwrap_err();
+        assert_eq!(err.code, "bad_graph");
+        assert!(
+            err.message.contains("missing problem line"),
+            "{}",
+            err.message
+        );
     }
 
     #[test]

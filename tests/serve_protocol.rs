@@ -16,6 +16,7 @@ use beeping_mis::beeping::json::Json;
 use beeping_mis::core::engine::{AlgorithmEngine, EngineRecord};
 use beeping_mis::core::{Algorithm, RunPlan};
 use beeping_mis::graph::generators;
+use beeping_mis::serve::request::MAX_NODES;
 use beeping_mis::serve::{ServeClient, ServeConfig, Server, ServerHandle};
 
 fn spawn() -> ServerHandle {
@@ -231,6 +232,39 @@ fn malformed_requests_get_typed_errors_and_the_connection_survives() {
     );
     // After the whole burst, the same connection still serves.
     assert!(c.ping().unwrap());
+    handle.stop();
+}
+
+#[test]
+fn graphs_a_generator_or_the_node_cap_rejects_leave_the_connection_usable() {
+    let handle = spawn();
+    let mut c = client(&handle);
+    let over_cap = format!(r#"{{"dimacs": "p edge {} 0\n"}}"#, MAX_NODES + 1);
+    for graph in [
+        r#"{"generator": "cycle", "n": 2}"#,
+        r#"{"generator": "star", "n": 0}"#,
+        r#"{"generator": "torus2d", "rows": 2, "cols": 8}"#,
+        r#"{"generator": "torus2d", "rows": 8, "cols": 2}"#,
+        &over_cap,
+    ] {
+        let line = format!(
+            r#"{{"cmd": "submit", "request": {{"graph": {graph}, "algorithm": {{"family": "feedback"}}, "runs": 1}}}}"#
+        );
+        let reply = Json::parse(&c.raw_call(&line).unwrap()).unwrap();
+        assert_eq!(reply.get("ok"), Some(&Json::Bool(false)), "{graph}");
+        assert_eq!(
+            reply
+                .get("error")
+                .and_then(|e| e.get("code"))
+                .and_then(Json::as_str),
+            Some("bad_graph"),
+            "{graph}"
+        );
+        assert!(
+            c.ping().unwrap(),
+            "{graph}: the connection stopped answering"
+        );
+    }
     handle.stop();
 }
 
